@@ -13,18 +13,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .canlog import IdFilter, LogParseError, filter_frames, read_log, write_log
 from .geokin import VehiclePose, VehicleSpec
-from .inference import InferenceError, InferenceParams, infer_path
+from .inference import ANGLE, InferenceError, InferenceParams, decode_signals, infer_path
 from .mapmatch import ExternalMatcher, GraphMatcher, MatchServiceError
-from .obd import decode_speed_response
 from .reveng import (
-    AngleDecodeError,
+    VehicleEntry,
     candidate_report_csv,
     compute_change_stats,
-    decode_angle,
     format_candidate_report,
     load_decoder_sheet,
     lookup_vehicle,
@@ -71,16 +70,18 @@ def _parse_start(text: str) -> VehiclePose:
 def _parse_params(text: str | None) -> InferenceParams:
     if not text:
         return InferenceParams()
+    # each parameter parses as the type of its default (int or float)
+    kinds = {f.name: type(f.default) for f in fields(InferenceParams)}
     values = {}
     for item in text.split(","):
         if "=" not in item:
             raise UsageError(f"--params entries look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key not in ("t_window", "speed_max", "steer_max", "max_interpolation_points"):
+        if key not in kinds:
             raise UsageError(f"unknown parameter {key!r}")
         try:
-            values[key] = int(value) if key == "max_interpolation_points" else float(value)
+            values[key] = kinds[key](value)
         except ValueError:
             raise UsageError(f"--params {key} has a non-numeric value {value!r}") from None
     try:
@@ -89,38 +90,36 @@ def _parse_params(text: str | None) -> InferenceParams:
         raise UsageError(f"--params: {exc}") from None
 
 
-def _resolve_vehicle(args) -> tuple:
-    """Decoder + vehicle spec from --model / --decoder-file / --wheelbase."""
-    wheelbase = args.wheelbase
-    steer_max = getattr(args, "steer_max", None)
-    if getattr(args, "decoder_file", None):
-        sheet = load_decoder_sheet(args.decoder_file)
-        if args.model:
-            entry = sheet.get(" ".join(args.model.lower().split()))
+def _resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
+    """Decoder-sheet row from a model name and/or a decoder file."""
+    if decoder_file:
+        sheet = load_decoder_sheet(decoder_file)
+        if model:
+            entry = sheet.get(" ".join(model.lower().split()))
             if entry is None:
-                raise UsageError(f"model {args.model!r} not in decoder file")
-        else:
-            if len(sheet) != 1:
-                raise UsageError("--decoder-file has several models; pick one with --model")
-            entry = next(iter(sheet.values()))
-    elif args.model:
-        entry = lookup_vehicle(args.model)
+                raise UsageError(f"model {model!r} not in decoder file")
+            return entry
+        if len(sheet) != 1:
+            raise UsageError("--decoder-file has several models; pick one with --model")
+        return next(iter(sheet.values()))
+    if model:
+        entry = lookup_vehicle(model)
         if entry is None:
-            raise UsageError(
-                f"unknown model {args.model!r}: supply --decoder-file and --wheelbase"
-            )
-    else:
-        raise UsageError("one of --model or --decoder-file is required")
+            raise UsageError(f"unknown model {model!r}: supply --decoder-file and --wheelbase")
+        return entry
+    raise UsageError("one of --model or --decoder-file is required")
+
+
+def _resolve_vehicle(
+    model: str | None, decoder_file: str | None, wheelbase: float | None
+) -> tuple:
+    """Decoder + vehicle spec; an explicit wheelbase overrides the sheet's."""
+    entry = _resolve_entry(model, decoder_file)
     if wheelbase is None:
         wheelbase = entry.wheelbase
     if wheelbase is None:
-        raise UsageError(f"no wheelbase on record for {args.model!r}: pass --wheelbase")
-    spec = VehicleSpec(
-        wheelbase=wheelbase,
-        steer_max=35.0 if steer_max is None else steer_max,
-        model=args.model or "",
-    )
-    return entry.decoder, spec
+        raise UsageError(f"no wheelbase on record for {entry.model!r}: pass --wheelbase")
+    return entry.decoder, VehicleSpec(wheelbase=wheelbase)
 
 
 def _make_matcher(spec: str | None):
@@ -163,20 +162,12 @@ def _cmd_rewheel(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    decoder, _vehicle = _resolve_vehicle(args)
+    decoder = _resolve_entry(args.model, args.decoder_file).decoder
     frames = _read_frames(args.log, strict=args.strict)
     lines = ["timestamp,signal,value"]
-    for frame in frames:
-        if frame.id == decoder.id:
-            try:
-                sample = decode_angle(decoder, frame)
-            except AngleDecodeError:
-                continue
-            lines.append(f"{sample.timestamp:.6f},angle_deg,{sample.angle_deg:.4f}")
-        else:
-            reading = decode_speed_response(frame)
-            if reading is not None:
-                lines.append(f"{reading.timestamp:.6f},speed_kmh,{reading.speed_kmh}")
+    for t, signal, value in decode_signals(frames, decoder):
+        shown = f"{value:.4f}" if signal == ANGLE else value
+        lines.append(f"{t:.6f},{signal},{shown}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -197,7 +188,7 @@ def _cmd_infer(args) -> int:
     # flag-only validation first, file I/O after
     start = _parse_start(args.start)
     params = _parse_params(args.params)
-    decoder, vehicle = _resolve_vehicle(args)
+    decoder, vehicle = _resolve_vehicle(args.model, args.decoder_file, args.wheelbase)
     matcher = _make_matcher(args.matcher)
     frames = _read_frames(args.log, strict=args.strict)
     result = infer_path(frames, decoder, vehicle, start, params, matcher)
@@ -256,26 +247,27 @@ def _cmd_tune(args) -> int:
     graph = RoadGraph.load(resolve(doc["graph"]))
     tracks = []
     for entry in doc["tracks"]:
+        name = entry.get("name", os.path.basename(entry["log"]))
+        decoder_file = entry.get("decoder_file")
+        try:
+            decoder, vehicle = _resolve_vehicle(
+                entry.get("model"),
+                resolve(decoder_file) if decoder_file else None,
+                entry.get("wheelbase"),
+            )
+        except UsageError as exc:
+            raise UsageError(f"manifest track {name!r}: {exc}") from None
         frames, _ = read_log(resolve(entry["log"]), strict=False)
         truth = load_gpx(resolve(entry["truth"]))
         lat, lon, bearing = entry["start"]
-        if "model" in entry:
-            found = lookup_vehicle(entry["model"])
-            if found is None:
-                raise UsageError(f"unknown model {entry['model']!r} in manifest")
-            decoder, wheelbase = found.decoder, entry.get("wheelbase", found.wheelbase)
-        else:
-            sheet = load_decoder_sheet(resolve(entry["decoder_file"]))
-            found = next(iter(sheet.values()))
-            decoder, wheelbase = found.decoder, entry.get("wheelbase", found.wheelbase)
         tracks.append(
             TuneTrack(
-                name=entry.get("name", os.path.basename(entry["log"])),
+                name=name,
                 frames=tuple(frames),
                 truth=truth,
                 start=VehiclePose(lat, lon, bearing),
                 decoder=decoder,
-                vehicle=VehicleSpec(wheelbase=wheelbase),
+                vehicle=vehicle,
             )
         )
     grids = {k: tuple(v) for k, v in doc.get("grids", {}).items()} or None
@@ -283,13 +275,8 @@ def _cmd_tune(args) -> int:
     csv_text = rows_to_csv(rows)
     _write_or_print(csv_text, args.out)
     best = rows[0]
-    print(
-        f"best: t_window={best.params.t_window} speed_max={best.params.speed_max} "
-        f"steer_max={best.params.steer_max} "
-        f"max_interpolation_points={best.params.max_interpolation_points} "
-        f"mean_accuracy={best.mean_accuracy:.4f}",
-        file=sys.stderr,
-    )
+    chosen = " ".join(f"{f.name}={getattr(best.params, f.name)}" for f in fields(InferenceParams))
+    print(f"best: {chosen} mean_accuracy={best.mean_accuracy:.4f}", file=sys.stderr)
     if args.marginals:
         curves = marginal_curves(rows, grids)
         with open(args.marginals, "w", encoding="utf-8") as fp:
@@ -336,7 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model")
     p.add_argument("--decoder-file")
     p.add_argument("--wheelbase", type=float)
-    p.add_argument("--steer-max", type=float, dest="steer_max")
     p.add_argument("--params", help="t_window=0.1,speed_max=50,... overrides")
     p.add_argument("--matcher", help="internal:<graph file> | external:<url> | none")
     p.add_argument("--out", help="output GPX (default: <log>_inferred.gpx)")

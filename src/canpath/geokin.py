@@ -49,14 +49,10 @@ class VehicleSpec:
     """Physical parameters the motion model needs."""
 
     wheelbase: float
-    steer_max: float = 35.0
-    model: str = ""
 
     def __post_init__(self):
         if self.wheelbase <= 0:
             raise ValueError("wheelbase must be positive")
-        if not 0 < self.steer_max < 90:
-            raise ValueError("steer_max must be in (0, 90) degrees")
 
 
 @dataclass(frozen=True)

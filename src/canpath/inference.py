@@ -1,17 +1,18 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
-The log is cut into fixed windows anchored at the first frame. Each window
-averages the decoded steering angles and OBD speeds (holding the previous
-value when a category has no frames), advances the pose with the bicycle
-model plus a geodesic forward step, and buffers the dead-reckoned point.
-Every max_interpolation_points windows the buffer is snapped to the road
-network; the length difference between the snapped and dead-reckoned
-polylines is carried into the next window's travel so the track does not
-fall behind.
+The log is decoded once into steering-angle and OBD speed samples, then
+cut into fixed windows anchored at the first frame. Each window averages
+its samples (holding the previous value when a category has none),
+advances the pose with the bicycle model plus a geodesic forward step, and
+buffers the dead-reckoned point. Every max_interpolation_points windows the
+buffer is snapped to the road network; the length difference between the
+snapped and dead-reckoned polylines is carried into the next window's
+travel so the track does not fall behind.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -59,15 +60,6 @@ class WindowAggregate:
 
 
 @dataclass
-class InferenceState:
-    pose: VehiclePose
-    carry_distance: float = 0.0
-    pending_points: list[LatLon] = field(default_factory=list)
-    window_counter: int = 0
-    inferred_track: list[LatLon] = field(default_factory=list)
-
-
-@dataclass
 class Diagnostics:
     windows: int = 0
     batches_matched: int = 0
@@ -93,26 +85,41 @@ class InferenceResult:
     diagnostics: Diagnostics
 
 
-def window_aggregate(
-    frames: Sequence[CanFrame], decoder: AngleDecoder, previous: WindowAggregate
-) -> WindowAggregate:
-    """Mean decoded angle (degrees) and speed (m/s) over one window.
+# (timestamp, ANGLE or SPEED, value): degrees for ANGLE, integer km/h for SPEED
+Sample = tuple[float, str, float]
+ANGLE = "angle_deg"
+SPEED = "speed_kmh"
 
-    OBD responses arrive slower than angle broadcasts, so a category with
-    no frames inherits the previous window's value instead of zeroing out.
+
+def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sample]:
+    """Every decodable steering angle and OBD-II speed, in frame order.
+
+    Frames with the decoder's ID are angles (malformed ones are skipped);
+    any other frame counts only if it is a speed response. This is the one
+    decode pass of the pipeline: inference and ``canpath decode`` share it.
     """
-    angles = []
-    speeds = []
+    samples: list[Sample] = []
     for frame in frames:
         if frame.id == decoder.id:
             try:
-                angles.append(decode_angle(decoder, frame).angle_deg)
+                samples.append((frame.timestamp, ANGLE, decode_angle(decoder, frame).angle_deg))
             except AngleDecodeError:
                 continue
         else:
             reading = decode_speed_response(frame)
             if reading is not None:
-                speeds.append(reading.speed_kmh)
+                samples.append((reading.timestamp, SPEED, reading.speed_kmh))
+    return samples
+
+
+def window_aggregate(samples: Sequence[Sample], previous: WindowAggregate) -> WindowAggregate:
+    """Mean angle (degrees) and speed (m/s) over one window's samples.
+
+    OBD responses arrive slower than angle broadcasts, so a category with
+    no samples inherits the previous window's value instead of zeroing out.
+    """
+    angles = [value for _t, signal, value in samples if signal == ANGLE]
+    speeds = [value for _t, signal, value in samples if signal == SPEED]
     avg_angle = sum(angles) / len(angles) if angles else previous.avg_angle_deg
     avg_speed = (sum(speeds) / len(speeds)) / 3.6 if speeds else previous.avg_speed_ms
     return WindowAggregate(
@@ -166,52 +173,46 @@ def infer_path(
     if not frames:
         raise InferenceError("empty log: nothing to infer")
     frames = sorted(frames, key=lambda f: f.timestamp)
-
-    def decodable(frame: CanFrame) -> bool:
-        if frame.id != decoder.id:
-            return False
-        try:
-            decode_angle(decoder, frame)
-        except AngleDecodeError:
-            return False
-        return True
-
-    if not any(decodable(f) for f in frames):
+    samples = decode_signals(frames, decoder)
+    if not any(signal == ANGLE for _t, signal, _v in samples):
         raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
 
     t0 = frames[0].timestamp
     t_end = frames[-1].timestamp
     n_windows = int((t_end - t0) / params.t_window) + 1
 
-    state = InferenceState(pose=start)
+    pose = start
+    carry_distance = 0.0
+    pending: list[LatLon] = []
+    inferred: list[LatLon] = []
     diag = Diagnostics()
     aggregate = WindowAggregate(avg_angle_deg=0.0, avg_speed_ms=0.0)
     prev_window_start: LatLon | None = None
-    frame_idx = 0
+    times = [t for t, _signal, _v in samples]  # ascending: the frames are sorted
+    sample_idx = 0
 
     def flush_batch() -> None:
-        nonlocal state, prev_window_start
-        if not state.pending_points:
+        nonlocal pose, carry_distance, prev_window_start
+        if not pending:
             return
         if matcher is None:
-            state.inferred_track.extend(state.pending_points)
+            inferred.extend(pending)
         else:
-            first = len(state.inferred_track)
+            first = len(inferred)
             try:
-                result = matcher.match(list(state.pending_points))
+                result = matcher.match(list(pending))
             except UnmatchedGapError:
-                state.inferred_track.extend(state.pending_points)
-                diag.fallback_spans.append((first, len(state.inferred_track) - 1))
+                inferred.extend(pending)
+                diag.fallback_spans.append((first, len(inferred) - 1))
             else:
-                state.inferred_track.extend(result.matched_points)
-                carry = abs(
-                    polyline_length(result.matched_points) - polyline_length(state.pending_points)
+                inferred.extend(result.matched_points)
+                carry_distance = abs(
+                    polyline_length(result.matched_points) - polyline_length(pending)
                 )
-                state.carry_distance = carry
-                diag.total_carry += carry
+                diag.total_carry += carry_distance
                 diag.batches_matched += 1
                 last_lat, last_lon = result.matched_points[-1]
-                state.pose = VehiclePose(last_lat, last_lon, state.pose.bearing)
+                pose = VehiclePose(last_lat, last_lon, pose.bearing)
                 # The previous window's travel chord must share the snapped
                 # frame, or the straightening correction whips the bearing
                 # around the snap discontinuity. The matched images of the
@@ -220,44 +221,35 @@ def infer_path(
                     prev_window_start = result.matched_points[-2]
                 else:
                     prev_window_start = None
-        state.pending_points.clear()
+        pending.clear()
 
     for k in range(n_windows):
-        window_end = t0 + (k + 1) * params.t_window
-        window_frames = []
-        while frame_idx < len(frames) and frames[frame_idx].timestamp < window_end:
-            window_frames.append(frames[frame_idx])
-            frame_idx += 1
+        first = sample_idx
         if k == n_windows - 1:
             # the final frame sits exactly on the last window's closing edge
-            while frame_idx < len(frames):
-                window_frames.append(frames[frame_idx])
-                frame_idx += 1
+            sample_idx = len(samples)
+        else:
+            sample_idx = bisect_left(times, t0 + (k + 1) * params.t_window, sample_idx)
 
-        aggregate = window_aggregate(window_frames, decoder, aggregate)
-        distance = aggregate.avg_speed_ms * params.t_window
-        if state.carry_distance > 0:
-            distance += state.carry_distance
-            state.carry_distance = 0.0
+        aggregate = window_aggregate(samples[first:sample_idx], aggregate)
+        distance = aggregate.avg_speed_ms * params.t_window + carry_distance
+        carry_distance = 0.0
 
         angle = clamp_steer(aggregate.avg_angle_deg, params.steer_max)
         step = kinematic_step(aggregate.avg_speed_ms, angle, vehicle.wheelbase, params.t_window)
-        state.pose = apply_heading(state.pose, step.heading_delta)
-        window_start = state.pose.position
-        state.pose = straighten_if_fast(
-            state.pose, prev_window_start, aggregate.avg_speed_ms, params.speed_max
-        )
-        lat, lon = geodesic_forward(state.pose, distance)
-        state.pose = VehiclePose(lat, lon, state.pose.bearing)
-        state.pending_points.append((lat, lon))
+        pose = apply_heading(pose, step.heading_delta)
+        window_start = pose.position
+        pose = straighten_if_fast(pose, prev_window_start, aggregate.avg_speed_ms, params.speed_max)
+        lat, lon = geodesic_forward(pose, distance)
+        pose = VehiclePose(lat, lon, pose.bearing)
+        pending.append((lat, lon))
         prev_window_start = window_start
-        state.window_counter += 1
         diag.windows += 1
 
-        if len(state.pending_points) >= params.max_interpolation_points:
+        if len(pending) >= params.max_interpolation_points:
             flush_batch()
 
     flush_batch()
 
-    track = Track(points=tuple(state.inferred_track))
+    track = Track(points=tuple(inferred))
     return InferenceResult(track=track, gpx=write_gpx(track), diagnostics=diag)

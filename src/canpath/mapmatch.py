@@ -1,8 +1,10 @@
 """Snap a coordinate sequence onto the road network.
 
-Two interchangeable backends: an internal hidden-Markov matcher decoded
-with the Viterbi algorithm over a local RoadGraph, and an HTTP client for
-a Valhalla-style trace-matching service. Emissions penalize perpendicular
+A matcher is any object with ``match(points) -> MatchResult``; inference
+and track comparison take one and call nothing else. Two ship here:
+GraphMatcher, a hidden-Markov matcher decoded with the Viterbi algorithm
+over a local RoadGraph, and ExternalMatcher, an HTTP client for a
+Valhalla-style trace-matching service. Emissions penalize perpendicular
 distance to a candidate edge; transitions penalize disagreement between
 the great-circle hop and the along-road distance.
 """
@@ -10,16 +12,15 @@ the great-circle hop and the along-road distance.
 from __future__ import annotations
 
 import math
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
+from http.client import HTTPException
+from json import dumps, loads
 from typing import Sequence
-
-import requests
 
 from .geokin import LatLon, geodesic_inverse
 from .roadgraph import Candidate, RoadGraph, route_distance
-
-INTERNAL_BACKEND = "internal"
-EXTERNAL_BACKEND = "external"
 
 
 class UnmatchedGapError(Exception):
@@ -36,16 +37,12 @@ class MatchServiceError(Exception):
 
 @dataclass
 class MatcherConfig:
-    backend: str = INTERNAL_BACKEND
     emission_sigma: float = 4.07  # meters; GPS-noise scale of the emission model
     transition_beta: float = 3.0  # meters; route-vs-straight-line tolerance
     candidate_radius: float = 50.0
     max_candidates: int = 10
-    service_url: str | None = None
 
     def __post_init__(self):
-        if self.backend not in (INTERNAL_BACKEND, EXTERNAL_BACKEND):
-            raise ValueError(f"unknown backend {self.backend!r}")
         for name in ("emission_sigma", "transition_beta", "candidate_radius", "max_candidates"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -153,7 +150,7 @@ def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherCon
 # -- external service client ---------------------------------------------------
 
 
-def build_external_request(points: Sequence[LatLon], config: MatcherConfig) -> dict:
+def build_external_request(points: Sequence[LatLon]) -> dict:
     """Request document for a Valhalla-compatible trace-matching endpoint."""
     if not points:
         raise ValueError("at least one point is required")
@@ -193,24 +190,48 @@ def parse_external_response(document) -> MatchResult:
     )
 
 
+@dataclass(frozen=True)
+class _Reply:
+    status_code: int
+    body: bytes
+
+    def json(self):
+        return loads(self.body)
+
+
+class _UrllibSession:
+    """Default transport: one standard-library POST, on its own connection,
+    per call."""
+
+    def post(self, url: str, json: dict, timeout: float) -> _Reply:
+        request = urllib.request.Request(
+            url, data=dumps(json).encode("utf-8"), headers={"Content-Type": "application/json"}
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as reply:
+                return _Reply(reply.status, reply.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return _Reply(exc.code, b"")
+
+
 class ExternalMatcher:
     """HTTP client for a trace-matching service.
 
-    Safe for concurrent calls: without an injected session each request uses
-    its own connection (requests.Session is not guaranteed thread-safe).
+    ``session`` is anything with ``post(url, json=, timeout=)`` returning an
+    object with ``status_code`` and ``json()``. The default opens one
+    connection per request, so concurrent calls are safe.
     """
 
-    def __init__(self, service_url: str, config: MatcherConfig | None = None, session=None):
+    def __init__(self, service_url: str, session=None):
         self.service_url = service_url
-        self.config = config or MatcherConfig(backend=EXTERNAL_BACKEND, service_url=service_url)
-        self._session = session
+        self._session = session if session is not None else _UrllibSession()
 
     def match(self, points: Sequence[LatLon]) -> MatchResult:
-        request = build_external_request(points, self.config)
-        post = self._session.post if self._session is not None else requests.post
+        request = build_external_request(points)
         try:
-            response = post(self.service_url, json=request, timeout=30)
-        except requests.RequestException as exc:
+            response = self._session.post(self.service_url, json=request, timeout=30)
+        except (OSError, HTTPException) as exc:
             raise MatchServiceError(f"service unreachable: {exc}") from exc
         if response.status_code != 200:
             raise MatchServiceError(f"service returned HTTP {response.status_code}")
@@ -222,7 +243,7 @@ class ExternalMatcher:
 
 
 class GraphMatcher:
-    """Internal backend bound to a loaded road graph."""
+    """Viterbi matcher bound to a loaded road graph."""
 
     def __init__(self, graph: RoadGraph, config: MatcherConfig | None = None):
         self.graph = graph
@@ -230,23 +251,3 @@ class GraphMatcher:
 
     def match(self, points: Sequence[LatLon]) -> MatchResult:
         return viterbi_match(self.graph, points, self.config)
-
-
-def match_trace(target, points: Sequence[LatLon], config: MatcherConfig) -> MatchResult:
-    """Dispatch to the configured backend.
-
-    ``target`` is a RoadGraph for the internal backend, or an ExternalMatcher
-    or service URL string for the external one.
-    """
-    if not points:
-        raise ValueError("at least one point is required")
-    if config.backend == INTERNAL_BACKEND:
-        if not isinstance(target, RoadGraph):
-            raise TypeError("internal backend requires a loaded RoadGraph")
-        return viterbi_match(target, points, config)
-    if isinstance(target, ExternalMatcher):
-        return target.match(points)
-    url = target if isinstance(target, str) else config.service_url
-    if not url:
-        raise ValueError("external backend requires a service URL")
-    return ExternalMatcher(url, config).match(points)

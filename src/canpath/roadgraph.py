@@ -216,26 +216,6 @@ class RoadGraph:
                 return (alat + t * (blat - alat), alon + t * (blon - alon))
         return edge.geometry[-1]
 
-    def connected_components(self) -> list[set[int]]:
-        """Node sets of the road network's components (direction ignored)."""
-        seen: set[int] = set()
-        components = []
-        for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            component = {start}
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                for edge in self.edges.values():
-                    for u, v in ((edge.node_from, edge.node_to), (edge.node_to, edge.node_from)):
-                        if u == node and v not in component:
-                            component.add(v)
-                            stack.append(v)
-            seen |= component
-            components.append(component)
-        return components
-
     # -- shortest paths --------------------------------------------------------
 
     def node_distances(self, source: int) -> dict[int, float]:

@@ -22,7 +22,7 @@ _DEG_M = EARTH_RADIUS_M * math.pi / 180.0
 ORIGIN = (44.6500, 10.9200)
 
 DEFAULT_DECODER = AngleDecoder(id=0x0C6)
-DEFAULT_VEHICLE = VehicleSpec(wheelbase=2.6, model="fixture")
+DEFAULT_VEHICLE = VehicleSpec(wheelbase=2.6)
 
 XY = tuple[float, float]
 

@@ -271,8 +271,9 @@ def load_scenario(path: str) -> SimScenario:
     Required keys: name, graph (path relative to the file), route,
     speed_profile ([[from_m, kmh], ...]), and either "model" (a known
     vehicle) or "decoder" {id, byte_hi, byte_lo, offset, scale, mode} plus
-    "wheelbase". Optional: swa_rate, obd_rate, start_bearing_error,
-    steer_max.
+    "wheelbase". Optional: wheelbase (overrides the model's), swa_rate,
+    obd_rate, start_bearing_error. The steering limit is not a scenario
+    key: it is the inference parameter ``steer_max``.
     """
     with open(path, "r", encoding="utf-8") as fp:
         doc = json.load(fp)
@@ -298,7 +299,7 @@ def load_scenario(path: str) -> SimScenario:
                 mode=d.get("mode", "offset"),
             )
             wheelbase = doc["wheelbase"]
-        vehicle = VehicleSpec(wheelbase=wheelbase, steer_max=doc.get("steer_max", 35.0))
+        vehicle = VehicleSpec(wheelbase=wheelbase)
         return SimScenario(
             name=doc["name"],
             graph=graph,

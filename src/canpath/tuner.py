@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .canlog import CanFrame
@@ -27,7 +27,7 @@ DEFAULT_GRIDS: dict[str, tuple] = {
     "max_interpolation_points": (10, 20, 30, 40, 50),
 }
 
-_PARAM_ORDER = ("t_window", "speed_max", "steer_max", "max_interpolation_points")
+_PARAM_ORDER = tuple(f.name for f in fields(InferenceParams))
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,8 @@ def grid_search(
         raise ValueError("at least one track is required")
     grids = dict(DEFAULT_GRIDS, **(grids or {}))
     combos = [
-        InferenceParams(
-            t_window=tw, speed_max=sm, steer_max=st, max_interpolation_points=mi
-        )
-        for tw, sm, st, mi in itertools.product(*(grids[k] for k in _PARAM_ORDER))
+        InferenceParams(**dict(zip(_PARAM_ORDER, values)))
+        for values in itertools.product(*(grids[k] for k in _PARAM_ORDER))
     ]
     jobs = [(params, tuple(tracks), graph, config, match_epsilon) for params in combos]
     if workers > 1:
@@ -136,10 +134,8 @@ def marginal_curves(
 
 
 def rows_to_csv(rows: Sequence[GridRow]) -> str:
-    lines = ["t_window,speed_max,steer_max,max_interpolation_points,mean_accuracy"]
+    lines = [",".join(_PARAM_ORDER + ("mean_accuracy",))]
     for r in rows:
-        p = r.params
-        lines.append(
-            f"{p.t_window},{p.speed_max},{p.steer_max},{p.max_interpolation_points},{r.mean_accuracy:.4f}"
-        )
+        values = ",".join(str(v) for v in _param_tuple(r.params))
+        lines.append(f"{values},{r.mean_accuracy:.4f}")
     return "\n".join(lines) + "\n"

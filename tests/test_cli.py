@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from canpath.canlog import write_log
+from canpath.canlog import CanFrame, write_log
 from canpath.cli import main
 from canpath.scenarios import turn_left_90
 from canpath.synthgen import simulate
@@ -200,6 +201,38 @@ def test_tune_small_grid(scenario_dir, capsys, tmp_path):
     assert "best:" in err
 
 
+def test_decode_output_bytes_are_pinned(capsys, tmp_path):
+    # a malformed angle frame and an unrelated ID spliced into a simulated
+    # drive; the digest pins the CSV bytes against changes to decoding
+    frames = list(simulate(turn_left_90()).frames)
+    frames.insert(500, CanFrame(frames[499].timestamp + 1e-6, "can0", 0x0C6, b"\x7f"))
+    frames.insert(1500, CanFrame(frames[1499].timestamp + 1e-6, "can0", 0x123, b"\x03\x41\x0d\x21"))
+    log = tmp_path / "spliced.log"
+    write_log(frames, str(log))
+    code, out, err = run(capsys, "decode", log, "--model", "renault captur")
+    assert code == 0, err
+    assert len(out.splitlines()) == len(frames) - 1  # header in, both spliced frames out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "633eba133b6857e90ef6184898784d5a7b41a2cb7e2834e9f5e3f1f9eeaf3931"
+    )
+
+
+def test_infer_steer_max_flag_is_usage_error(scenario_dir, capsys):
+    code, out, err = run(
+        capsys,
+        "infer",
+        scenario_dir / "leftturn.log",
+        "--start",
+        "44.65,10.92,0",
+        "--model",
+        "renault captur",
+        "--steer-max",
+        "1",
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: usage:")
+
+
 def test_decode_with_decoder_file(scenario_dir, capsys, tmp_path):
     sheet = tmp_path / "mycar.txt"
     sheet.write_text(
@@ -236,6 +269,86 @@ def test_infer_with_decoder_file_and_wheelbase_override(scenario_dir, capsys, tm
     code, out, err = run(capsys, *args, "--wheelbase", "2.6")
     assert code == 0
     assert (tmp_path / "out.gpx").exists()
+
+
+SHEET_NO_WHEELBASE = "canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, 0.01, offset\n"
+SHEET_TWO_MODELS = (
+    "canpath-decoders v1\n"
+    "my hatchback, 0C6, 0, 1, 7FFF, 0.01, offset, 2.60\n"
+    "my van, 2F5, 0, 1, 7FFF, 0.01, offset, 3.10\n"
+)
+
+
+def test_decode_needs_no_wheelbase(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "mycar.txt"
+    sheet.write_text(SHEET_NO_WHEELBASE)
+    code, out, err = run(capsys, "decode", scenario_dir / "leftturn.log", "--decoder-file", sheet)
+    assert code == 0, err
+    assert "angle_deg" in out
+
+
+def _tune_with_track(scenario_dir, capsys, tmp_path, **vehicle):
+    sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
+    track = {
+        "name": "leftturn",
+        "log": str(scenario_dir / "leftturn.log"),
+        "truth": str(scenario_dir / "leftturn_truth.gpx"),
+        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        **vehicle,
+    }
+    manifest = {
+        "graph": str(scenario_dir / "roads.txt"),
+        "tracks": [track],
+        "grids": {
+            "t_window": [0.1],
+            "speed_max": [50],
+            "steer_max": [35],
+            "max_interpolation_points": [30],
+        },
+    }
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    return run(capsys, "tune", manifest_file, "--out", tmp_path / "grid.csv")
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage: manifest track 'leftturn':"), err
+    return lines[0]
+
+
+def test_tune_decoder_file_without_wheelbase_is_usage_error(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "sheet.txt"
+    sheet.write_text(SHEET_NO_WHEELBASE)
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, decoder_file=str(sheet))
+    assert code == 2
+    assert "wheelbase" in _one_error_line(err)
+    code, out, err = _tune_with_track(
+        scenario_dir, capsys, tmp_path, decoder_file=str(sheet), wheelbase=2.6
+    )
+    assert code == 0, err
+
+
+def test_tune_multi_model_sheet_needs_a_model(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "sheet.txt"
+    sheet.write_text(SHEET_TWO_MODELS)
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, decoder_file=str(sheet))
+    assert code == 2
+    assert "several models" in _one_error_line(err)
+    code, out, err = _tune_with_track(
+        scenario_dir, capsys, tmp_path, decoder_file=str(sheet), model="my hatchback"
+    )
+    assert code == 0, err
+
+
+def test_tune_model_is_looked_up_in_the_decoder_file(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "sheet.txt"
+    sheet.write_text(SHEET_TWO_MODELS)
+    code, out, err = _tune_with_track(
+        scenario_dir, capsys, tmp_path, decoder_file=str(sheet), model="renault captur"
+    )
+    assert code == 2
+    assert "not in decoder file" in _one_error_line(err)
 
 
 def test_matcher_flag_and_env_resolution(scenario_dir, monkeypatch):

@@ -173,5 +173,3 @@ def test_pose_validation():
 def test_vehicle_spec_validation():
     with pytest.raises(ValueError):
         VehicleSpec(wheelbase=0.0)
-    with pytest.raises(ValueError):
-        VehicleSpec(wheelbase=2.6, steer_max=95.0)

@@ -5,10 +5,13 @@ import pytest
 from canpath.canlog import CanFrame
 from canpath.geokin import VehiclePose, VehicleSpec, geodesic_forward, geodesic_inverse
 from canpath.inference import (
+    ANGLE,
+    SPEED,
     InferenceError,
     InferenceParams,
     WindowAggregate,
     clamp_steer,
+    decode_signals,
     infer_path,
     straighten_if_fast,
     window_aggregate,
@@ -32,12 +35,22 @@ def speed_frame(ts, kmh):
     return encode_speed_response(kmh, timestamp=ts)
 
 
-# -- window aggregation ---------------------------------------------------------
+# -- decoding and window aggregation ---------------------------------------------
+
+
+def test_decode_signals_skips_malformed_and_unrelated_frames():
+    broken = CanFrame(0.0, "can0", DECODER.id, b"\x7f")  # one byte only
+    unrelated = CanFrame(0.02, "can0", 0x123, b"\x03\x41\x0d\x21")  # not an OBD responder
+    frames = [broken, angle_frame(0.01, 1.5), unrelated, speed_frame(0.03, 33)]
+    samples = decode_signals(frames, DECODER)
+    assert [(t, signal) for t, signal, _v in samples] == [(0.01, ANGLE), (0.03, SPEED)]
+    assert samples[0][2] == pytest.approx(1.5)
+    assert samples[1][2] == 33
 
 
 def test_window_aggregate_means_and_unit_conversion():
     frames = [angle_frame(0.00, -5.67), angle_frame(0.05, -5.67), speed_frame(0.02, 33)]
-    agg = window_aggregate(frames, DECODER, WindowAggregate(0.0, 0.0))
+    agg = window_aggregate(decode_signals(frames, DECODER), WindowAggregate(0.0, 0.0))
     assert agg.avg_angle_deg == pytest.approx(-5.67)
     assert agg.avg_speed_ms == pytest.approx(33 / 3.6)
     assert agg.avg_speed_ms == pytest.approx(9.1667, abs=5e-5)
@@ -45,22 +58,22 @@ def test_window_aggregate_means_and_unit_conversion():
 
 
 def test_window_aggregate_holds_last_speed():
-    frames = [angle_frame(0.0, 2.0)]
-    agg = window_aggregate(frames, DECODER, PREV)
+    agg = window_aggregate(decode_signals([angle_frame(0.0, 2.0)], DECODER), PREV)
     assert agg.avg_speed_ms == PREV.avg_speed_ms
     assert agg.avg_angle_deg == pytest.approx(2.0)
     assert agg.speed_samples == 0
 
 
 def test_window_aggregate_empty_window_keeps_previous():
-    agg = window_aggregate([], DECODER, PREV)
+    agg = window_aggregate([], PREV)
     assert agg.avg_angle_deg == PREV.avg_angle_deg
     assert agg.avg_speed_ms == PREV.avg_speed_ms
 
 
 def test_window_aggregate_skips_malformed_angle_frames():
     broken = CanFrame(0.0, "can0", DECODER.id, b"\x7f")  # one byte only
-    agg = window_aggregate([broken, angle_frame(0.01, 1.5)], DECODER, WindowAggregate(0.0, 0.0))
+    samples = decode_signals([broken, angle_frame(0.01, 1.5)], DECODER)
+    agg = window_aggregate(samples, WindowAggregate(0.0, 0.0))
     assert agg.avg_angle_deg == pytest.approx(1.5)
     assert agg.angle_samples == 1
 

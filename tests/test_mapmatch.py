@@ -1,5 +1,9 @@
 import json
 import math
+import socket
+import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -11,7 +15,6 @@ from canpath.mapmatch import (
     UnmatchedGapError,
     build_external_request,
     candidates_for_point,
-    match_trace,
     parse_external_response,
     sequence_logweight,
     viterbi_match,
@@ -153,22 +156,11 @@ def test_tie_break_prefers_smaller_edge_id():
     assert result.edge_ids == (1,)
 
 
-def test_match_trace_dispatch_internal():
-    graph = straight_graph()
-    point = offset_point(graph, 1, 80.0, north_m=3.0)
-    result = match_trace(graph, [point], CONFIG)
-    assert result.edge_ids == (1,)
-    with pytest.raises(TypeError):
-        match_trace("not a graph", [point], CONFIG)
-    with pytest.raises(ValueError):
-        match_trace(graph, [], CONFIG)
-
-
 # -- external backend -------------------------------------------------------------
 
 
 def test_build_request_shape():
-    doc = build_external_request([(44.65, 10.92), (44.66, 10.93)], CONFIG)
+    doc = build_external_request([(44.65, 10.92), (44.66, 10.93)])
     assert doc == {
         "shape": [{"lat": 44.65, "lon": 10.92}, {"lat": 44.66, "lon": 10.93}],
         "costing": "auto",
@@ -178,7 +170,7 @@ def test_build_request_shape():
 
 def test_build_request_empty_fails_before_network():
     with pytest.raises(ValueError):
-        build_external_request([], CONFIG)
+        build_external_request([])
 
 
 GOLDEN_REQUEST = {
@@ -207,7 +199,7 @@ GOLDEN_RESPONSE = {
 
 def test_golden_request_document():
     points = [(p["lat"], p["lon"]) for p in GOLDEN_REQUEST["shape"]]
-    assert build_external_request(points, CONFIG) == GOLDEN_REQUEST
+    assert build_external_request(points) == GOLDEN_REQUEST
 
 
 def test_golden_response_parses_with_service_count():
@@ -274,9 +266,7 @@ def test_external_matcher_happy_path():
 
 
 def test_external_matcher_transport_error():
-    import requests
-
-    session = _StubSession(exc=requests.ConnectionError("refused"))
+    session = _StubSession(exc=urllib.error.URLError("refused"))
     matcher = ExternalMatcher("http://matcher.local", session=session)
     with pytest.raises(MatchServiceError, match="unreachable"):
         matcher.match([(44.65, 10.92)])
@@ -296,8 +286,78 @@ def test_external_matcher_bad_body():
         matcher.match([(44.65, 10.92)])
 
 
+def _serve_once(status: int, body: bytes, received: list):
+    """A loopback HTTP server that answers one POST, then stops."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    server.timeout = 10  # handle_request gives up if no client arrives
+    thread = threading.Thread(target=server.handle_request)
+    thread.start()
+    return server, thread
+
+
+def _match_over_loopback(status: int, body: bytes, points):
+    received = []
+    server, thread = _serve_once(status, body, received)
+    try:
+        return ExternalMatcher(f"http://127.0.0.1:{server.server_port}/match").match(points), received
+    finally:
+        thread.join(timeout=15)
+        server.server_close()
+        assert not thread.is_alive()
+
+
+def test_external_matcher_default_transport_over_loopback(monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("no_proxy", "*")
+    points = [(p["lat"], p["lon"]) for p in GOLDEN_REQUEST["shape"]]
+
+    result, received = _match_over_loopback(200, json.dumps(GOLDEN_RESPONSE).encode(), points)
+    assert received == [GOLDEN_REQUEST]
+    assert len(result.matched_points) == 6
+    assert result.edge_ids == (0, 0, 1, 1, 1, 1)
+
+    with pytest.raises(MatchServiceError, match="HTTP 500"):
+        _match_over_loopback(500, b"", points)
+
+    with socket.socket() as sock:  # a port nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(MatchServiceError, match="unreachable"):
+        ExternalMatcher(f"http://127.0.0.1:{port}/match").match(points)
+
+    # a peer that answers with something other than HTTP
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10)
+
+        def answer_garbage():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"garbage\r\n\r\n")
+
+        thread = threading.Thread(target=answer_garbage)
+        thread.start()
+        try:
+            with pytest.raises(MatchServiceError, match="unreachable"):
+                ExternalMatcher(f"http://127.0.0.1:{listener.getsockname()[1]}/match").match(points)
+        finally:
+            thread.join(timeout=15)
+        assert not thread.is_alive()
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MatcherConfig(backend="quantum")
     with pytest.raises(ValueError):
         MatcherConfig(emission_sigma=0.0)

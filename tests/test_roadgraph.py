@@ -163,22 +163,6 @@ def test_edge_lengths_sum_of_segments():
         assert edge.length_m > 0
 
 
-def test_connected_components():
-    graph = y_junction()
-    assert len(graph.connected_components()) == 1
-    text = """\
-node 1 44.65 10.92
-node 2 44.66 10.92
-node 3 44.65 10.99
-node 4 44.66 10.99
-edge 1 1 2 1
-edge 2 3 4 1
-"""
-    split = RoadGraph.from_text(text)
-    components = split.connected_components()
-    assert sorted(map(sorted, components)) == [[1, 2], [3, 4]]
-
-
 def test_save_load_roundtrip(tmp_path):
     graph = y_junction()
     path = str(tmp_path / "roads.txt")
