@@ -244,10 +244,17 @@ def _cmd_tune(args) -> int:
     def resolve(path):
         return path if os.path.isabs(path) else os.path.join(base, path)
 
-    graph = RoadGraph.load(resolve(doc["graph"]))
+    def required(mapping, key, where):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise UsageError(f"{where} has no {key!r} key")
+        return mapping[key]
+
+    graph = RoadGraph.load(resolve(required(doc, "graph", "manifest")))
     tracks = []
-    for entry in doc["tracks"]:
-        name = entry.get("name", os.path.basename(entry["log"]))
+    for entry in required(doc, "tracks", "manifest"):
+        log = required(entry, "log", "manifest track")
+        name = entry.get("name", os.path.basename(log))
+        where = f"manifest track {name!r}"
         decoder_file = entry.get("decoder_file")
         try:
             decoder, vehicle = _resolve_vehicle(
@@ -256,10 +263,10 @@ def _cmd_tune(args) -> int:
                 entry.get("wheelbase"),
             )
         except UsageError as exc:
-            raise UsageError(f"manifest track {name!r}: {exc}") from None
-        frames, _ = read_log(resolve(entry["log"]), strict=False)
-        truth = load_gpx(resolve(entry["truth"]))
-        lat, lon, bearing = entry["start"]
+            raise UsageError(f"{where}: {exc}") from None
+        frames, _ = read_log(resolve(log), strict=False)
+        truth = load_gpx(resolve(required(entry, "truth", where)))
+        lat, lon, bearing = required(entry, "start", where)
         tracks.append(
             TuneTrack(
                 name=name,
@@ -305,7 +312,6 @@ def build_parser() -> _Parser:
     p.add_argument("--strict", action="store_true", help="abort on unparseable lines")
     p.add_argument("--model", help="known vehicle model")
     p.add_argument("--decoder-file", help="decoder sheet file")
-    p.add_argument("--wheelbase", type=float)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode)
 
@@ -369,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         InferenceError,
         ScenarioError,
         MatchServiceError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,12 @@ from typing import Iterable, Sequence
 from .geokin import EARTH_RADIUS_M, LatLon, geodesic_inverse
 
 _DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of latitude
-_CELL_DEG = 0.002  # spatial index cell size (~220 m of latitude)
+# Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
+# default 50 m candidate radius, so a query box spans only a few cells.
+_CELL_DEG = 0.0005
+# Query boxes are widened by 0.1 mm so rounding in the projection arithmetic
+# can never leave a segment within the radius outside the box.
+_PAD_DEG = 1e-9
 
 
 class GraphFormatError(ValueError):
@@ -165,42 +170,69 @@ class RoadGraph:
                 for j in range(j0, j1 + 1):
                     self._cells.setdefault((i, j), []).append((edge.id, seg))
 
-    def project_to_edge(self, edge_id: int, lat: float, lon: float) -> Candidate:
-        """Perpendicular projection of a point onto an edge's polyline."""
-        edge = self.edges[edge_id]
-        best: Candidate | None = None
+    def _project(self, edge: Edge, segs: Iterable[int], lat: float, lon: float) -> Candidate:
+        """Nearest point of the given segments of an edge, in local meters.
+
+        Segments are tried in the order given and a later one wins only when
+        strictly nearer, so ascending order keeps the lowest segment on ties.
+        """
         ky = _DEG_M
         kx = _DEG_M * math.cos(math.radians(lat))
-        for seg in range(len(edge.geometry) - 1):
-            (alat, alon), (blat, blon) = edge.geometry[seg], edge.geometry[seg + 1]
+        geometry = edge.geometry
+        best_dist = math.inf
+        best_seg = -1
+        best_t = 0.0
+        for seg in segs:
+            (alat, alon), (blat, blon) = geometry[seg], geometry[seg + 1]
             ax, ay = (alon - lon) * kx, (alat - lat) * ky
             bx, by = (blon - lon) * kx, (blat - lat) * ky
             dx, dy = bx - ax, by - ay
             seg_len2 = dx * dx + dy * dy
             t = 0.0 if seg_len2 == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
-            qx, qy = ax + t * dx, ay + t * dy
-            dist = math.hypot(qx, qy)
-            if best is None or dist < best.perp_m:
-                qlat = alat + t * (blat - alat)
-                qlon = alon + t * (blon - alon)
-                offset = edge.cum_m[seg] + t * (edge.cum_m[seg + 1] - edge.cum_m[seg])
-                best = Candidate(EdgePoint(edge_id, offset, qlat, qlon), dist)
-        assert best is not None
-        return best
+            dist = math.hypot(ax + t * dx, ay + t * dy)
+            if dist < best_dist or best_seg < 0:
+                best_dist, best_seg, best_t = dist, seg, t
+        (alat, alon), (blat, blon) = geometry[best_seg], geometry[best_seg + 1]
+        t, cum = best_t, edge.cum_m
+        offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
+        point = EdgePoint(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon))
+        return Candidate(point, best_dist)
+
+    def project_to_edge(self, edge_id: int, lat: float, lon: float) -> Candidate:
+        """Perpendicular projection of a point onto an edge's polyline."""
+        edge = self.edges[edge_id]
+        return self._project(edge, range(len(edge.geometry) - 1), lat, lon)
 
     def nearest_edges(self, lat: float, lon: float, radius_m: float, max_results: int) -> list[Candidate]:
-        """Candidate edges within radius, nearest first (ties by edge id)."""
-        dlat = radius_m / _DEG_M
-        dlon = radius_m / (_DEG_M * max(0.01, math.cos(math.radians(lat))))
+        """Candidate edges within radius, nearest first (ties by edge id).
+
+        Exact: the same list as projecting onto every edge with
+        ``project_to_edge``, keeping hits with ``perp_m <= radius_m``. Every
+        segment is indexed in every cell of its bounding box, and the nearest
+        point of any segment within ``radius_m`` lies inside the query box
+        (the local metric is the one ``_project`` uses, padded for rounding),
+        so each edge's nearest segment within the radius is among the indexed
+        segments projected here, and ascending segment order keeps the same
+        tie rule. Near a pole, where the box holds more cells than the index,
+        the index's own cells are filtered instead.
+        """
+        dlat = radius_m / _DEG_M + _PAD_DEG
+        dlon = radius_m / abs(_DEG_M * math.cos(math.radians(lat))) + _PAD_DEG
         i0, i1 = int((lat - dlat) // _CELL_DEG), int((lat + dlat) // _CELL_DEG)
         j0, j1 = int((lon - dlon) // _CELL_DEG), int((lon + dlon) // _CELL_DEG)
-        edge_ids: set[int] = set()
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                for edge_id, _seg in self._cells.get((i, j), ()):
-                    edge_ids.add(edge_id)
-        hits = [self.project_to_edge(edge_id, lat, lon) for edge_id in sorted(edge_ids)]
-        hits = [h for h in hits if h.perp_m <= radius_m]
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(self._cells):
+            cells = [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+        else:
+            cells = [(i, j) for i, j in self._cells if i0 <= i <= i1 and j0 <= j <= j1]
+        segs_by_edge: dict[int, set[int]] = {}
+        for cell in cells:
+            for edge_id, seg in self._cells.get(cell, ()):
+                segs_by_edge.setdefault(edge_id, set()).add(seg)
+        hits = []
+        for edge_id, segs in segs_by_edge.items():
+            hit = self._project(self.edges[edge_id], sorted(segs), lat, lon)
+            if hit.perp_m <= radius_m:
+                hits.append(hit)
         hits.sort(key=lambda h: (h.perp_m, h.edge_id))
         return hits[:max_results]
 

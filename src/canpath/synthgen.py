@@ -265,6 +265,13 @@ def simulate(scenario: SimScenario) -> SimResult:
 # -- scenario files --------------------------------------------------------------
 
 
+_SCENARIO_KEYS = frozenset({
+    "name", "graph", "route", "speed_profile", "model", "decoder", "wheelbase",
+    "swa_rate", "obd_rate", "start_bearing_error",
+})
+_DECODER_KEYS = frozenset({"id", "byte_hi", "byte_lo", "offset", "scale", "mode"})
+
+
 def load_scenario(path: str) -> SimScenario:
     """Load a scenario description file (JSON).
 
@@ -273,11 +280,21 @@ def load_scenario(path: str) -> SimScenario:
     vehicle) or "decoder" {id, byte_hi, byte_lo, offset, scale, mode} plus
     "wheelbase". Optional: wheelbase (overrides the model's), swa_rate,
     obd_rate, start_bearing_error. The steering limit is not a scenario
-    key: it is the inference parameter ``steer_max``.
+    key: it is the inference parameter ``steer_max``. Any other key, and a
+    "decoder" next to a "model", is an error rather than being ignored.
     """
     with open(path, "r", encoding="utf-8") as fp:
         doc = json.load(fp)
     base = os.path.dirname(os.path.abspath(path))
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario file must hold a JSON object")
+    unknown = sorted(set(doc) - _SCENARIO_KEYS)
+    if isinstance(doc.get("decoder"), dict):
+        unknown += [f"decoder.{k}" for k in sorted(set(doc["decoder"]) - _DECODER_KEYS)]
+    if unknown:
+        raise ScenarioError(f"scenario file has unknown key {unknown[0]!r}")
+    if "model" in doc and "decoder" in doc:
+        raise ScenarioError("scenario file has both 'model' and 'decoder'; keep one")
     try:
         graph = RoadGraph.load(os.path.join(base, doc["graph"]))
         if "model" in doc:

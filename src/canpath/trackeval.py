@@ -8,15 +8,21 @@ track's length.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .geokin import LatLon, geodesic_inverse, polyline_length
+from .geokin import EARTH_RADIUS_M, LatLon, geodesic_inverse, polyline_length
 
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_SCORE = -1
+
+# Cell widths of the alignment's point hash are widened by 0.1 % (plus 1e-9
+# degrees) so rounding in the distance never puts a pair within epsilon two
+# cells apart.
+_CELL_PAD = 1.001
 
 GPX_NS = "http://www.topografix.com/GPX/1/1"
 
@@ -137,22 +143,61 @@ def save_gpx(track: Track, path: str, creator: str = "canpath") -> None:
         fp.write(write_gpx(track, creator=creator))
 
 
+def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
+    """For each point of pa, the indices j of pb with
+    ``geodesic_inverse(pa[i], pb[j])[0] <= match_epsilon``.
+
+    The points of pb are hashed into cells one epsilon of latitude high and
+    one bound of longitude wide, and each point of pa tests only the pb
+    points in its own and the eight neighbouring cells. The haversine
+    distance d of two points bounds |dlat| <= d/R and, with phi the tracks'
+    largest |lat|, |sin(dlon/2)| <= sin(d/2R)/cos(phi); so any pair within
+    epsilon sits in neighbouring cells (both widths are padded for
+    rounding). Where no such longitude bound exists, near a pole, or where
+    the haversine's longitude wrap can join points across +/-180 degrees,
+    every pair is tested.
+    """
+    half = match_epsilon / (2.0 * EARTH_RADIUS_M)
+    max_lat = max((abs(p[0]) for p in (*pa, *pb)), default=0.0)
+    s = math.sin(half) / math.cos(math.radians(max_lat)) if 0.0 < half < 1.0 else math.inf
+    lon_cell = math.degrees(2.0 * math.asin(s)) * _CELL_PAD + 1e-9 if s <= 0.5 else math.inf
+    if lon_cell == math.inf or any(abs(p[1]) >= 180.0 - lon_cell for p in (*pa, *pb)):
+        return [{j for j, q in enumerate(pb) if geodesic_inverse(p, q)[0] <= match_epsilon} for p in pa]
+    lat_cell = math.degrees(2.0 * half) * _CELL_PAD + 1e-9
+    cells: dict[tuple[int, int], list[int]] = {}
+    for j, (lat, lon) in enumerate(pb):
+        cells.setdefault((int(lat // lat_cell), int(lon // lon_cell)), []).append(j)
+    rows = []
+    for p in pa:
+        ci, cj = int(p[0] // lat_cell), int(p[1] // lon_cell)
+        rows.append({
+            j
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for j in cells.get((ci + di, cj + dj), ())
+            if geodesic_inverse(p, pb[j])[0] <= match_epsilon
+        })
+    return rows
+
+
 def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult:
     """Global alignment: +1 for pairs within match_epsilon meters, -1 for
     non-matching pairs, -1 per gap. Accuracy = matched / max(len_a, len_b);
     two empty tracks count as identical.
 
     Traceback ties prefer pairing, then a gap in b, then a gap in a.
+
+    Which pairs are within epsilon is found by a cell hash over b
+    (``_within_sets``), which evaluates the same distance predicate on
+    every pair that can pass it, so the result equals that of testing all
+    la*lb pairs.
     """
     pa, pb = a.points, b.points
     la, lb = len(pa), len(pb)
     if la == 0 and lb == 0:
         return AlignmentResult(0, 0, 1.0, (), (), score=0)
 
-    within = [
-        [geodesic_inverse(pa[i], pb[j])[0] <= match_epsilon for j in range(lb)]
-        for i in range(la)
-    ]
+    within = _within_sets(pa, pb, match_epsilon)
     score = [[0] * (lb + 1) for _ in range(la + 1)]
     for i in range(1, la + 1):
         score[i][0] = i * GAP_SCORE
@@ -161,7 +206,9 @@ def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult
     for i in range(1, la + 1):
         row = score[i]
         prev = score[i - 1]
-        hit = within[i - 1]
+        hit = [False] * lb
+        for j in within[i - 1]:
+            hit[j] = True
         for j in range(1, lb + 1):
             pair = prev[j - 1] + (MATCH_SCORE if hit[j - 1] else MISMATCH_SCORE)
             row[j] = max(pair, prev[j] + GAP_SCORE, row[j - 1] + GAP_SCORE)
@@ -174,9 +221,10 @@ def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult
     while i > 0 or j > 0:
         aligned += 1
         if i > 0 and j > 0:
-            pair = score[i - 1][j - 1] + (MATCH_SCORE if within[i - 1][j - 1] else MISMATCH_SCORE)
+            hit = (j - 1) in within[i - 1]
+            pair = score[i - 1][j - 1] + (MATCH_SCORE if hit else MISMATCH_SCORE)
             if score[i][j] == pair:
-                if within[i - 1][j - 1]:
+                if hit:
                     matched += 1
                     flags_a[i - 1] = True
                     flags_b[j - 1] = True

@@ -351,6 +351,33 @@ def test_tune_model_is_looked_up_in_the_decoder_file(scenario_dir, capsys, tmp_p
     assert "not in decoder file" in _one_error_line(err)
 
 
+@pytest.mark.parametrize("missing", ["graph", "tracks"])
+def test_tune_manifest_missing_key_is_one_error_line(scenario_dir, capsys, tmp_path, missing):
+    manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": []}
+    del manifest[missing]
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 2
+    assert err.splitlines() == [f"error: usage: manifest has no '{missing}' key"]
+
+
+def test_compare_directory_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "compare", tmp_path, tmp_path)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "directory" in lines[0], err
+
+
+def test_decode_wheelbase_flag_is_usage_error(scenario_dir, capsys):
+    code, out, err = run(
+        capsys, "decode", scenario_dir / "leftturn.log", "--model", "renault captur", "--wheelbase", "2.6"
+    )
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage:") and "--wheelbase" in lines[0], err
+
+
 def test_matcher_flag_and_env_resolution(scenario_dir, monkeypatch):
     from canpath.cli import MATCHER_URL_ENV, UsageError, _make_matcher
     from canpath.mapmatch import ExternalMatcher, GraphMatcher

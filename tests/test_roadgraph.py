@@ -4,7 +4,8 @@ import random
 import pytest
 
 from canpath.geokin import geodesic_inverse
-from canpath.roadgraph import GraphFormatError, RoadGraph, route_distance
+from canpath.roadgraph import _CELL_DEG, GraphFormatError, RoadGraph, route_distance
+from canpath.scenarios import PathBuilder, assemble_graph
 
 from helpers import all_simple_path_distances, straight_graph, triangle_graph, y_junction
 
@@ -64,6 +65,114 @@ def test_nearest_edges_radius_excludes():
     edge = graph.edges[1]
     far_lat = edge.geometry[0][0] + 200 / 111194.9
     assert graph.nearest_edges(far_lat, edge.geometry[0][1], radius_m=50, max_results=5) == []
+
+
+def brute_force_nearest(graph, lat, lon, radius_m, max_results):
+    """Reference lookup: project onto every edge, keep hits within radius."""
+    hits = [graph.project_to_edge(edge_id, lat, lon) for edge_id in graph.edges]
+    hits = [h for h in hits if h.perp_m <= radius_m]
+    hits.sort(key=lambda h: (h.perp_m, h.edge_id))
+    return hits[:max_results]
+
+
+def _grid_text(lat0, lon0, n=4, step_deg=0.0007, vertex_deg=0.00009):
+    """n x n street grid with ~78 m blocks and a vertex every ~10 m."""
+    lines, edge_id = [], 1
+    for r in range(n):
+        for c in range(n):
+            lines.append(f"node {r * n + c} {lat0 + r * step_deg:.9f} {lon0 + c * step_deg:.9f}")
+    mids = [k * vertex_deg for k in range(1, int(step_deg / vertex_deg))]
+    for r in range(n):
+        for c in range(n):
+            lat, lon = lat0 + r * step_deg, lon0 + c * step_deg
+            if c + 1 < n:
+                pts = " ".join(f"{lat:.9f} {lon + d:.9f}" for d in mids)
+                lines.append(f"edge {edge_id} {r * n + c} {r * n + c + 1} 1 {pts}")
+                edge_id += 1
+            if r + 1 < n:
+                pts = " ".join(f"{lat + d:.9f} {lon:.9f}" for d in mids)
+                lines.append(f"edge {edge_id} {r * n + c} {(r + 1) * n + c} 0 {pts}")
+                edge_id += 1
+    return "\n".join(lines) + "\n"
+
+
+def _arc_graph():
+    """A 600 m edge whose 300 m arc has a vertex every 2 m, plus a parallel
+    straight 30 m to one side."""
+    main = PathBuilder(heading=90.0).straight(150).arc(400.0, 43.0, spacing=2.0).straight(150).take()
+    side = PathBuilder(pos=(0.0, 30.0), heading=90.0).straight(500).take()
+    return assemble_graph({1: main, 2: side})
+
+
+def _assert_same_as_brute_force(graph, points, radii=(3.0, 20.0, 50.0, 150.0), max_results=(1, 3, 50)):
+    for lat, lon in points:
+        for radius in radii:
+            for k in max_results:
+                got = graph.nearest_edges(lat, lon, radius, k)
+                assert got == brute_force_nearest(graph, lat, lon, radius, k), (lat, lon, radius, k)
+
+
+def _random_points(graph, rng, n, margin_deg=0.0015):
+    lats = [p[0] for p in graph.nodes.values()]
+    lons = [p[1] for p in graph.nodes.values()]
+    return [
+        (rng.uniform(min(lats) - margin_deg, max(lats) + margin_deg),
+         rng.uniform(min(lons) - margin_deg, max(lons) + margin_deg))
+        for _ in range(n)
+    ]
+
+
+def test_nearest_edges_equals_brute_force_on_a_grid():
+    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    _assert_same_as_brute_force(graph, _random_points(graph, random.Random(3), 150))
+
+
+def test_nearest_edges_equals_brute_force_on_a_dense_arc():
+    graph = _arc_graph()
+    assert len(graph.edges[1].geometry) > 150
+    _assert_same_as_brute_force(graph, _random_points(graph, random.Random(5), 150, margin_deg=0.0008))
+
+
+def test_nearest_edges_equals_brute_force_at_latitude_70():
+    graph = RoadGraph.from_text(_grid_text(70.0, 25.0))
+    _assert_same_as_brute_force(graph, _random_points(graph, random.Random(9), 100))
+
+
+def test_nearest_edges_equals_brute_force_on_cell_boundaries():
+    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    i = round(44.6505 / _CELL_DEG)
+    j = round(10.9205 / _CELL_DEG)
+    points = []
+    for lat in (i * _CELL_DEG, (i + 3) * _CELL_DEG):
+        for lon in (j * _CELL_DEG, (j + 2) * _CELL_DEG):
+            for dlat in (-math.inf, 0, math.inf):
+                for dlon in (-math.inf, 0, math.inf):
+                    points.append((
+                        lat if dlat == 0 else math.nextafter(lat, dlat),
+                        lon if dlon == 0 else math.nextafter(lon, dlon),
+                    ))
+    # node and vertex positions sit on a 1e-9 degree lattice, some on boundaries
+    points += [graph.nodes[n] for n in graph.nodes]
+    _assert_same_as_brute_force(graph, points)
+
+
+def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
+    # a hairpin: east along lat0, a short connector north, back west 2**-11
+    # degrees further north; the query sits exactly halfway between the two
+    # long segments, where every coordinate difference is a power of two
+    lat0, lon0 = 44.5, 10.0
+    text = (
+        f"node 1 {lat0} {lon0}\n"
+        f"node 2 {lat0 + 2**-11} {lon0}\n"
+        f"edge 7 1 2 1 {lat0} {lon0 + 2**-10} {lat0 + 2**-11} {lon0 + 2**-10}\n"
+    )
+    graph = RoadGraph.from_text(text)
+    lat, lon = lat0 + 2**-12, lon0 + 2**-11
+    edge = graph.edges[7]
+    assert graph._project(edge, [0], lat, lon).perp_m == graph._project(edge, [2], lat, lon).perp_m
+    got = graph.nearest_edges(lat, lon, radius_m=50.0, max_results=5)
+    assert got == brute_force_nearest(graph, lat, lon, 50.0, 5)
+    assert got[0].point.lat == lat0  # segment 0, not segment 2
 
 
 def test_point_at_offset_endpoints():

@@ -235,3 +235,39 @@ def test_scenario_file_missing_key(tmp_path):
     scenario_file.write_text(json.dumps({"name": "x"}))
     with pytest.raises(ScenarioError, match="missing key"):
         load_scenario(str(scenario_file))
+
+
+@pytest.mark.parametrize(
+    "extra,key",
+    [
+        ({"steer_max": 35.0}, "steer_max"),
+        ({"swa_rte": 50.0}, "swa_rte"),
+        ({"decoder": {"id": "2F5", "sacle": 0.1}, "wheelbase": 2.6}, "decoder.sacle"),
+    ],
+)
+def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
+    sc = turn_left_90()
+    sc.graph.save(str(tmp_path / "roads.txt"))
+    doc = {"name": "x", "graph": "roads.txt", "route": sc.route, "speed_profile": [[0.0, 20.0]]}
+    doc.update(extra if "decoder" in extra else {"model": "renault captur", **extra})
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
+        load_scenario(str(scenario_file))
+
+
+def test_scenario_file_with_model_and_decoder_is_an_error(tmp_path):
+    sc = turn_left_90()
+    sc.graph.save(str(tmp_path / "roads.txt"))
+    doc = {
+        "name": "x",
+        "graph": "roads.txt",
+        "route": sc.route,
+        "speed_profile": [[0.0, 20.0]],
+        "model": "renault captur",
+        "decoder": {"id": "2F5"},
+    }
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match="both 'model' and 'decoder'"):
+        load_scenario(str(scenario_file))

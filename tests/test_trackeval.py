@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canpath.geokin import geodesic_inverse
+from canpath import trackeval
 from canpath.trackeval import (
+    GAP_SCORE,
+    MATCH_SCORE,
+    MISMATCH_SCORE,
+    AlignmentResult,
     GpxError,
     Track,
     compare_tracks,
@@ -166,6 +171,116 @@ def test_self_accuracy_one_for_any_nonempty():
     for n in range(1, 7):
         track = _random_track(rng, n)
         assert nw_align(track, track).accuracy == 1.0
+
+
+def full_matrix_nw_align(a, b, match_epsilon=10.0):
+    """Reference alignment: tests every pair, as nw_align did before its
+    cell hash; the DP and traceback are the same."""
+    pa, pb = a.points, b.points
+    la, lb = len(pa), len(pb)
+    if la == 0 and lb == 0:
+        return AlignmentResult(0, 0, 1.0, (), (), score=0)
+    within = [[geodesic_inverse(p, q)[0] <= match_epsilon for q in pb] for p in pa]
+    score = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(1, la + 1):
+        score[i][0] = i * GAP_SCORE
+    for j in range(1, lb + 1):
+        score[0][j] = j * GAP_SCORE
+    for i in range(1, la + 1):
+        for j in range(1, lb + 1):
+            pair = score[i - 1][j - 1] + (MATCH_SCORE if within[i - 1][j - 1] else MISMATCH_SCORE)
+            score[i][j] = max(pair, score[i - 1][j] + GAP_SCORE, score[i][j - 1] + GAP_SCORE)
+    flags_a, flags_b = [False] * la, [False] * lb
+    matched = aligned = 0
+    i, j = la, lb
+    while i > 0 or j > 0:
+        aligned += 1
+        if i > 0 and j > 0:
+            pair = score[i - 1][j - 1] + (MATCH_SCORE if within[i - 1][j - 1] else MISMATCH_SCORE)
+            if score[i][j] == pair:
+                if within[i - 1][j - 1]:
+                    matched += 1
+                    flags_a[i - 1] = flags_b[j - 1] = True
+                i, j = i - 1, j - 1
+                continue
+        if i > 0 and score[i][j] == score[i - 1][j] + GAP_SCORE:
+            i -= 1
+            continue
+        j -= 1
+    return AlignmentResult(
+        matched, aligned, matched / max(la, lb), tuple(flags_a), tuple(flags_b), score=score[la][lb]
+    )
+
+
+def _walk(rng, n, start, step_m=8.0):
+    """A random walk of n points with ~step_m meter steps."""
+    lat, lon = start
+    m_lon = M_LAT / math.cos(math.radians(lat))
+    pts = []
+    for _ in range(n):
+        pts.append((lat, lon))
+        lat += rng.uniform(-step_m, step_m) * M_LAT
+        lon += rng.uniform(-step_m, step_m) * m_lon
+    return Track(points=tuple(pts))
+
+
+def test_nw_align_equals_full_matrix_on_random_pairs():
+    rng = random.Random(11)
+    for _ in range(60):
+        a = _walk(rng, rng.randint(0, 40), BASE)
+        b = _walk(rng, rng.randint(0, 40), BASE)
+        for eps in (3.0, 10.0, 25.0):
+            assert nw_align(a, b, eps) == full_matrix_nw_align(a, b, eps)
+
+
+def test_nw_align_equals_full_matrix_at_exactly_epsilon():
+    rng = random.Random(13)
+    for _ in range(40):
+        a = _walk(rng, 12, BASE)
+        b = _walk(rng, 12, BASE)
+        eps = geodesic_inverse(a.points[rng.randrange(12)], b.points[rng.randrange(12)])[0]
+        for e in (eps, eps - 1e-6, eps + 1e-6):
+            assert nw_align(a, b, e) == full_matrix_nw_align(a, b, e)
+
+
+def test_nw_align_equals_full_matrix_near_latitude_80():
+    rng = random.Random(17)
+    for lat in (80.0, -80.0, 89.99):
+        for _ in range(15):
+            a = _walk(rng, rng.randint(1, 30), (lat, 10.92))
+            b = _walk(rng, rng.randint(1, 30), (lat, 10.92))
+            assert nw_align(a, b, 10.0) == full_matrix_nw_align(a, b, 10.0)
+    # at the pole itself no longitude bound exists: every pair is tested
+    a = Track(points=((90.0, 0.0), (89.99999, 45.0), (89.99995, 170.0)))
+    b = Track(points=((90.0, -120.0), (89.99998, -45.0)))
+    result = nw_align(a, b, 10.0)
+    assert result.matched_pairs == 2
+    assert result == full_matrix_nw_align(a, b, 10.0)
+
+
+def test_nw_align_equals_full_matrix_across_the_antimeridian():
+    east = Track(points=tuple((44.65 + k * 5 * M_LAT, 179.9999) for k in range(10)))
+    west = Track(points=tuple((44.65 + k * 5 * M_LAT, -179.9999) for k in range(10)))
+    result = nw_align(east, west, 20.0)
+    assert result.matched_pairs == 10  # the haversine wraps: ~16 m apart
+    assert result == full_matrix_nw_align(east, west, 20.0)
+    assert nw_align(west, east, 20.0) == full_matrix_nw_align(west, east, 20.0)
+
+
+def test_nw_align_distance_calls_grow_linearly(monkeypatch):
+    calls = []
+
+    def counting_inverse(p, q):
+        calls.append(1)
+        return geodesic_inverse(p, q)
+
+    monkeypatch.setattr(trackeval, "geodesic_inverse", counting_inverse)
+    # two parallel 1 km tracks, 10 m spacing, 5 m apart
+    a = track_from_meters(*range(0, 1001, 10))
+    b = Track(points=tuple((lat + 5 * M_LAT, lon) for lat, lon in a.points))
+    result = nw_align(a, b)
+    assert result.matched_pairs == len(a)
+    assert len(calls) <= 5 * (len(a) + len(b)) < len(a) * len(b) // 10
 
 
 # -- resampling & comparison ---------------------------------------------------------
