@@ -7,7 +7,14 @@ Graph files are plain text so test fixtures stay hand-writable:
     edge <id> <from> <to> <bidir 0|1> [<lat> <lon> ...]
 
 The optional lat/lon pairs are intermediate polyline points; the node
-positions are prepended/appended automatically.
+positions are prepended/appended automatically. Coordinates must be finite,
+with |lat| <= 90 and |lon| <= 180.
+
+Nearest-edge lookup goes through a grid of segment cells built at load
+time. Distances between nodes come from Dijkstra searches that are run
+on demand, one paused search per source node, only as far as each query's
+target, so a query's cost depends on how far apart its nodes are, not on
+the size of the graph.
 """
 
 from __future__ import annotations
@@ -77,7 +84,8 @@ class RoadGraph:
         self.edges: dict[int, Edge] = {}
         self._adjacency: dict[int, list[tuple[int, float, int]]] = {n: [] for n in self.nodes}
         self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._node_dist_cache: dict[int, dict[int, float]] = {}
+        # per source: (settled, tentative, heap) of a paused Dijkstra search
+        self._searches: dict[int, tuple[dict[int, float], dict[int, float], list[tuple[float, int]]]] = {}
 
         for edge_id, node_from, node_to, bidir, mid in edges:
             if node_from not in self.nodes or node_to not in self.nodes:
@@ -121,16 +129,13 @@ class RoadGraph:
                 if parts[0] == "node":
                     if len(parts) != 4:
                         raise ValueError("expected: node <id> <lat> <lon>")
-                    nodes[int(parts[1])] = (float(parts[2]), float(parts[3]))
+                    nodes[int(parts[1])] = _latlon(parts[2], parts[3])
                 elif parts[0] == "edge":
                     if len(parts) < 5 or (len(parts) - 5) % 2 != 0:
                         raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
                     if parts[4] not in ("0", "1"):
                         raise ValueError("bidir flag must be 0 or 1")
-                    mid = [
-                        (float(parts[i]), float(parts[i + 1]))
-                        for i in range(5, len(parts), 2)
-                    ]
+                    mid = [_latlon(parts[i], parts[i + 1]) for i in range(5, len(parts), 2)]
                     edges.append((int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", mid))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
@@ -162,10 +167,14 @@ class RoadGraph:
     # -- spatial lookup --------------------------------------------------------
 
     def _index_edge(self, edge: Edge) -> None:
-        for seg in range(len(edge.geometry) - 1):
-            (alat, alon), (blat, blon) = edge.geometry[seg], edge.geometry[seg + 1]
-            i0, i1 = sorted((int(alat // _CELL_DEG), int(blat // _CELL_DEG)))
-            j0, j1 = sorted((int(alon // _CELL_DEG), int(blon // _CELL_DEG)))
+        """Adds (edge, segment) to every cell of each segment's bounding box."""
+        cells = [(int(lat // _CELL_DEG), int(lon // _CELL_DEG)) for lat, lon in edge.geometry]
+        for seg in range(len(cells) - 1):
+            (i0, j0), (i1, j1) = cells[seg], cells[seg + 1]
+            if i0 > i1:
+                i0, i1 = i1, i0
+            if j0 > j1:
+                j0, j1 = j1, j0
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     self._cells.setdefault((i, j), []).append((edge.id, seg))
@@ -250,24 +259,52 @@ class RoadGraph:
 
     # -- shortest paths --------------------------------------------------------
 
-    def node_distances(self, source: int) -> dict[int, float]:
-        """Single-source Dijkstra over edge lengths, memoized per source."""
-        cached = self._node_dist_cache.get(source)
-        if cached is not None:
-            return cached
-        dist = {source: 0.0}
-        heap = [(0.0, source)]
+    def node_distance(self, source: int, target: int) -> float:
+        """Shortest along-road distance between two nodes; inf when unreachable.
+
+        One Dijkstra search per source is kept paused between calls (its
+        settled distances, tentative distances and heap) and resumed only
+        until ``target`` is popped, so a query costs the nodes nearer to the
+        source than the target, not the whole graph.
+
+        Exact, bit for bit, against running each search to the end: the
+        pops are the same sequence, only paused. Lengths are >= 0 and float
+        addition is monotone, so no relaxation after a node's pop can make
+        its distance strictly smaller; a settled value is the value the full
+        search ends with. An unreachable target exhausts its component.
+        """
+        search = self._searches.get(source)
+        if search is None:
+            search = self._searches[source] = ({}, {source: 0.0}, [(0.0, source)])
+        settled, dist, heap = search
+        if target in settled:
+            return settled[target]
+        adjacency = self._adjacency
         while heap:
             d, node = heapq.heappop(heap)
-            if d > dist.get(node, math.inf):
+            if d > dist[node]:
                 continue
-            for neighbor, length, _edge_id in self._adjacency[node]:
+            settled[node] = d
+            for neighbor, length, _edge_id in adjacency[node]:
                 nd = d + length
                 if nd < dist.get(neighbor, math.inf):
                     dist[neighbor] = nd
                     heapq.heappush(heap, (nd, neighbor))
-        self._node_dist_cache[source] = dist
-        return dist
+            if node == target:
+                return d
+        return math.inf
+
+
+def _latlon(lat_text: str, lon_text: str) -> LatLon:
+    """A graph file coordinate: finite, |lat| <= 90 and |lon| <= 180."""
+    lat, lon = float(lat_text), float(lon_text)
+    if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+        return lat, lon
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"coordinate {lat_text} {lon_text} is not finite")
+    if abs(lat) > 90.0:
+        raise ValueError(f"latitude {lat_text} is outside [-90, 90]")
+    raise ValueError(f"longitude {lon_text} is outside [-180, 180]")
 
 
 def _exits(edge: Edge, offset: float) -> list[tuple[int, float]]:
@@ -290,7 +327,11 @@ def route_distance(graph: RoadGraph, a: EdgePoint, b: EdgePoint) -> float:
     """Shortest along-road distance between two points on edges.
 
     Includes the partial first and last edges; returns inf when unreachable.
-    One-way edges are traversed from-node to to-node only.
+    One-way edges are traversed from-node to to-node only. Node-to-node legs
+    come from ``RoadGraph.node_distance``, which searches only as far from
+    each exit node as the entry node lies. This is the one routing
+    definition: the Viterbi matcher, ``sequence_logweight`` and the
+    brute-force oracle all score transitions with it.
     """
     best = math.inf
     edge_a = graph.edges[a.edge_id]
@@ -301,10 +342,8 @@ def route_distance(graph: RoadGraph, a: EdgePoint, b: EdgePoint) -> float:
         elif b.offset_m >= a.offset_m:
             best = b.offset_m - a.offset_m
     for exit_node, exit_cost in _exits(edge_a, a.offset_m):
-        dist_from_exit = graph.node_distances(exit_node)
         for entry_node, entry_cost in _entries(edge_b, b.offset_m):
-            via = dist_from_exit.get(entry_node, math.inf)
-            total = exit_cost + via + entry_cost
+            total = exit_cost + graph.node_distance(exit_node, entry_node) + entry_cost
             if total < best:
                 best = total
     return best

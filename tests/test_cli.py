@@ -362,6 +362,24 @@ def test_tune_manifest_missing_key_is_one_error_line(scenario_dir, capsys, tmp_p
     assert err.splitlines() == [f"error: usage: manifest has no '{missing}' key"]
 
 
+def test_infer_graph_with_bad_coordinates_is_one_error_line(scenario_dir, capsys, tmp_path):
+    roads = tmp_path / "roads.txt"
+    roads.write_text("node 1 44.65 10.92\nnode 2 nan 10.92\nedge 1 1 2 1\n")
+    code, out, err = run(
+        capsys,
+        "infer",
+        scenario_dir / "leftturn.log",
+        "--start",
+        "44.65,10.92,0",
+        "--model",
+        "renault captur",
+        "--matcher",
+        f"internal:{roads}",
+    )
+    assert code == 1
+    assert err.splitlines() == ["error: line 2: coordinate nan 10.92 is not finite"]
+
+
 def test_compare_directory_is_one_error_line(capsys, tmp_path):
     code, out, err = run(capsys, "compare", tmp_path, tmp_path)
     assert code == 1

@@ -1,9 +1,11 @@
+import heapq
 import math
 import random
 
 import pytest
 
 from canpath.geokin import geodesic_inverse
+from canpath import roadgraph
 from canpath.roadgraph import _CELL_DEG, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
@@ -41,11 +43,35 @@ def test_text_roundtrip():
         ("node 1 44.65 10.92\nnode 2 44.65 10.92\nedge 1 1 2 1\n", "zero length"),
         ("node 1 44.65 10.92\nroad 1\n", "unknown record"),
         ("node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 2\n", "bidir"),
+        ("node 1 nan 0\n", "line 1: coordinate nan 0 is not finite"),
+        ("node 1 44.65 10.92\nnode 2 0 inf\n", "line 2: coordinate 0 inf is not finite"),
+        ("node 1 -inf 0\n", "line 1: coordinate -inf 0 is not finite"),
+        ("node 1 95 0\n", r"line 1: latitude 95 is outside \[-90, 90\]"),
+        ("node 1 -90.5 0\n", r"line 1: latitude -90.5 is outside \[-90, 90\]"),
+        ("node 1 0 180.01\n", r"line 1: longitude 180.01 is outside \[-180, 180\]"),
+        ("node 1 0 -181\n", r"line 1: longitude -181 is outside \[-180, 180\]"),
+        (
+            "node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 1 44.655 10.92 nan 10.92\n",
+            "line 3: coordinate nan 10.92 is not finite",
+        ),
+        (
+            "node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 1 91 10.92\n",
+            r"line 3: latitude 91 is outside \[-90, 90\]",
+        ),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(GraphFormatError, match=message):
         RoadGraph.from_text(text)
+
+
+def test_parse_accepts_coordinates_on_the_range_limits():
+    graph = RoadGraph.from_text(
+        "node 1 90 180\nnode 2 -90 -180\nnode 3 89.9999 179.9999\nnode 4 -89.9999 -179.9998\n"
+        "edge 1 1 3 1\nedge 2 2 4 0 -89.99995 -180\n"
+    )
+    assert graph.nodes[1] == (90.0, 180.0) and graph.nodes[2] == (-90.0, -180.0)
+    assert graph.edges[2].geometry[1] == (-89.99995, -180.0)
 
 
 def test_nearest_edges_finds_projection():
@@ -175,6 +201,51 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
     assert got[0].point.lat == lat0  # segment 0, not segment 2
 
 
+def per_segment_cells(graph):
+    """Reference index: each segment's end cells found from its own two ends."""
+    cells = {}
+    for edge in graph.edges.values():
+        for seg in range(len(edge.geometry) - 1):
+            (alat, alon), (blat, blon) = edge.geometry[seg], edge.geometry[seg + 1]
+            i0, i1 = sorted((int(alat // _CELL_DEG), int(blat // _CELL_DEG)))
+            j0, j1 = sorted((int(alon // _CELL_DEG), int(blon // _CELL_DEG)))
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    cells.setdefault((i, j), []).append((edge.id, seg))
+    return cells
+
+
+def _boundary_graph():
+    """Edges that cross cell boundaries in every direction, run along them
+    and start or end exactly on them, around (-0.01, -0.01) degrees."""
+    b = [k * _CELL_DEG for k in range(-24, -15)]
+    nodes = {1: (b[0], b[0]), 2: (b[8], b[8]), 3: (b[4], b[0]), 4: (b[4], b[8]), 5: (b[2] + 1e-5, b[6] - 1e-5)}
+    edges = [
+        (1, 1, 2, True, [(b[1], b[3]), (b[1] + 2e-4, b[3] - 3e-4)]),  # north-east, one vertex steps back
+        (2, 2, 1, False, [(b[8], b[0]), (b[7], b[0])]),  # west along a boundary, then south
+        (3, 4, 3, True, [(b[4], b[6] + 1e-4), (b[4], b[2])]),  # west along one latitude boundary
+        (4, 5, 3, False, [(b[5] - 1e-4, b[1]), (b[3] + 1e-4, b[1] + 1e-4)]),  # crossing corners
+        (5, 5, 4, True, []),
+    ]
+    return RoadGraph(nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        _boundary_graph,
+        lambda: RoadGraph.from_text(_grid_text(-33.45, -70.66)),
+        _arc_graph,
+    ],
+    ids=["boundaries", "southwest-grid", "dense-arc"],
+)
+def test_index_equals_the_per_segment_rule(make_graph):
+    graph = make_graph()
+    expected = per_segment_cells(graph)
+    assert len(expected) > 10
+    assert list(graph._cells.items()) == list(expected.items())
+
+
 def test_point_at_offset_endpoints():
     graph = straight_graph()
     edge = graph.edges[1]
@@ -259,6 +330,175 @@ def test_route_distance_symmetry_and_triangle_inequality():
             assert ab == pytest.approx(route_distance(graph, b, a), abs=1e-6)
             for c in samples:
                 assert ab <= route_distance(graph, a, c) + route_distance(graph, c, b) + 1e-6
+
+
+def full_dijkstra(graph, source):
+    """Reference: a whole-graph single-source Dijkstra, run to the end, over
+    an adjacency rebuilt from the edges."""
+    adjacency = {n: [] for n in graph.nodes}
+    for edge in graph.edges.values():
+        adjacency[edge.node_from].append((edge.node_to, edge.length_m))
+        if edge.bidirectional:
+            adjacency[edge.node_to].append((edge.node_from, edge.length_m))
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for neighbor, length in adjacency[node]:
+            nd = d + length
+            if nd < dist.get(neighbor, math.inf):
+                dist[neighbor] = nd
+                heapq.heappush(heap, (nd, neighbor))
+    return dist
+
+
+def _one_way_graph():
+    """A one-way triangle loop, a two-way spur off it, a one-way shortcut
+    back, and a bidirectional edge that bows far out, so its far end is
+    first reached the long way round."""
+    return RoadGraph.from_text(
+        """\
+node 1 44.6500000 10.9200000
+node 2 44.6500000 10.9240000
+node 3 44.6520000 10.9200000
+node 4 44.6530000 10.9230000
+node 5 44.6480000 10.9210000
+edge 1 1 2 0
+edge 2 2 3 0
+edge 3 3 1 0
+edge 4 3 4 1
+edge 5 4 2 0
+edge 6 1 5 1 44.6400000 10.9100000 44.6400000 10.9300000
+edge 7 5 2 1
+"""
+    )
+
+
+def _two_component_graph():
+    """A triangle with a long detour edge, a separate one-way pair, a node
+    that can leave its component but never be reached, and a lone node."""
+    return RoadGraph.from_text(
+        """\
+node 1 44.6500000 10.9200000
+node 2 44.6500000 10.9230000
+node 3 44.6530000 10.9200000
+node 4 44.6600000 10.9300000
+node 5 44.6610000 10.9300000
+node 6 44.6510000 10.9190000
+node 7 44.6700000 10.9400000
+edge 1 1 2 1
+edge 2 1 3 1
+edge 3 2 3 1 44.6560000 10.9260000
+edge 4 4 5 0
+edge 5 6 1 0
+"""
+    )
+
+
+def _tied_graph():
+    """Two routes of exactly equal length from node 1 to node 4, mirrored
+    across the equator, and a third leg beyond."""
+    return RoadGraph.from_text(
+        """\
+node 1 0.0 10.0
+node 2 0.001 10.001
+node 3 -0.001 10.001
+node 4 0.0 10.002
+node 5 0.0 10.004
+edge 1 1 2 1
+edge 2 1 3 1
+edge 3 2 4 1
+edge 4 3 4 1
+edge 5 4 5 0
+"""
+    )
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: RoadGraph.from_text(_grid_text(44.65, 10.92, n=5)),
+        _one_way_graph,
+        _two_component_graph,
+        _tied_graph,
+    ],
+    ids=["grid", "one-way", "unreachable", "ties"],
+)
+def test_node_distance_equals_a_full_search(make_graph):
+    base = make_graph()
+    reference = {s: full_dijkstra(base, s) for s in base.nodes}
+    expected = {(s, t): reference[s].get(t, math.inf) for s in reference for t in reference}
+    by_distance = sorted(expected, key=lambda pair: (expected[pair], pair))
+    orders = [by_distance, by_distance[::-1]]  # near-then-far and far-then-near
+    rng = random.Random(11)
+    for _ in range(4):
+        orders.append(rng.sample(by_distance, len(by_distance)))  # sources interleaved
+    for order in orders:
+        graph = make_graph()
+        for _repeat in range(2):
+            for source, target in order:
+                assert graph.node_distance(source, target) == expected[source, target], (source, target)
+
+
+def test_node_distance_fixtures_hold_what_they_claim():
+    edges = _tied_graph().edges
+    assert edges[1].length_m + edges[3].length_m == edges[2].length_m + edges[4].length_m
+    unreachable = _two_component_graph()
+    assert all(math.isinf(unreachable.node_distance(s, 6)) for s in unreachable.nodes if s != 6)
+    assert math.isinf(unreachable.node_distance(1, 4)) and math.isinf(unreachable.node_distance(7, 1))
+    bowed = _one_way_graph()
+    assert bowed.edges[6].length_m > bowed.node_distance(1, 2) + bowed.edges[7].length_m
+
+
+def _centred_grid(half, lat0=44.65, lon0=10.92, step_deg=0.0009):
+    """A (2 half + 1)^2 grid of two-way ~100 m blocks centred on (lat0, lon0).
+    Node and edge ids encode the offset from the centre, so grids of two sizes
+    agree on every id, position and length they share."""
+
+    def node(r, c):
+        return (r + 1000) * 10000 + c + 1000
+
+    span = range(-half, half + 1)
+    nodes = {node(r, c): (lat0 + r * step_deg, lon0 + c * step_deg) for r in span for c in span}
+    edges = []
+    for r in span:
+        for c in span:
+            if c < half:
+                edges.append((2 * node(r, c), node(r, c), node(r, c + 1), True, []))
+            if r < half:
+                edges.append((2 * node(r, c) + 1, node(r, c), node(r + 1, c), True, []))
+    return RoadGraph(nodes, edges)
+
+
+def test_routing_work_does_not_grow_with_the_graph(monkeypatch):
+    pops = [0]
+    real_heappop = heapq.heappop
+
+    def counting_heappop(heap):
+        pops[0] += 1
+        return real_heappop(heap)
+
+    monkeypatch.setattr(roadgraph.heapq, "heappop", counting_heappop)
+    pop_counts, distances = [], []
+    for half in (8, 24):
+        graph = _centred_grid(half)
+        rng = random.Random(4)
+        # three points on each of the four blocks that meet at the centre
+        centre_edges = sorted(hit.edge_id for hit in graph.nearest_edges(44.65, 10.92, 60.0, 10))
+        points = [
+            graph.project_to_edge(edge_id, *graph.point_at_offset(edge_id, rng.uniform(0, 100))).point
+            for edge_id in centre_edges
+            for _ in range(3)
+        ]
+        pops[0] = 0
+        distances.append([route_distance(graph, a, b) for a in points for b in points])
+        pop_counts.append(pops[0])
+    small, large = pop_counts
+    assert len(points) == 12 and distances[0] == distances[1]
+    assert small == large
+    assert large < len(graph.nodes) / 4
 
 
 def test_edge_lengths_sum_of_segments():
