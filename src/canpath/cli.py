@@ -32,7 +32,7 @@ from .reveng import (
 from .roadgraph import GraphFormatError, RoadGraph
 from .synthgen import ScenarioError, load_scenario, manifest_for, simulate
 from .trackeval import GpxError, comparison_csv_row, compare_tracks, load_gpx, save_gpx
-from .tuner import TuneTrack, grid_search, marginal_curves, rows_to_csv
+from .tuner import TuneTrack, grid_search, marginal_curves, resolve_grids, rows_to_csv
 
 MATCHER_URL_ENV = "CANPATH_MATCHER_URL"
 
@@ -88,6 +88,32 @@ def _parse_params(text: str | None) -> InferenceParams:
         return InferenceParams(**values)
     except ValueError as exc:
         raise UsageError(f"--params: {exc}") from None
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _manifest_grids(raw) -> dict:
+    """The manifest's ``grids`` laid over the default grids: each key a
+    parameter name, each value a non-empty list of numbers."""
+    if not isinstance(raw, dict):
+        raise UsageError("manifest 'grids' must map parameter names to lists of values")
+    for name, values in raw.items():
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise UsageError(f"manifest grids: {name!r} must be a list of numbers")
+    try:
+        return resolve_grids({name: tuple(values) for name, values in raw.items()})
+    except ValueError as exc:
+        raise UsageError(f"manifest grids: {exc}") from None
 
 
 def _resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
@@ -249,7 +275,9 @@ def _cmd_tune(args) -> int:
             raise UsageError(f"{where} has no {key!r} key")
         return mapping[key]
 
-    graph = RoadGraph.load(resolve(required(doc, "graph", "manifest")))
+    graph_file = resolve(required(doc, "graph", "manifest"))
+    grids = _manifest_grids(doc.get("grids", {}))
+    graph = RoadGraph.load(graph_file)
     tracks = []
     for entry in required(doc, "tracks", "manifest"):
         log = required(entry, "log", "manifest track")
@@ -277,7 +305,6 @@ def _cmd_tune(args) -> int:
                 vehicle=vehicle,
             )
         )
-    grids = {k: tuple(v) for k, v in doc.get("grids", {}).items()} or None
     rows = grid_search(tracks, graph, grids=grids, workers=args.workers)
     csv_text = rows_to_csv(rows)
     _write_or_print(csv_text, args.out)
@@ -349,7 +376,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="grid-search inference parameters over logged tracks")
     p.add_argument("manifest")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1, help="processes (default 1)")
     p.add_argument("--out", help="write the grid CSV to a file")
     p.add_argument("--marginals", help="write per-parameter curves to a file")
     p.set_defaults(func=_cmd_tune)

@@ -1,8 +1,9 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
 The log is decoded once into steering-angle and OBD speed samples, then
-cut into fixed windows anchored at the first frame. Each window averages
-its samples (holding the previous value when a category has none),
+cut into fixed windows anchored at the first frame (window_aggregates).
+Each window averages its samples (holding the previous value when a
+category has none); inference then takes the windows in turn and
 advances the pose with the bicycle model plus a geodesic forward step, and
 buffers the dead-reckoned point. Every max_interpolation_points windows the
 buffer is snapped to the road network; the length difference between the
@@ -130,8 +131,42 @@ def window_aggregate(samples: Sequence[Sample], previous: WindowAggregate) -> Wi
     )
 
 
+def window_aggregates(
+    samples: Sequence[Sample], t0: float, t_end: float, t_window: float
+) -> list[WindowAggregate]:
+    """One aggregate per window of ``t_window`` seconds, from ``t0`` (the
+    first frame) to ``t_end`` (the last), in time order.
+
+    Window k holds the samples stamped in [t0 + k*t_window, t0 + (k+1)*t_window);
+    the last window also holds the final frame, which sits exactly on its
+    closing edge. ``samples`` must be in time order. The aggregates depend
+    on nothing but the samples and the window length, so runs that differ
+    only in their other parameters share them.
+    """
+    n_windows = int((t_end - t0) / t_window) + 1
+    times = [t for t, _signal, _v in samples]
+    aggregates: list[WindowAggregate] = []
+    aggregate = WindowAggregate(avg_angle_deg=0.0, avg_speed_ms=0.0)
+    sample_idx = 0
+    for k in range(n_windows):
+        first = sample_idx
+        if k == n_windows - 1:
+            sample_idx = len(samples)
+        else:
+            sample_idx = bisect_left(times, t0 + (k + 1) * t_window, sample_idx)
+        aggregate = window_aggregate(samples[first:sample_idx], aggregate)
+        aggregates.append(aggregate)
+    return aggregates
+
+
 def clamp_steer(angle_deg: float, steer_max: float) -> float:
     return max(-steer_max, min(steer_max, angle_deg))
+
+
+def can_turn(speed_ms: float, speed_max_kmh: float) -> bool:
+    """Whether a window at ``speed_ms`` keeps its steered bearing; a faster
+    one is forced straight (see straighten_if_fast)."""
+    return speed_ms * 3.6 <= speed_max_kmh + 1e-9
 
 
 def straighten_if_fast(
@@ -144,7 +179,7 @@ def straighten_if_fast(
     window's travel direction: a car cannot turn at that speed."""
     if prev_window_start is None:
         return pose
-    if speed_ms * 3.6 <= speed_max_kmh + 1e-9:
+    if can_turn(speed_ms, speed_max_kmh):
         return pose
     distance, bearing = geodesic_inverse(prev_window_start, pose.position)
     if distance <= 0.0:
@@ -177,19 +212,14 @@ def infer_path(
     if not any(signal == ANGLE for _t, signal, _v in samples):
         raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
 
-    t0 = frames[0].timestamp
-    t_end = frames[-1].timestamp
-    n_windows = int((t_end - t0) / params.t_window) + 1
+    aggregates = window_aggregates(samples, frames[0].timestamp, frames[-1].timestamp, params.t_window)
 
     pose = start
     carry_distance = 0.0
     pending: list[LatLon] = []
     inferred: list[LatLon] = []
     diag = Diagnostics()
-    aggregate = WindowAggregate(avg_angle_deg=0.0, avg_speed_ms=0.0)
     prev_window_start: LatLon | None = None
-    times = [t for t, _signal, _v in samples]  # ascending: the frames are sorted
-    sample_idx = 0
 
     def flush_batch() -> None:
         nonlocal pose, carry_distance, prev_window_start
@@ -223,15 +253,7 @@ def infer_path(
                     prev_window_start = None
         pending.clear()
 
-    for k in range(n_windows):
-        first = sample_idx
-        if k == n_windows - 1:
-            # the final frame sits exactly on the last window's closing edge
-            sample_idx = len(samples)
-        else:
-            sample_idx = bisect_left(times, t0 + (k + 1) * params.t_window, sample_idx)
-
-        aggregate = window_aggregate(samples[first:sample_idx], aggregate)
+    for aggregate in aggregates:
         distance = aggregate.avg_speed_ms * params.t_window + carry_distance
         carry_distance = 0.0
 

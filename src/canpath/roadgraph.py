@@ -30,6 +30,10 @@ _DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of latitude
 # Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
 # default 50 m candidate radius, so a query box spans only a few cells.
 _CELL_DEG = 0.0005
+# A segment is indexed in every cell of its bounding box; one whose box
+# covers more cells than this (a box of about 56 by 39 km at latitude 45)
+# is rejected, not indexed.
+_MAX_SEGMENT_CELLS = 1_000_000
 # Query boxes are widened by 0.1 mm so rounding in the projection arithmetic
 # can never leave a segment within the radius outside the box.
 _PAD_DEG = 1e-9
@@ -119,7 +123,7 @@ class RoadGraph:
     @classmethod
     def from_text(cls, text: str) -> "RoadGraph":
         nodes: dict[int, LatLon] = {}
-        edges: list[tuple[int, int, int, bool, list[LatLon]]] = []
+        edges: list[tuple[int, tuple[int, int, int, bool, list[LatLon]]]] = []  # (line, record)
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -136,12 +140,25 @@ class RoadGraph:
                     if parts[4] not in ("0", "1"):
                         raise ValueError("bidir flag must be 0 or 1")
                     mid = [_latlon(parts[i], parts[i + 1]) for i in range(5, len(parts), 2)]
-                    edges.append((int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", mid))
+                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", mid)))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except ValueError as exc:
                 raise GraphFormatError(f"line {line_no}: {exc}") from None
-        return cls(nodes, edges)
+
+        line_no = 0
+
+        # the constructor consumes the records in order, so line_no is the
+        # line of the record an error is raised on
+        def records():
+            nonlocal line_no
+            for line_no, record in edges:
+                yield record
+
+        try:
+            return cls(nodes, records())
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {line_no}: {exc}") from None
 
     @classmethod
     def load(cls, path: str) -> "RoadGraph":
@@ -175,6 +192,12 @@ class RoadGraph:
                 i0, i1 = i1, i0
             if j0 > j1:
                 j0, j1 = j1, j0
+            n_cells = (i1 - i0 + 1) * (j1 - j0 + 1)
+            if n_cells > _MAX_SEGMENT_CELLS:
+                raise GraphFormatError(
+                    f"edge {edge.id} segment {seg} spans {n_cells} index cells "
+                    f"(at most {_MAX_SEGMENT_CELLS}); add intermediate points"
+                )
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     self._cells.setdefault((i, j), []).append((edge.id, seg))

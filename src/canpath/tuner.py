@@ -3,6 +3,16 @@
 Every combination is scored by running the full pipeline on each track and
 comparing against its ground truth; a failed run scores 0 for that cell
 (extreme parameters legitimately break inference, and that is signal).
+
+Most cells repeat another cell's run: where a clamp never binds, a
+different ``speed_max`` or ``steer_max`` gives the same GPX bytes. Each
+track is decoded once per search and cut into windows once per
+``t_window``, and a cell is keyed by exactly what its run reads from the
+two clamps: each window's clamped steering angle and whether each window
+may turn. The pipeline runs once per distinct (track, key) and that score
+is shared by every cell with the key, so the rows, and the CSV, are those
+of running every cell. ``workers`` processes share the distinct runs, never
+more processes than there are runs.
 """
 
 from __future__ import annotations
@@ -14,7 +24,14 @@ from typing import Sequence
 
 from .canlog import CanFrame
 from .geokin import VehiclePose, VehicleSpec
-from .inference import InferenceParams, infer_path
+from .inference import (
+    InferenceParams,
+    can_turn,
+    clamp_steer,
+    decode_signals,
+    infer_path,
+    window_aggregates,
+)
 from .mapmatch import GraphMatcher, MatcherConfig
 from .reveng import AngleDecoder
 from .roadgraph import RoadGraph
@@ -65,15 +82,58 @@ def evaluate_track(
         return 0.0
 
 
-def _evaluate_combo(args) -> GridRow:
-    params, tracks, graph, config, epsilon = args
-    scores = tuple(evaluate_track(t, params, graph, config, epsilon) for t in tracks)
-    mean = sum(scores) / len(scores)
-    return GridRow(params=params, mean_accuracy=mean, per_track=scores)
-
-
 def _param_tuple(params: InferenceParams) -> tuple:
     return tuple(getattr(params, name) for name in _PARAM_ORDER)
+
+
+def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
+    """The default grids with `grids` laid over them; an unknown parameter
+    name or an empty value list is a ValueError."""
+    grids = grids or {}
+    for name, values in grids.items():
+        if name not in DEFAULT_GRIDS:
+            raise ValueError(f"unknown parameter {name!r}; expected one of {', '.join(_PARAM_ORDER)}")
+        if len(values) == 0:
+            raise ValueError(f"parameter {name!r} has no values")
+    return dict(DEFAULT_GRIDS, **grids)
+
+
+def _first_same_run(track: TuneTrack, combos: Sequence[InferenceParams]) -> list[int]:
+    """Per combination, the first combination whose run on `track` is the
+    same run.
+
+    A run reads its parameters only as the window length, the batch size,
+    each window's clamped steering angle and whether each window may turn;
+    combinations equal in all four make the same run, to the byte. A
+    combination whose key cannot be computed (the computation raised) is
+    its own first.
+    """
+    try:
+        frames = sorted(track.frames, key=lambda f: f.timestamp)
+        samples = decode_signals(frames, track.decoder)
+        t0, t_end = frames[0].timestamp, frames[-1].timestamp
+    except Exception:
+        return list(range(len(combos)))
+    windows_by_length: dict[float, list] = {}
+    first_by_key: dict[tuple, int] = {}
+    firsts = []
+    for c, params in enumerate(combos):
+        try:
+            windows = windows_by_length.get(params.t_window)
+            if windows is None:
+                windows = window_aggregates(samples, t0, t_end, params.t_window)
+                windows_by_length[params.t_window] = windows
+            key = (
+                params.t_window,
+                params.max_interpolation_points,
+                tuple(clamp_steer(w.avg_angle_deg, params.steer_max) for w in windows),
+                tuple(can_turn(w.avg_speed_ms, params.speed_max) for w in windows),
+            )
+        except Exception:
+            firsts.append(c)
+            continue
+        firsts.append(first_by_key.setdefault(key, c))
+    return firsts
 
 
 def grid_search(
@@ -88,21 +148,43 @@ def grid_search(
 
     Returns one row per combination sorted by descending mean accuracy
     (ties by parameter values); the result is independent of evaluation
-    order, so parallel runs reproduce the serial table.
+    order, so parallel runs reproduce the serial table. Cells that repeat
+    a run share its score (see the module docstring).
     """
     if not tracks:
         raise ValueError("at least one track is required")
-    grids = dict(DEFAULT_GRIDS, **(grids or {}))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    grids = resolve_grids(grids)
     combos = [
         InferenceParams(**dict(zip(_PARAM_ORDER, values)))
         for values in itertools.product(*(grids[k] for k in _PARAM_ORDER))
     ]
-    jobs = [(params, tuple(tracks), graph, config, match_epsilon) for params in combos]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_combo, jobs, chunksize=max(1, len(jobs) // (workers * 4))))
+    firsts = [_first_same_run(track, combos) for track in tracks]
+    # one job per distinct (track, run), indexed by (track, first combination)
+    job_index: dict[tuple[int, int], int] = {}
+    jobs: list[tuple[TuneTrack, InferenceParams]] = []
+    for c, params in enumerate(combos):
+        for t, track in enumerate(tracks):
+            if firsts[t][c] == c:
+                job_index[t, c] = len(jobs)
+                jobs.append((track, params))
+
+    n = min(workers, len(jobs))
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            scores = list(pool.map(
+                evaluate_track, [t for t, _p in jobs], [p for _t, p in jobs], itertools.repeat(graph),
+                itertools.repeat(config), itertools.repeat(match_epsilon),
+                chunksize=max(1, len(jobs) // (n * 4)),
+            ))
     else:
-        rows = [_evaluate_combo(job) for job in jobs]
+        scores = [evaluate_track(t, p, graph, config, match_epsilon) for t, p in jobs]
+
+    rows = []
+    for c, params in enumerate(combos):
+        per_track = tuple(scores[job_index[t, firsts[t][c]]] for t in range(len(tracks)))
+        rows.append(GridRow(params=params, mean_accuracy=sum(per_track) / len(per_track), per_track=per_track))
     rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))
     return rows
 
@@ -119,7 +201,7 @@ def marginal_curves(
 ) -> dict[str, list[tuple[float, float]]]:
     """Per-parameter accuracy curves, fixing the other three at the values of
     the best combination found."""
-    grids = dict(DEFAULT_GRIDS, **(grids or {}))
+    grids = resolve_grids(grids)
     best = rows[0]
     curves: dict[str, list[tuple[float, float]]] = {}
     for name in _PARAM_ORDER:

@@ -418,3 +418,48 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_tune_workers_below_one_is_usage_error(scenario_dir, capsys, workers):
+    code, out, err = run(capsys, "tune", scenario_dir / "no-such-manifest.json", "--workers", workers)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage: argument --workers:"), err
+
+
+@pytest.mark.parametrize(
+    "grids,message",
+    [
+        ({"speed_mx": [50]}, "manifest grids: unknown parameter 'speed_mx'"),
+        ({"t_window": []}, "manifest grids: parameter 't_window' has no values"),
+        ({"t_window": 0.1}, "manifest grids: 't_window' must be a list of numbers"),
+    ],
+)
+def test_tune_manifest_bad_grids_are_one_error_line(scenario_dir, capsys, tmp_path, grids, message):
+    manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": [], "grids": grids}
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: usage: {message}"), err
+
+
+def test_infer_graph_with_a_long_segment_is_one_error_line(scenario_dir, capsys, tmp_path):
+    roads = tmp_path / "roads.txt"
+    roads.write_text("node 1 0 0\nnode 2 -90 -180\nedge 1 1 2 1 -45 -180\n")
+    code, out, err = run(
+        capsys,
+        "infer",
+        scenario_dir / "leftturn.log",
+        "--start",
+        "0,0,0",
+        "--model",
+        "renault captur",
+        "--matcher",
+        f"internal:{roads}",
+    )
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 3: edge 1 segment 0 spans"), err

@@ -58,11 +58,25 @@ def test_text_roundtrip():
             "node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 1 91 10.92\n",
             r"line 3: latitude 91 is outside \[-90, 90\]",
         ),
+        (
+            "node 1 0 0\nnode 2 -90 -180\nedge 1 1 2 1 -45 -180\n",
+            r"line 3: edge 1 segment 0 spans 32400450001 index cells \(at most 1000000\)",
+        ),
     ],
 )
 def test_parse_errors(text, message):
     with pytest.raises(GraphFormatError, match=message):
         RoadGraph.from_text(text)
+
+
+def test_segment_cell_limit(monkeypatch):
+    monkeypatch.setattr(roadgraph, "_MAX_SEGMENT_CELLS", 6)
+    lat, lon = 10 * _CELL_DEG + _CELL_DEG / 2, 20 * _CELL_DEG + _CELL_DEG / 2
+    # a box of 2 x 3 cells is indexed, one of 3 x 3 is not
+    graph = RoadGraph({1: (lat, lon), 2: (lat + _CELL_DEG, lon + 2 * _CELL_DEG)}, [(1, 1, 2, True, [])])
+    assert len(graph._cells) == 6
+    with pytest.raises(GraphFormatError, match="edge 1 segment 0 spans 9 index cells"):
+        RoadGraph({1: (lat, lon), 2: (lat + 2 * _CELL_DEG, lon + 2 * _CELL_DEG)}, [(1, 1, 2, True, [])])
 
 
 def test_parse_accepts_coordinates_on_the_range_limits():

@@ -1,8 +1,23 @@
+import itertools
+from dataclasses import fields
+
 import pytest
 
-from canpath.inference import InferenceParams
-from canpath.scenarios import merge_graphs, tuning_graph, tuning_suite, turn_left_90
-from canpath.synthgen import simulate
+from canpath import tuner
+from canpath.geokin import VehiclePose
+from canpath.inference import InferenceParams, infer_path
+from canpath.mapmatch import GraphMatcher
+from canpath.scenarios import (
+    DEFAULT_DECODER,
+    DEFAULT_VEHICLE,
+    PathBuilder,
+    assemble_graph,
+    merge_graphs,
+    tuning_graph,
+    tuning_suite,
+    turn_left_90,
+)
+from canpath.synthgen import SimScenario, simulate
 from canpath.tuner import (
     DEFAULT_GRIDS,
     GridRow,
@@ -133,3 +148,165 @@ def test_grid_search_requires_tracks(one_track):
     _track, graph = one_track
     with pytest.raises(ValueError):
         grid_search([], graph)
+
+
+# -- shared runs ----------------------------------------------------------------
+
+
+def binding_scenario() -> SimScenario:
+    """A track where both clamps bind: a 40 degree curve driven at 56 km/h,
+    then a 4 m turn at 12 km/h, which needs atan(2.6 / 4) = 33 degrees of
+    steering."""
+    path = (
+        PathBuilder(heading=0.0)
+        .straight(150)
+        .arc(150.0, 40.0)
+        .straight(100)
+        .arc(4.0, -120.0, spacing=0.5)
+        .straight(60)
+        .take()
+    )
+    graph = assemble_graph({401: path}, origin=(44.8000, 10.9200), id_base=400)
+    return SimScenario(
+        name="binding",
+        graph=graph,
+        route=[401],
+        speed_profile=[(0.0, 56.0), (280.0, 12.0)],
+        decoder=DEFAULT_DECODER,
+        vehicle=DEFAULT_VEHICLE,
+    )
+
+
+# speed_max and steer_max on both sides of the binding track's peaks, far
+# enough below them that the low values change some of its scores; the
+# compact tracks peak at 25 km/h and about 15 degrees, below both
+CLAMP_GRIDS = {
+    "t_window": (0.1, 0.5),
+    "speed_max": (40.0, 70.0),
+    "steer_max": (20.0, 40.0),
+    "max_interpolation_points": (10, 30),
+}
+
+
+@pytest.fixture(scope="module")
+def clamp_suite():
+    suite = tuning_suite() + [binding_scenario()]
+    graph = merge_graphs([sc.graph for sc in suite])
+    return [_track_for(sc) for sc in suite], graph
+
+
+def _evaluate_every_cell(tracks, graph, grids):
+    """The oracle: the grid search run cell by cell, every cell running the
+    pipeline on every track."""
+    grids = dict(DEFAULT_GRIDS, **grids)
+    names = [f.name for f in fields(InferenceParams)]
+    rows = []
+    for values in itertools.product(*(grids[name] for name in names)):
+        params = InferenceParams(**dict(zip(names, values)))
+        scores = tuple(evaluate_track(track, params, graph) for track in tracks)
+        rows.append(GridRow(params=params, mean_accuracy=sum(scores) / len(scores), per_track=scores))
+    rows.sort(key=lambda r: (-r.mean_accuracy, tuple(getattr(r.params, name) for name in names)))
+    return rows
+
+
+def test_shared_runs_equal_the_every_cell_oracle(clamp_suite):
+    tracks, graph = clamp_suite
+    oracle = _evaluate_every_cell(tracks, graph, CLAMP_GRIDS)
+    assert len(oracle) == 16
+    assert grid_search(tracks, graph, grids=CLAMP_GRIDS, workers=1) == oracle
+    assert grid_search(tracks, graph, grids=CLAMP_GRIDS, workers=2) == oracle
+
+
+def test_low_clamps_change_the_binding_track(clamp_suite):
+    tracks, graph = clamp_suite
+    binding = tracks[-1]
+
+    def gpx(**params):
+        result = infer_path(
+            list(binding.frames), binding.decoder, binding.vehicle, binding.start,
+            InferenceParams(**params), GraphMatcher(graph),
+        )
+        return result.gpx
+
+    high = gpx(speed_max=70.0, steer_max=40.0)
+    assert gpx(speed_max=40.0, steer_max=40.0) != high
+    assert gpx(speed_max=70.0, steer_max=20.0) != high
+    assert gpx(speed_max=70.0, steer_max=30.0) != high
+
+
+def test_one_run_per_distinct_key(clamp_suite, monkeypatch):
+    tracks, graph = clamp_suite
+    empty = TuneTrack("empty", (), tracks[0].truth, VehiclePose(0.0, 0.0, 0.0), DEFAULT_DECODER, DEFAULT_VEHICLE)
+    calls = []
+
+    def counting_infer_path(frames, decoder, vehicle, start, *args, **kwargs):
+        calls.append(start)
+        return infer_path(frames, decoder, vehicle, start, *args, **kwargs)
+
+    monkeypatch.setattr(tuner, "infer_path", counting_infer_path)
+    rows = grid_search(tracks + [empty], graph, grids=CLAMP_GRIDS, workers=1)
+    cells = len(rows)
+    runs = len(CLAMP_GRIDS["t_window"]) * len(CLAMP_GRIDS["max_interpolation_points"])
+    compact = tracks[:-1]
+    assert [calls.count(t.start) for t in compact] == [runs] * len(compact)
+    # both clamps bind on the binding track, each window its own way, so
+    # every cell is a run of its own
+    assert calls.count(tracks[-1].start) == cells
+    # a track whose key cannot be computed (no frames) runs every cell
+    assert calls.count(empty.start) == cells
+    assert all(row.per_track[-1] == 0.0 for row in rows)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_workers_are_bounded(one_track, monkeypatch):
+    track, graph = one_track
+    monkeypatch.setattr(tuner, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "created", [])
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            grid_search([track], graph, grids=SMALL_GRIDS, workers=workers)
+    assert RecordingExecutor.created == []
+
+    serial = grid_search([track], graph, grids=SMALL_GRIDS, workers=1)
+    # SMALL_GRIDS makes 4 distinct runs on the one track
+    assert grid_search([track], graph, grids=SMALL_GRIDS, workers=10**6) == serial
+    assert RecordingExecutor.created == [4]
+
+    # speed_max and steer_max never bind here: 6 cells, one run, no pool
+    one_run = {
+        "t_window": (0.1,),
+        "speed_max": (40.0, 50.0, 60.0),
+        "steer_max": (30.0, 40.0),
+        "max_interpolation_points": (30,),
+    }
+    rows = grid_search([track], graph, grids=one_run, workers=8)
+    assert len(rows) == 6 and len({row.mean_accuracy for row in rows}) == 1
+    assert RecordingExecutor.created == [4]
+
+
+@pytest.mark.parametrize(
+    "grids,message",
+    [({"speed_mx": (50.0,)}, "unknown parameter 'speed_mx'"), ({"t_window": ()}, "'t_window' has no values")],
+)
+def test_bad_grids_are_rejected(one_track, grids, message):
+    track, graph = one_track
+    with pytest.raises(ValueError, match=message):
+        grid_search([track], graph, grids=grids)
