@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -56,15 +57,22 @@ def _read_frames(path: str, strict: bool = False):
     return frames
 
 
-def _parse_start(text: str) -> VehiclePose:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError("--start expects lat,lon,bearing")
+def _parse_start(parts, where: str) -> VehiclePose:
+    """The start pose from three finite numbers, lat, lon and bearing:
+    ``infer --start`` split at its commas, or a manifest track's list."""
+    if not isinstance(parts, list) or len(parts) != 3:
+        raise UsageError(f"{where} expects lat,lon,bearing")
     try:
-        lat, lon, bearing = (float(p) for p in parts)
+        # through str, so that a JSON true, null or list is refused like text
+        values = [float(str(p)) for p in parts]
     except ValueError:
-        raise UsageError(f"--start has a non-numeric component in {text!r}") from None
-    return VehiclePose(lat=lat, lon=lon, bearing=bearing)
+        raise UsageError(f"{where} has a non-numeric component in {parts!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{where} has a non-finite component in {parts!r}")
+    try:
+        return VehiclePose(*values)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _parse_params(text: str | None) -> InferenceParams:
@@ -212,7 +220,7 @@ def _cmd_logfilter(args) -> int:
 
 def _cmd_infer(args) -> int:
     # flag-only validation first, file I/O after
-    start = _parse_start(args.start)
+    start = _parse_start(args.start.split(","), "--start")
     params = _parse_params(args.params)
     decoder, vehicle = _resolve_vehicle(args.model, args.decoder_file, args.wheelbase)
     matcher = _make_matcher(args.matcher)
@@ -278,11 +286,15 @@ def _cmd_tune(args) -> int:
     graph_file = resolve(required(doc, "graph", "manifest"))
     grids = _manifest_grids(doc.get("grids", {}))
     graph = RoadGraph.load(graph_file)
+    entries = required(doc, "tracks", "manifest")
+    if not isinstance(entries, list):
+        raise UsageError("manifest 'tracks' must be a list of tracks")
     tracks = []
-    for entry in required(doc, "tracks", "manifest"):
+    for entry in entries:
         log = required(entry, "log", "manifest track")
         name = entry.get("name", os.path.basename(log))
         where = f"manifest track {name!r}"
+        start = _parse_start(required(entry, "start", where), f"{where}: start")
         decoder_file = entry.get("decoder_file")
         try:
             decoder, vehicle = _resolve_vehicle(
@@ -294,13 +306,12 @@ def _cmd_tune(args) -> int:
             raise UsageError(f"{where}: {exc}") from None
         frames, _ = read_log(resolve(log), strict=False)
         truth = load_gpx(resolve(required(entry, "truth", where)))
-        lat, lon, bearing = required(entry, "start", where)
         tracks.append(
             TuneTrack(
                 name=name,
                 frames=tuple(frames),
                 truth=truth,
-                start=VehiclePose(lat, lon, bearing),
+                start=start,
                 decoder=decoder,
                 vehicle=vehicle,
             )

@@ -1,14 +1,16 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
-The log is decoded once into steering-angle and OBD speed samples, then
-cut into fixed windows anchored at the first frame (window_aggregates).
-Each window averages its samples (holding the previous value when a
-category has none); inference then takes the windows in turn and
-advances the pose with the bicycle model plus a geodesic forward step, and
-buffers the dead-reckoned point. Every max_interpolation_points windows the
-buffer is snapped to the road network; the length difference between the
-snapped and dead-reckoned polylines is carried into the next window's
-travel so the track does not fall behind.
+infer_path runs stages that pass plain data. decode_log sorts and decodes
+the frames once into steering-angle and OBD speed samples;
+window_aggregates cuts them into fixed windows anchored at the first
+frame, each the mean of its samples (holding the previous value when a
+category has none); window_controls clamps each window's angle to
+steer_max and says whether it may turn (at most speed_max), the only code
+that reads those two; dead_reckon advances a batch of windows with the
+bicycle model plus a geodesic forward step. Each batch is snapped to the
+road network, and the length difference between the snapped and
+dead-reckoned polylines is carried into the next batch's first window so
+the track does not fall behind.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ class InferenceResult:
 Sample = tuple[float, str, float]
 ANGLE = "angle_deg"
 SPEED = "speed_kmh"
+# (clamped steering angle in degrees, speed in m/s, may turn) of one window
+Control = tuple[float, float, bool]
 
 
 def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sample]:
@@ -111,6 +115,19 @@ def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sa
             if reading is not None:
                 samples.append((reading.timestamp, SPEED, reading.speed_kmh))
     return samples
+
+
+def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> tuple[list[Sample], float, float]:
+    """The frames' samples in time order (see decode_signals) and the times
+    of the first and last frame; InferenceError for an empty log or one
+    without a decodable steering angle."""
+    if not frames:
+        raise InferenceError("empty log: nothing to infer")
+    frames = sorted(frames, key=lambda f: f.timestamp)
+    samples = decode_signals(frames, decoder)
+    if not any(signal == ANGLE for _t, signal, _v in samples):
+        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
+    return samples, frames[0].timestamp, frames[-1].timestamp
 
 
 def window_aggregate(samples: Sequence[Sample], previous: WindowAggregate) -> WindowAggregate:
@@ -159,32 +176,59 @@ def window_aggregates(
     return aggregates
 
 
-def clamp_steer(angle_deg: float, steer_max: float) -> float:
-    return max(-steer_max, min(steer_max, angle_deg))
+def window_controls(windows: Sequence[WindowAggregate], params: InferenceParams) -> list[Control]:
+    """Per window, all that dead reckoning reads of it: the steering angle
+    clamped to ``steer_max``, the speed in m/s, and whether the car may
+    turn (not above ``speed_max``). Runs equal in these, the window length
+    and the batch size make the same track; the tuner keys runs on that."""
+    steer_max, speed_max = params.steer_max, params.speed_max
+    return [
+        (
+            max(-steer_max, min(steer_max, w.avg_angle_deg)),
+            w.avg_speed_ms,
+            w.avg_speed_ms * 3.6 <= speed_max + 1e-9,
+        )
+        for w in windows
+    ]
 
 
-def can_turn(speed_ms: float, speed_max_kmh: float) -> bool:
-    """Whether a window at ``speed_ms`` keeps its steered bearing; a faster
-    one is forced straight (see straighten_if_fast)."""
-    return speed_ms * 3.6 <= speed_max_kmh + 1e-9
-
-
-def straighten_if_fast(
-    pose: VehiclePose,
-    prev_window_start: LatLon | None,
-    speed_ms: float,
-    speed_max_kmh: float,
-) -> VehiclePose:
-    """Above the turning speed limit, force the bearing to the previous
-    window's travel direction: a car cannot turn at that speed."""
+def straighten(pose: VehiclePose, prev_window_start: LatLon | None) -> VehiclePose:
+    """Force the bearing to the previous window's travel direction, for a
+    window too fast to turn: a car cannot turn at that speed."""
     if prev_window_start is None:
-        return pose
-    if can_turn(speed_ms, speed_max_kmh):
         return pose
     distance, bearing = geodesic_inverse(prev_window_start, pose.position)
     if distance <= 0.0:
         return pose
     return replace(pose, bearing=bearing)
+
+
+def dead_reckon(
+    controls: Sequence[Control],
+    pose: VehiclePose,
+    prev_start: LatLon | None,
+    carry: float,
+    wheelbase: float,
+    t_window: float,
+) -> tuple[list[LatLon], VehiclePose, LatLon | None]:
+    """One batch of windows driven from ``pose``: the point each window
+    ends at, the final pose, and where the last window started. A window
+    that may not turn is straightened along the chord from where the one
+    before it started; the first window also travels ``carry`` metres."""
+    points: list[LatLon] = []
+    for angle, speed, may_turn in controls:
+        distance = speed * t_window + carry
+        carry = 0.0
+        step = kinematic_step(speed, angle, wheelbase, t_window)
+        pose = apply_heading(pose, step.heading_delta)
+        window_start = pose.position
+        if not may_turn:
+            pose = straighten(pose, prev_start)
+        lat, lon = geodesic_forward(pose, distance)
+        pose = VehiclePose(lat, lon, pose.bearing)
+        points.append((lat, lon))
+        prev_start = window_start
+    return points, pose, prev_start
 
 
 def infer_path(
@@ -200,78 +244,43 @@ def infer_path(
     ``matcher`` is any object with ``match(points) -> MatchResult`` (see
     mapmatch.GraphMatcher / ExternalMatcher); None disables snapping and
     yields the raw dead-reckoned track. Output is deterministic: identical
-    inputs produce identical GPX bytes. When a batch cannot be matched the
-    raw points are kept and noted in the diagnostics; the run never aborts
-    mid-track.
+    inputs produce identical GPX bytes. When a batch has no match (an
+    UnmatchedGapError) its raw points are kept and noted in the
+    diagnostics, and the run goes on; any other matcher error, such as a
+    MatchServiceError, aborts the run.
     """
     params = params or InferenceParams()
-    if not frames:
-        raise InferenceError("empty log: nothing to infer")
-    frames = sorted(frames, key=lambda f: f.timestamp)
-    samples = decode_signals(frames, decoder)
-    if not any(signal == ANGLE for _t, signal, _v in samples):
-        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
+    samples, t0, t_end = decode_log(frames, decoder)
+    controls = window_controls(window_aggregates(samples, t0, t_end, params.t_window), params)
 
-    aggregates = window_aggregates(samples, frames[0].timestamp, frames[-1].timestamp, params.t_window)
-
-    pose = start
-    carry_distance = 0.0
-    pending: list[LatLon] = []
+    pose, prev_start, carry = start, None, 0.0
     inferred: list[LatLon] = []
-    diag = Diagnostics()
-    prev_window_start: LatLon | None = None
-
-    def flush_batch() -> None:
-        nonlocal pose, carry_distance, prev_window_start
-        if not pending:
-            return
+    diag = Diagnostics(windows=len(controls))
+    size = params.max_interpolation_points
+    for first in range(0, len(controls), size):
+        batch, pose, prev_start = dead_reckon(
+            controls[first:first + size], pose, prev_start, carry, vehicle.wheelbase, params.t_window
+        )
+        carry = 0.0
         if matcher is None:
-            inferred.extend(pending)
-        else:
-            first = len(inferred)
-            try:
-                result = matcher.match(list(pending))
-            except UnmatchedGapError:
-                inferred.extend(pending)
-                diag.fallback_spans.append((first, len(inferred) - 1))
-            else:
-                inferred.extend(result.matched_points)
-                carry_distance = abs(
-                    polyline_length(result.matched_points) - polyline_length(pending)
-                )
-                diag.total_carry += carry_distance
-                diag.batches_matched += 1
-                last_lat, last_lon = result.matched_points[-1]
-                pose = VehiclePose(last_lat, last_lon, pose.bearing)
-                # The previous window's travel chord must share the snapped
-                # frame, or the straightening correction whips the bearing
-                # around the snap discontinuity. The matched images of the
-                # last two window positions give the on-road chord.
-                if len(result.matched_points) >= 2:
-                    prev_window_start = result.matched_points[-2]
-                else:
-                    prev_window_start = None
-        pending.clear()
-
-    for aggregate in aggregates:
-        distance = aggregate.avg_speed_ms * params.t_window + carry_distance
-        carry_distance = 0.0
-
-        angle = clamp_steer(aggregate.avg_angle_deg, params.steer_max)
-        step = kinematic_step(aggregate.avg_speed_ms, angle, vehicle.wheelbase, params.t_window)
-        pose = apply_heading(pose, step.heading_delta)
-        window_start = pose.position
-        pose = straighten_if_fast(pose, prev_window_start, aggregate.avg_speed_ms, params.speed_max)
-        lat, lon = geodesic_forward(pose, distance)
-        pose = VehiclePose(lat, lon, pose.bearing)
-        pending.append((lat, lon))
-        prev_window_start = window_start
-        diag.windows += 1
-
-        if len(pending) >= params.max_interpolation_points:
-            flush_batch()
-
-    flush_batch()
+            inferred.extend(batch)
+            continue
+        try:
+            matched = matcher.match(batch).matched_points
+        except UnmatchedGapError:
+            diag.fallback_spans.append((len(inferred), len(inferred) + len(batch) - 1))
+            inferred.extend(batch)
+            continue
+        inferred.extend(matched)
+        carry = abs(polyline_length(matched) - polyline_length(batch))
+        diag.total_carry += carry
+        diag.batches_matched += 1
+        pose = VehiclePose(*matched[-1], pose.bearing)
+        # The previous window's travel chord must share the snapped frame,
+        # or the straightening correction whips the bearing around the snap
+        # discontinuity. The matched images of the last two window
+        # positions give the on-road chord.
+        prev_start = matched[-2] if len(matched) >= 2 else None
 
     track = Track(points=tuple(inferred))
     return InferenceResult(track=track, gpx=write_gpx(track), diagnostics=diag)

@@ -114,7 +114,7 @@ def _format_time(epoch: float) -> str:
     return stamp.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
-def write_gpx(track: Track, creator: str = "canpath") -> str:
+def write_gpx(track: Track) -> str:
     """Serialize a single-track, single-segment GPX 1.1 document.
 
     Formatting is fixed (7 decimal places) so identical tracks serialize to
@@ -122,7 +122,7 @@ def write_gpx(track: Track, creator: str = "canpath") -> str:
     """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<gpx version="1.1" creator="{creator}" xmlns="{GPX_NS}">',
+        f'<gpx version="1.1" creator="canpath" xmlns="{GPX_NS}">',
         "  <trk>",
         "    <trkseg>",
     ]
@@ -138,9 +138,9 @@ def write_gpx(track: Track, creator: str = "canpath") -> str:
     return "\n".join(lines)
 
 
-def save_gpx(track: Track, path: str, creator: str = "canpath") -> None:
+def save_gpx(track: Track, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(write_gpx(track, creator=creator))
+        fp.write(write_gpx(track))
 
 
 def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
@@ -285,20 +285,13 @@ def compare_tracks(
     b: Track,
     match_epsilon: float = 10.0,
     spacing_m: float | None = None,
-    matcher=None,
 ) -> AlignmentResult:
     """Sampling-rate-independent similarity of two tracks.
 
-    Both tracks are optionally snapped with the same matcher, then resampled
-    to a common spacing (default: match_epsilon) before alignment, so a
-    densely logged track and a sparse ground truth score on geometry rather
-    than on point counts.
+    Both tracks are resampled to a common spacing (default: match_epsilon)
+    before alignment, so a densely logged track and a sparse ground truth
+    score on geometry rather than on point counts.
     """
-    if matcher is not None:
-        if a.points:
-            a = Track(points=matcher.match(a.points).matched_points)
-        if b.points:
-            b = Track(points=matcher.match(b.points).matched_points)
     spacing = match_epsilon if spacing_m is None else spacing_m
     return nw_align(resample_track(a, spacing), resample_track(b, spacing), match_epsilon)
 

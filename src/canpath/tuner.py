@@ -6,13 +6,14 @@ comparing against its ground truth; a failed run scores 0 for that cell
 
 Most cells repeat another cell's run: where a clamp never binds, a
 different ``speed_max`` or ``steer_max`` gives the same GPX bytes. Each
-track is decoded once per search and cut into windows once per
-``t_window``, and a cell is keyed by exactly what its run reads from the
-two clamps: each window's clamped steering angle and whether each window
-may turn. The pipeline runs once per distinct (track, key) and that score
-is shared by every cell with the key, so the rows, and the CSV, are those
-of running every cell. ``workers`` processes share the distinct runs, never
-more processes than there are runs.
+track is decoded once per search (inference.decode_log) and cut into
+windows once per ``t_window``, and a cell is keyed by exactly what dead
+reckoning consumes: ``(t_window, max_interpolation_points,
+tuple(window_controls(windows, params)))``. The pipeline runs once per
+distinct (track, key) and that score is shared by every cell with the
+key, so the rows, and the CSV, are those of running every cell.
+``workers`` processes share the distinct runs, never more processes than
+there are runs.
 """
 
 from __future__ import annotations
@@ -24,15 +25,8 @@ from typing import Sequence
 
 from .canlog import CanFrame
 from .geokin import VehiclePose, VehicleSpec
-from .inference import (
-    InferenceParams,
-    can_turn,
-    clamp_steer,
-    decode_signals,
-    infer_path,
-    window_aggregates,
-)
-from .mapmatch import GraphMatcher, MatcherConfig
+from .inference import InferenceParams, decode_log, infer_path, window_aggregates, window_controls
+from .mapmatch import GraphMatcher
 from .reveng import AngleDecoder
 from .roadgraph import RoadGraph
 from .trackeval import Track, compare_tracks
@@ -64,20 +58,13 @@ class GridRow:
     per_track: tuple[float, ...]
 
 
-def evaluate_track(
-    track: TuneTrack,
-    params: InferenceParams,
-    graph: RoadGraph,
-    config: MatcherConfig | None = None,
-    match_epsilon: float = 10.0,
-) -> float:
+def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph) -> float:
     """Accuracy of one track under one parameter set; 0.0 on any failure."""
     try:
-        matcher = GraphMatcher(graph, config or MatcherConfig())
         result = infer_path(
-            list(track.frames), track.decoder, track.vehicle, track.start, params, matcher
+            list(track.frames), track.decoder, track.vehicle, track.start, params, GraphMatcher(graph)
         )
-        return compare_tracks(result.track, track.truth, match_epsilon=match_epsilon).accuracy
+        return compare_tracks(result.track, track.truth).accuracy
     except Exception:
         return 0.0
 
@@ -102,16 +89,13 @@ def _first_same_run(track: TuneTrack, combos: Sequence[InferenceParams]) -> list
     """Per combination, the first combination whose run on `track` is the
     same run.
 
-    A run reads its parameters only as the window length, the batch size,
-    each window's clamped steering angle and whether each window may turn;
-    combinations equal in all four make the same run, to the byte. A
-    combination whose key cannot be computed (the computation raised) is
-    its own first.
+    A run reads its parameters only as the window length, the batch size
+    and the window controls; combinations equal in all three make the same
+    run, to the byte. A combination whose key cannot be computed (the
+    computation raised) is its own first.
     """
     try:
-        frames = sorted(track.frames, key=lambda f: f.timestamp)
-        samples = decode_signals(frames, track.decoder)
-        t0, t_end = frames[0].timestamp, frames[-1].timestamp
+        samples, t0, t_end = decode_log(track.frames, track.decoder)
     except Exception:
         return list(range(len(combos)))
     windows_by_length: dict[float, list] = {}
@@ -123,12 +107,8 @@ def _first_same_run(track: TuneTrack, combos: Sequence[InferenceParams]) -> list
             if windows is None:
                 windows = window_aggregates(samples, t0, t_end, params.t_window)
                 windows_by_length[params.t_window] = windows
-            key = (
-                params.t_window,
-                params.max_interpolation_points,
-                tuple(clamp_steer(w.avg_angle_deg, params.steer_max) for w in windows),
-                tuple(can_turn(w.avg_speed_ms, params.speed_max) for w in windows),
-            )
+            controls = tuple(window_controls(windows, params))
+            key = (params.t_window, params.max_interpolation_points, controls)
         except Exception:
             firsts.append(c)
             continue
@@ -140,8 +120,6 @@ def grid_search(
     tracks: Sequence[TuneTrack],
     graph: RoadGraph,
     grids: dict[str, Sequence] | None = None,
-    config: MatcherConfig | None = None,
-    match_epsilon: float = 10.0,
     workers: int = 1,
 ) -> list[GridRow]:
     """Evaluate every grid combination on every track.
@@ -175,11 +153,10 @@ def grid_search(
         with ProcessPoolExecutor(max_workers=n) as pool:
             scores = list(pool.map(
                 evaluate_track, [t for t, _p in jobs], [p for _t, p in jobs], itertools.repeat(graph),
-                itertools.repeat(config), itertools.repeat(match_epsilon),
                 chunksize=max(1, len(jobs) // (n * 4)),
             ))
     else:
-        scores = [evaluate_track(t, p, graph, config, match_epsilon) for t, p in jobs]
+        scores = [evaluate_track(t, p, graph) for t, p in jobs]
 
     rows = []
     for c, params in enumerate(combos):

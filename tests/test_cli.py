@@ -108,6 +108,14 @@ def test_infer_bad_params_is_usage_error(scenario_dir, capsys):
     assert err.startswith("error: usage:")
 
 
+def test_infer_non_finite_start_is_usage_error(scenario_dir, capsys):
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,inf", "--model", "renault captur"
+    )
+    assert code == 2
+    assert err.splitlines() == ["error: usage: --start has a non-finite component in ['44.65', '10.92', 'inf']"]
+
+
 def test_infer_unknown_model_needs_wheelbase(scenario_dir, capsys):
     code, out, err = run(
         capsys,
@@ -349,6 +357,32 @@ def test_tune_model_is_looked_up_in_the_decoder_file(scenario_dir, capsys, tmp_p
     )
     assert code == 2
     assert "not in decoder file" in _one_error_line(err)
+
+
+@pytest.mark.parametrize(
+    "start,message",
+    [
+        ([44.65, 10.92, "x"], "start has a non-numeric component"),
+        ({"lat": 44.65, "lon": 10.92, "bearing": 90.0}, "start expects lat,lon,bearing"),
+        ([44.65, 10.92], "start expects lat,lon,bearing"),
+        ([44.65, 10.92, float("inf")], "start has a non-finite component"),
+    ],
+    ids=["non-numeric", "synth-object", "two-values", "infinite"],
+)
+def test_tune_manifest_bad_start_is_one_error_line(scenario_dir, capsys, tmp_path, start, message):
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, start=start)
+    assert code == 2
+    assert _one_error_line(err).startswith(f"error: usage: manifest track 'leftturn': {message}")
+
+
+def test_tune_manifest_tracks_object_is_one_error_line(scenario_dir, capsys, tmp_path):
+    track = {"log": str(scenario_dir / "leftturn.log"), "truth": str(scenario_dir / "leftturn_truth.gpx")}
+    manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": {"leftturn": track}}
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 2
+    assert err.splitlines() == ["error: usage: manifest 'tracks' must be a list of tracks"]
 
 
 @pytest.mark.parametrize("missing", ["graph", "tracks"])

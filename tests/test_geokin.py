@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from canpath.geokin import (
     EARTH_RADIUS_M,
@@ -98,10 +98,13 @@ def test_wrap_bearing_range():
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4), st.integers(min_value=-5, max_value=5))
+@example(-4.925e-14, 2)  # wraps to 359.99999999999994; plus 720 it wraps to 0.0
 def test_wrap_bearing_mod_360_identity(deg, k):
     wrapped = wrap_bearing(deg)
     assert 0.0 <= wrapped < 360.0
-    assert wrap_bearing(deg + 360.0 * k) == pytest.approx(wrapped, abs=1e-6)
+    # bearings are equal on the circle, not on the line
+    diff = abs(wrap_bearing(deg + 360.0 * k) - wrapped)
+    assert min(diff, 360.0 - diff) <= 1e-6
 
 
 def test_forward_zero_distance():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -10,11 +11,11 @@ from canpath.inference import (
     InferenceError,
     InferenceParams,
     WindowAggregate,
-    clamp_steer,
     decode_signals,
     infer_path,
-    straighten_if_fast,
+    straighten,
     window_aggregate,
+    window_controls,
 )
 from canpath.mapmatch import GraphMatcher
 from canpath.obd import encode_speed_response
@@ -33,6 +34,10 @@ def angle_frame(ts, deg):
 
 def speed_frame(ts, kmh):
     return encode_speed_response(kmh, timestamp=ts)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # -- decoding and window aggregation ---------------------------------------------
@@ -83,26 +88,30 @@ def test_window_aggregate_skips_malformed_angle_frames():
 
 @pytest.mark.parametrize("angle,expected", [(40.0, 35.0), (-50.0, -35.0), (10.0, 10.0)])
 def test_clamp_steer(angle, expected):
-    assert clamp_steer(angle, 35.0) == expected
+    (control,) = window_controls([WindowAggregate(angle, 10.0)], InferenceParams(steer_max=35.0))
+    assert control == (expected, 10.0, True)
 
 
 def test_straighten_forces_travel_bearing_at_speed():
     start = VehiclePose(44.65, 10.92, 90.0)
     ahead = geodesic_forward(start, 2.0)  # 2 m due east
     pose = VehiclePose(ahead[0], ahead[1], 45.0)  # bearing got twisted somehow
-    fixed = straighten_if_fast(pose, start.position, speed_ms=20.0, speed_max_kmh=50.0)
-    assert fixed.bearing == pytest.approx(90.0, abs=1e-6)
+    # 72 km/h is above speed_max: the window may not turn, so it is straightened
+    (control,) = window_controls([WindowAggregate(0.0, 20.0)], InferenceParams(speed_max=50.0))
+    assert control[2] is False
+    assert straighten(pose, start.position).bearing == pytest.approx(90.0, abs=1e-6)
 
 
 def test_straighten_below_threshold_is_identity():
-    pose = VehiclePose(44.65, 10.92, 45.0)
-    assert straighten_if_fast(pose, (44.649, 10.919), 10.0, 50.0) == pose  # 36 km/h
+    # 36 km/h, and exactly speed_max, may turn; the window is never straightened
+    windows = [WindowAggregate(0.0, 10.0), WindowAggregate(0.0, 50.0 / 3.6)]
+    assert [c[2] for c in window_controls(windows, InferenceParams(speed_max=50.0))] == [True, True]
 
 
 def test_straighten_degenerate_chord_keeps_bearing():
     pose = VehiclePose(44.65, 10.92, 45.0)
-    assert straighten_if_fast(pose, pose.position, 20.0, 50.0) == pose
-    assert straighten_if_fast(pose, None, 20.0, 50.0) == pose
+    assert straighten(pose, pose.position) == pose
+    assert straighten(pose, None) == pose
 
 
 # -- the pipeline -----------------------------------------------------------------
@@ -203,6 +212,17 @@ def test_matcher_gap_falls_back_to_raw_points():
     assert result.diagnostics.batches_matched == 0
     assert len(result.diagnostics.fallback_spans) == 2  # 30-window batches
     assert "raw points kept" in result.diagnostics.report()
+    assert _sha(result.gpx) == "f128f1393eef9a46fe56768f58eed7da9844dc29e3323a0273bcf4012551a2e0"
+
+
+def test_gpx_bytes_are_pinned():
+    # the digests pin the GPX bytes, snapped and raw, against changes to any stage
+    sc = turn_left_90()
+    sim = simulate(sc)
+    snapped = infer_path(sim.frames, sc.decoder, sc.vehicle, sim.start, InferenceParams(), GraphMatcher(sc.graph))
+    raw = infer_path(sim.frames, sc.decoder, sc.vehicle, sim.start, InferenceParams(), None)
+    assert _sha(snapped.gpx) == "3e136f418f99f428c62ab3010761a16490231e8897a259d94b68ba26a8edbb06"
+    assert _sha(raw.gpx) == "36ba61e81da82bf77a0170b2751707603492f5350f4572d6b300e8cc323a6c2f"
 
 
 def test_deterministic_gpx_output():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canpath.geokin import geodesic_inverse
 from canpath import trackeval
@@ -157,13 +157,18 @@ def test_accuracy_symmetry():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_accuracy_monotone_in_epsilon(data):
-    rng = random.Random(data.draw(st.integers(min_value=0, max_value=10_000)))
+@given(st.integers(min_value=0, max_value=10_000))
+@example(875)
+def test_score_monotone_in_epsilon(seed):
+    # A larger epsilon only turns -1 pairs into +1, so the optimal score
+    # cannot fall. Accuracy can: at seed 875 the alignments at epsilon 20
+    # and 10 tie at -4, and the traceback's tie order picks fewer matches
+    # at 20.
+    rng = random.Random(seed)
     a = _random_track(rng, rng.randint(1, 6))
     b = _random_track(rng, rng.randint(1, 6))
-    accs = [nw_align(a, b, match_epsilon=eps).accuracy for eps in (40.0, 20.0, 10.0, 5.0)]
-    assert all(x >= y - 1e-12 for x, y in zip(accs, accs[1:]))
+    scores = [nw_align(a, b, match_epsilon=eps).score for eps in (40.0, 20.0, 10.0, 5.0)]
+    assert all(x >= y for x, y in zip(scores, scores[1:]))
 
 
 def test_self_accuracy_one_for_any_nonempty():
@@ -328,17 +333,3 @@ def test_comparison_csv_row():
     track = track_from_meters(0, 1000)
     row = comparison_csv_row("demo", track, nw_align(track, track))
     assert row == "demo,1.000,1.0000"
-
-
-def test_compare_tracks_can_match_both_sides_first():
-    from canpath.mapmatch import GraphMatcher, MatcherConfig
-    from helpers import offset_point, straight_graph
-
-    graph = straight_graph()
-    # both recordings of the same drive, with opposite lateral GPS bias
-    a = Track(points=tuple(offset_point(graph, 1, d, north_m=6.0) for d in range(0, 201, 10)))
-    b = Track(points=tuple(offset_point(graph, 1, d, north_m=-6.0) for d in range(0, 201, 10)))
-    biased = compare_tracks(a, b, match_epsilon=10.0)
-    snapped = compare_tracks(a, b, match_epsilon=10.0, matcher=GraphMatcher(graph, MatcherConfig()))
-    assert snapped.accuracy == 1.0
-    assert snapped.accuracy >= biased.accuracy

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import fields
 
@@ -232,6 +233,11 @@ def test_low_clamps_change_the_binding_track(clamp_suite):
     assert gpx(speed_max=40.0, steer_max=40.0) != high
     assert gpx(speed_max=70.0, steer_max=20.0) != high
     assert gpx(speed_max=70.0, steer_max=30.0) != high
+    # both clamps binding, pinned against changes to any stage
+    low = gpx(speed_max=40.0, steer_max=30.0)
+    assert hashlib.sha256(low.encode()).hexdigest() == (
+        "9256e85bc1ce0859324ec47f230a51f62a76614dae9c0bc0e2d7150a8fc895fd"
+    )
 
 
 def test_one_run_per_distinct_key(clamp_suite, monkeypatch):
