@@ -1,18 +1,25 @@
-"""Spherical geodesy plus the kinematic bicycle-model heading update.
+"""Spherical geodesy, polyline measure and the bicycle-model heading update.
 
 Bearings are compass degrees: 0 = North, clockwise, always kept in
 [0, 360). Steering angles are degrees with positive = left turn, so a
 positive heading change is *subtracted* from the compass bearing.
+
+Polyline measure has its one home here: the simulator's ground truth, the
+road graph's edge offsets and the resampling before track alignment all
+use cumulative_lengths and point_along.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 # Mean Earth radius in meters. Per-step distances here are meters, so
 # ellipsoidal corrections are far below GPS noise.
 EARTH_RADIUS_M = 6371008.8
+DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of latitude
 
 LatLon = tuple[float, float]
 
@@ -126,6 +133,26 @@ def geodesic_inverse(a: LatLon, b: LatLon) -> tuple[float, float]:
     return (distance, wrap_bearing(math.degrees(bearing)))
 
 
-def polyline_length(points: list[LatLon] | tuple[LatLon, ...]) -> float:
+def cumulative_lengths(points: Sequence[LatLon]) -> list[float]:
+    """Great-circle length from the first point to each; [0.0] for < 2 points."""
+    cum = [0.0]
+    for i in range(len(points) - 1):
+        cum.append(cum[-1] + geodesic_inverse(points[i], points[i + 1])[0])
+    return cum
+
+
+def polyline_length(points: Sequence[LatLon]) -> float:
     """Sum of great-circle segment lengths; 0 for fewer than two points."""
-    return sum(geodesic_inverse(points[i], points[i + 1])[0] for i in range(len(points) - 1))
+    return cumulative_lengths(points)[-1]
+
+
+def point_along(points: Sequence[LatLon], cum: Sequence[float], s: float) -> LatLon:
+    """The point s meters along a polyline with ``cum`` its cumulative_lengths,
+    s clamped to [0, length]: linear in lat/lon within the segment holding s,
+    which on an interior vertex is the segment that starts there."""
+    s = max(0.0, min(cum[-1], s))
+    seg = min(bisect.bisect_right(cum, s), len(points) - 1) - 1
+    span = cum[seg + 1] - cum[seg]
+    t = 0.0 if span == 0 else (s - cum[seg]) / span
+    (alat, alon), (blat, blon) = points[seg], points[seg + 1]
+    return (alat + t * (blat - alat), alon + t * (blon - alon))

@@ -15,8 +15,9 @@ the track does not fall behind.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 from .canlog import CanFrame
@@ -48,6 +49,9 @@ class InferenceParams:
     max_interpolation_points: int = 30  # windows per map-matching batch
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.t_window <= 0 or self.speed_max <= 0 or self.max_interpolation_points <= 0:
             raise ValueError("all inference parameters must be positive")
         if not 0 < self.steer_max <= 90:

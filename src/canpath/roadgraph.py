@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geokin import EARTH_RADIUS_M, LatLon, geodesic_inverse
+from .geokin import DEG_M, LatLon, cumulative_lengths
 
-_DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of latitude
 # Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
 # default 50 m candidate radius, so a query box spans only a few cells.
 _CELL_DEG = 0.0005
@@ -91,34 +90,35 @@ class RoadGraph:
         # per source: (settled, tentative, heap) of a paused Dijkstra search
         self._searches: dict[int, tuple[dict[int, float], dict[int, float], list[tuple[float, int]]]] = {}
 
-        for edge_id, node_from, node_to, bidir, mid in edges:
-            if node_from not in self.nodes or node_to not in self.nodes:
-                raise GraphFormatError(f"edge {edge_id} references a missing node")
-            geometry = (self.nodes[node_from], *tuple(mid), self.nodes[node_to])
-            cum = [0.0]
-            for i in range(len(geometry) - 1):
-                cum.append(cum[-1] + geodesic_inverse(geometry[i], geometry[i + 1])[0])
-            length = cum[-1]
-            if length <= 0:
-                raise GraphFormatError(f"edge {edge_id} has zero length")
-            if edge_id in self.edges:
-                raise GraphFormatError(f"duplicate edge id {edge_id}")
-            edge = Edge(
-                id=edge_id,
-                node_from=node_from,
-                node_to=node_to,
-                bidirectional=bool(bidir),
-                geometry=geometry,
-                length_m=length,
-                cum_m=tuple(cum),
-            )
-            self.edges[edge_id] = edge
-            self._adjacency[node_from].append((node_to, length, edge_id))
-            if edge.bidirectional:
-                self._adjacency[node_to].append((node_from, length, edge_id))
-            self._index_edge(edge)
+        for edge in edges:
+            self._add_edge(*edge)
 
     # -- construction helpers -------------------------------------------------
+
+    def _add_edge(self, edge_id: int, node_from: int, node_to: int, bidir: bool, mid: Sequence[LatLon]) -> None:
+        if node_from not in self.nodes or node_to not in self.nodes:
+            raise GraphFormatError(f"edge {edge_id} references a missing node")
+        geometry = (self.nodes[node_from], *tuple(mid), self.nodes[node_to])
+        cum = cumulative_lengths(geometry)
+        length = cum[-1]
+        if length <= 0:
+            raise GraphFormatError(f"edge {edge_id} has zero length")
+        if edge_id in self.edges:
+            raise GraphFormatError(f"duplicate edge id {edge_id}")
+        edge = Edge(
+            id=edge_id,
+            node_from=node_from,
+            node_to=node_to,
+            bidirectional=bool(bidir),
+            geometry=geometry,
+            length_m=length,
+            cum_m=tuple(cum),
+        )
+        self.edges[edge_id] = edge
+        self._adjacency[node_from].append((node_to, length, edge_id))
+        if edge.bidirectional:
+            self._adjacency[node_to].append((node_from, length, edge_id))
+        self._index_edge(edge)
 
     @classmethod
     def from_text(cls, text: str) -> "RoadGraph":
@@ -133,7 +133,10 @@ class RoadGraph:
                 if parts[0] == "node":
                     if len(parts) != 4:
                         raise ValueError("expected: node <id> <lat> <lon>")
-                    nodes[int(parts[1])] = _latlon(parts[2], parts[3])
+                    node_id = int(parts[1])
+                    if node_id in nodes:
+                        raise ValueError(f"duplicate node id {node_id}")
+                    nodes[node_id] = _latlon(parts[2], parts[3])
                 elif parts[0] == "edge":
                     if len(parts) < 5 or (len(parts) - 5) % 2 != 0:
                         raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
@@ -146,19 +149,13 @@ class RoadGraph:
             except ValueError as exc:
                 raise GraphFormatError(f"line {line_no}: {exc}") from None
 
-        line_no = 0
-
-        # the constructor consumes the records in order, so line_no is the
-        # line of the record an error is raised on
-        def records():
-            nonlocal line_no
-            for line_no, record in edges:
-                yield record
-
-        try:
-            return cls(nodes, records())
-        except GraphFormatError as exc:
-            raise GraphFormatError(f"line {line_no}: {exc}") from None
+        graph = cls(nodes, [])
+        for line_no, record in edges:
+            try:
+                graph._add_edge(*record)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {line_no}: {exc}") from None
+        return graph
 
     @classmethod
     def load(cls, path: str) -> "RoadGraph":
@@ -208,8 +205,8 @@ class RoadGraph:
         Segments are tried in the order given and a later one wins only when
         strictly nearer, so ascending order keeps the lowest segment on ties.
         """
-        ky = _DEG_M
-        kx = _DEG_M * math.cos(math.radians(lat))
+        ky = DEG_M
+        kx = DEG_M * math.cos(math.radians(lat))
         geometry = edge.geometry
         best_dist = math.inf
         best_seg = -1
@@ -248,8 +245,8 @@ class RoadGraph:
         tie rule. Near a pole, where the box holds more cells than the index,
         the index's own cells are filtered instead.
         """
-        dlat = radius_m / _DEG_M + _PAD_DEG
-        dlon = radius_m / abs(_DEG_M * math.cos(math.radians(lat))) + _PAD_DEG
+        dlat = radius_m / DEG_M + _PAD_DEG
+        dlon = radius_m / abs(DEG_M * math.cos(math.radians(lat))) + _PAD_DEG
         i0, i1 = int((lat - dlat) // _CELL_DEG), int((lat + dlat) // _CELL_DEG)
         j0, j1 = int((lon - dlon) // _CELL_DEG), int((lon + dlon) // _CELL_DEG)
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(self._cells):
@@ -267,18 +264,6 @@ class RoadGraph:
                 hits.append(hit)
         hits.sort(key=lambda h: (h.perp_m, h.edge_id))
         return hits[:max_results]
-
-    def point_at_offset(self, edge_id: int, offset_m: float) -> LatLon:
-        edge = self.edges[edge_id]
-        offset = max(0.0, min(edge.length_m, offset_m))
-        cum = edge.cum_m
-        for seg in range(len(cum) - 1):
-            if offset <= cum[seg + 1] or seg == len(cum) - 2:
-                span = cum[seg + 1] - cum[seg]
-                t = 0.0 if span == 0 else (offset - cum[seg]) / span
-                (alat, alon), (blat, blon) = edge.geometry[seg], edge.geometry[seg + 1]
-                return (alat + t * (blat - alat), alon + t * (blon - alon))
-        return edge.geometry[-1]
 
     # -- shortest paths --------------------------------------------------------
 

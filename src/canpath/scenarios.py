@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geokin import EARTH_RADIUS_M, VehicleSpec
+from .geokin import DEG_M, VehicleSpec
 from .reveng import AngleDecoder
 from .roadgraph import RoadGraph
 from .synthgen import SimScenario
-
-_DEG_M = EARTH_RADIUS_M * math.pi / 180.0
 
 ORIGIN = (44.6500, 10.9200)
 
@@ -83,8 +81,8 @@ class PathBuilder:
 
 
 def _to_latlon(xy: XY, origin=ORIGIN) -> tuple[float, float]:
-    kx = _DEG_M * math.cos(math.radians(origin[0]))
-    return (origin[0] + xy[1] / _DEG_M, origin[1] + xy[0] / kx)
+    kx = DEG_M * math.cos(math.radians(origin[0]))
+    return (origin[0] + xy[1] / DEG_M, origin[1] + xy[0] / kx)
 
 
 def assemble_graph(edge_paths: dict[int, list[XY]], origin=ORIGIN, id_base: int = 0) -> RoadGraph:

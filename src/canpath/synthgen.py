@@ -18,19 +18,19 @@ from dataclasses import dataclass, field
 
 from .canlog import CanFrame
 from .geokin import (
-    EARTH_RADIUS_M,
+    DEG_M,
     LatLon,
     VehiclePose,
     VehicleSpec,
+    cumulative_lengths,
     geodesic_inverse,
+    point_along,
     wrap_bearing,
 )
 from .obd import encode_speed_response
 from .reveng import AngleDecoder, encode_angle_frame, lookup_vehicle
 from .roadgraph import RoadGraph
 from .trackeval import Track
-
-_DEG_M = EARTH_RADIUS_M * math.pi / 180.0
 
 # Curvature is measured over vertices about this far apart along the route;
 # fixture polylines are sampled densely enough that three vertices around a
@@ -120,26 +120,10 @@ def route_polyline(graph: RoadGraph, route: list[int]) -> list[LatLon]:
     return points
 
 
-def _cumulative(points: list[LatLon]) -> list[float]:
-    cum = [0.0]
-    for i in range(len(points) - 1):
-        cum.append(cum[-1] + geodesic_inverse(points[i], points[i + 1])[0])
-    return cum
-
-
-def _point_along(points: list[LatLon], cum: list[float], s: float) -> LatLon:
-    s = max(0.0, min(cum[-1], s))
-    seg = min(bisect.bisect_right(cum, s), len(points) - 1) - 1
-    span = cum[seg + 1] - cum[seg]
-    t = 0.0 if span == 0 else (s - cum[seg]) / span
-    (alat, alon), (blat, blon) = points[seg], points[seg + 1]
-    return (alat + t * (blat - alat), alon + t * (blon - alon))
-
-
 def _signed_curvature(p1: LatLon, p2: LatLon, p3: LatLon) -> float:
     """Menger curvature of three route vertices; positive curves left."""
-    ky = _DEG_M
-    kx = _DEG_M * math.cos(math.radians(p2[0]))
+    ky = DEG_M
+    kx = DEG_M * math.cos(math.radians(p2[0]))
     ax, ay = (p1[1] - p2[1]) * kx, (p1[0] - p2[0]) * ky
     cx, cy = (p3[1] - p2[1]) * kx, (p3[0] - p2[0]) * ky
     # p2 is the local origin; u = p2 - p1, v = p3 - p2
@@ -180,7 +164,7 @@ def simulate(scenario: SimScenario) -> SimResult:
     """Run the scenario and return the log, the 1 Hz ground truth, and the
     start pose (route origin bearing plus the configured error)."""
     points = route_polyline(scenario.graph, scenario.route)
-    cum = _cumulative(points)
+    cum = cumulative_lengths(points)
     total = cum[-1]
 
     profile = sorted(scenario.speed_profile)
@@ -244,7 +228,7 @@ def simulate(scenario: SimScenario) -> SimResult:
     truth_times = [float(i) for i in range(int(t_end) + 1)]
     if not truth_times or truth_times[-1] < t_end:
         truth_times.append(t_end)
-    truth_points = tuple(_point_along(points, cum, s_at_time(tt)) for tt in truth_times)
+    truth_points = tuple(point_along(points, cum, s_at_time(tt)) for tt in truth_times)
     truth = Track(points=truth_points, times=tuple(truth_times))
 
     start_bearing = geodesic_inverse(points[0], points[1])[1]
@@ -302,20 +286,18 @@ def load_scenario(path: str) -> SimScenario:
             if entry is None:
                 raise ScenarioError(f"unknown vehicle model {doc['model']!r}")
             decoder = entry.decoder
-            wheelbase = doc.get("wheelbase", entry.wheelbase)
+            wheelbase = _number(doc.get("wheelbase", entry.wheelbase), "wheelbase")
         else:
             d = doc["decoder"]
             decoder = AngleDecoder(
-                id=int(str(d["id"]), 16) if isinstance(d["id"], str) else d["id"],
-                byte_hi=d.get("byte_hi", 0),
-                byte_lo=d.get("byte_lo", 1),
-                offset=int(str(d.get("offset", "7FFF")), 16)
-                if isinstance(d.get("offset", 0x7FFF), str)
-                else d.get("offset", 0x7FFF),
-                scale=d.get("scale", 0.01),
+                id=_integer(d["id"], "decoder.id", hex_text=True),
+                byte_hi=_integer(d.get("byte_hi", 0), "decoder.byte_hi"),
+                byte_lo=_integer(d.get("byte_lo", 1), "decoder.byte_lo"),
+                offset=_integer(d.get("offset", 0x7FFF), "decoder.offset", hex_text=True),
+                scale=_number(d.get("scale", 0.01), "decoder.scale"),
                 mode=d.get("mode", "offset"),
             )
-            wheelbase = doc["wheelbase"]
+            wheelbase = _number(doc["wheelbase"], "wheelbase")
         vehicle = VehicleSpec(wheelbase=wheelbase)
         return SimScenario(
             name=doc["name"],
@@ -324,12 +306,33 @@ def load_scenario(path: str) -> SimScenario:
             speed_profile=[(float(a), float(b)) for a, b in doc["speed_profile"]],
             decoder=decoder,
             vehicle=vehicle,
-            swa_rate=float(doc.get("swa_rate", 100.0)),
-            obd_rate=float(doc.get("obd_rate", 10.0)),
-            start_bearing_error=float(doc.get("start_bearing_error", 0.0)),
+            swa_rate=_number(doc.get("swa_rate", 100.0), "swa_rate"),
+            obd_rate=_number(doc.get("obd_rate", 10.0), "obd_rate"),
+            start_bearing_error=_number(doc.get("start_bearing_error", 0.0), "start_bearing_error"),
         )
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing key {exc}") from None
+
+
+def _number(value, key: str) -> float:
+    """A scenario file value that must be a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"scenario key {key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _integer(value, key: str, hex_text: bool = False) -> int:
+    """A scenario file value that must be a JSON integer or, with hex_text,
+    also a hexadecimal string such as "7FFF"."""
+    if hex_text and isinstance(value, str):
+        try:
+            return int(value, 16)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    expected = "an integer or a hex string" if hex_text else "an integer"
+    raise ScenarioError(f"scenario key {key!r} must be {expected}, got {value!r}")
 
 
 def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:

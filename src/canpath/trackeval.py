@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .geokin import EARTH_RADIUS_M, LatLon, geodesic_inverse, polyline_length
+from .geokin import EARTH_RADIUS_M, LatLon, cumulative_lengths, geodesic_inverse, point_along, polyline_length
 
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
@@ -257,24 +257,16 @@ def resample_track(track: Track, spacing_m: float) -> Track:
     pts = track.points
     if len(pts) < 2:
         return Track(points=pts)
-    cum = [0.0]
-    for i in range(len(pts) - 1):
-        cum.append(cum[-1] + geodesic_inverse(pts[i], pts[i + 1])[0])
+    cum = cumulative_lengths(pts)
     total = cum[-1]
     if total == 0:
         return Track(points=(pts[0],))
     out: list[LatLon] = []
-    seg = 0
     target = 0.0
     # stop short of the end so the appended endpoint never duplicates a sample
     limit = total - max(1e-9, 1e-6 * spacing_m)
     while target < limit:
-        while cum[seg + 1] < target and seg < len(pts) - 2:
-            seg += 1
-        span = cum[seg + 1] - cum[seg]
-        t = 0.0 if span == 0 else (target - cum[seg]) / span
-        (alat, alon), (blat, blon) = pts[seg], pts[seg + 1]
-        out.append((alat + t * (blat - alat), alon + t * (blon - alon)))
+        out.append(point_along(pts, cum, target))
         target += spacing_m
     out.append(pts[-1])
     return Track(points=tuple(out))

@@ -91,13 +91,15 @@ def _first_same_run(track: TuneTrack, combos: Sequence[InferenceParams]) -> list
 
     A run reads its parameters only as the window length, the batch size
     and the window controls; combinations equal in all three make the same
-    run, to the byte. A combination whose key cannot be computed (the
-    computation raised) is its own first.
+    run, to the byte. A track that ``decode_log`` rejects fails the same
+    way in every run, before any parameter is read, so every combination
+    shares the first one's run. A combination whose key cannot be computed
+    (the computation raised) is its own first.
     """
     try:
         samples, t0, t_end = decode_log(track.frames, track.decoder)
     except Exception:
-        return list(range(len(combos)))
+        return [0] * len(combos)
     windows_by_length: dict[float, list] = {}
     first_by_key: dict[tuple, int] = {}
     firsts = []

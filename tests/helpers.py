@@ -10,13 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from canpath.geokin import EARTH_RADIUS_M, geodesic_inverse
+from canpath.geokin import DEG_M, geodesic_inverse, point_along
 from canpath.mapmatch import MatcherConfig, candidates_for_point, sequence_logweight
 from canpath.roadgraph import RoadGraph
 from canpath.scenarios import ORIGIN, PathBuilder, assemble_graph
 from canpath.trackeval import GAP_SCORE, MATCH_SCORE, MISMATCH_SCORE, Track
-
-DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree of latitude
 
 # -- tiny graphs ------------------------------------------------------------------
 
@@ -75,7 +73,8 @@ def arc_graph(radius: float = 30.0) -> RoadGraph:
 
 def offset_point(graph: RoadGraph, edge_id: int, offset_m: float, east_m: float = 0.0, north_m: float = 0.0):
     """A lat/lon near an edge: the point at offset_m along it, nudged east/north."""
-    lat, lon = graph.point_at_offset(edge_id, offset_m)
+    edge = graph.edges[edge_id]
+    lat, lon = point_along(edge.geometry, edge.cum_m, offset_m)
     dlat = north_m / DEG_M
     dlon = east_m / (DEG_M * math.cos(math.radians(lat)))
     return (lat + dlat, lon + dlon)

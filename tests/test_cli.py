@@ -108,6 +108,17 @@ def test_infer_bad_params_is_usage_error(scenario_dir, capsys):
     assert err.startswith("error: usage:")
 
 
+@pytest.mark.parametrize("params", ["speed_max=nan", "t_window=inf"])
+def test_infer_non_finite_params_are_usage_errors(scenario_dir, capsys, params):
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0", "--model", "renault captur",
+        "--matcher", "none", "--params", params,
+    )
+    key, value = params.split("=")
+    assert code == 2
+    assert err.splitlines() == [f"error: usage: --params: {key} must be finite, got {value}"]
+
+
 def test_infer_non_finite_start_is_usage_error(scenario_dir, capsys):
     code, out, err = run(
         capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,inf", "--model", "renault captur"
@@ -478,6 +489,22 @@ def test_tune_manifest_bad_grids_are_one_error_line(scenario_dir, capsys, tmp_pa
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: usage: {message}"), err
+
+
+def test_tune_manifest_nan_grid_value_is_one_error_line(scenario_dir, capsys, tmp_path):
+    sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
+    track = {
+        "log": str(scenario_dir / "leftturn.log"),
+        "truth": str(scenario_dir / "leftturn_truth.gpx"),
+        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        "model": "renault captur",
+    }
+    manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": [track], "grids": {"t_window": [float("nan")]}}
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 1
+    assert err.splitlines() == ["error: t_window must be finite, got nan"]
 
 
 def test_infer_graph_with_a_long_segment_is_one_error_line(scenario_dir, capsys, tmp_path):

@@ -9,10 +9,12 @@ from canpath.geokin import (
     VehicleSpec,
     angular_speed,
     apply_heading,
+    cumulative_lengths,
     geodesic_forward,
     geodesic_inverse,
     heading_delta,
     kinematic_step,
+    point_along,
     polyline_length,
     wrap_bearing,
 )
@@ -164,6 +166,32 @@ def test_straight_steps_conserve_length():
         points.append((lat, lon))
     total = polyline_length(points)
     assert total == pytest.approx(1000 * step, rel=1e-3)
+
+
+def test_cumulative_lengths_and_polyline_length_agree():
+    points = [(45.0, 11.0), (45.001, 11.0), (45.001, 11.0), (45.001, 11.002)]
+    cum = cumulative_lengths(points)
+    assert cum[0] == 0.0 and cum[1] == cum[2]
+    assert cum[3] == cum[2] + geodesic_inverse(points[2], points[3])[0]
+    assert polyline_length(points) == cum[-1]
+    assert cumulative_lengths([]) == cumulative_lengths(points[:1]) == [0.0]
+    assert polyline_length([]) == polyline_length(points[:1]) == 0.0
+
+
+def test_point_along_endpoints_and_clamping():
+    # an interior zero-length segment: a distance on that vertex takes the
+    # segment that starts at its last copy
+    points = [(45.0, 11.0), (45.001, 11.0), (45.001, 11.0), (45.001, 11.002)]
+    cum = cumulative_lengths(points)
+    assert point_along(points, cum, 0.0) == points[0]
+    assert point_along(points, cum, -5.0) == points[0]
+    assert point_along(points, cum, cum[-1]) == points[-1]
+    assert point_along(points, cum, cum[-1] + 5.0) == points[-1]
+    assert point_along(points, cum, cum[1]) == points[2]
+    lat, lon = point_along(points, cum, cum[1] / 2)
+    assert lat == pytest.approx(45.0005, abs=1e-12) and lon == 11.0
+    lat, lon = point_along(points, cum, cum[2] + (cum[3] - cum[2]) / 4)
+    assert lat == 45.001 and lon == pytest.approx(11.0005, abs=1e-12)
 
 
 def test_pose_validation():

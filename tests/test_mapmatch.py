@@ -41,13 +41,13 @@ def test_single_point_projects_perpendicular():
     result = viterbi_match(graph, [point], CONFIG)
     assert result.edge_ids == (1,)
     matched = result.matched_points[0]
-    expected = graph.point_at_offset(1, 80.0)
+    expected = offset_point(graph, 1, 80.0)
     assert geodesic_inverse(matched, expected)[0] < 0.05
 
 
 def test_points_on_edge_match_in_place():
     graph = straight_graph()
-    points = [graph.point_at_offset(1, d) for d in (10.0, 50.0, 120.0)]
+    points = [offset_point(graph, 1, d) for d in (10.0, 50.0, 120.0)]
     result = viterbi_match(graph, points, CONFIG)
     for got, want in zip(result.matched_points, points):
         assert got[0] == pytest.approx(want[0], abs=1e-9)
@@ -74,7 +74,7 @@ def test_unmatched_gap_names_point_index():
 
 def test_straight_two_edge_transition_weight_zero():
     graph = two_edge_straight()
-    points = [graph.point_at_offset(1, 60.0), graph.point_at_offset(2, 40.0)]
+    points = [offset_point(graph, 1, 60.0), offset_point(graph, 2, 40.0)]
     gc = geodesic_inverse(points[0], points[1])[0]
     result = viterbi_match(graph, points, CONFIG)
     assert result.edge_ids == (1, 2)

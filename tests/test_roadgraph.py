@@ -9,7 +9,7 @@ from canpath import roadgraph
 from canpath.roadgraph import _CELL_DEG, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
-from helpers import all_simple_path_distances, straight_graph, triangle_graph, y_junction
+from helpers import all_simple_path_distances, offset_point, straight_graph, triangle_graph, y_junction
 
 GRAPH_TEXT = """\
 # two nodes, one edge with an intermediate point
@@ -42,6 +42,9 @@ def test_text_roundtrip():
         ("edge 1 1 2 1\n", "missing node"),
         ("node 1 44.65 10.92\nnode 2 44.65 10.92\nedge 1 1 2 1\n", "zero length"),
         ("node 1 44.65 10.92\nroad 1\n", "unknown record"),
+        ("node 1 44.65 10.92\nnode 2 44.66 10.92\nnode 1 45.0 10.92\nedge 1 1 2 1\n", "^line 3: duplicate node id 1$"),
+        ("node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 1\nedge 1 2 1 1\n", "^line 4: duplicate edge id 1$"),
+        ("node 1 44.65 10.92\n\nedge 1 1 2 1\n", "^line 3: edge 1 references a missing node$"),
         ("node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 2\n", "bidir"),
         ("node 1 nan 0\n", "line 1: coordinate nan 0 is not finite"),
         ("node 1 44.65 10.92\nnode 2 0 inf\n", "line 2: coordinate 0 inf is not finite"),
@@ -260,24 +263,16 @@ def test_index_equals_the_per_segment_rule(make_graph):
     assert list(graph._cells.items()) == list(expected.items())
 
 
-def test_point_at_offset_endpoints():
-    graph = straight_graph()
-    edge = graph.edges[1]
-    assert graph.point_at_offset(1, 0.0) == edge.geometry[0]
-    end = graph.point_at_offset(1, edge.length_m)
-    assert end == pytest.approx(edge.geometry[-1], abs=1e-12)
-
-
 def test_route_distance_same_point():
     graph = straight_graph()
-    p = graph.project_to_edge(1, *graph.point_at_offset(1, 50.0)).point
+    p = graph.project_to_edge(1, *offset_point(graph, 1, 50.0)).point
     assert route_distance(graph, p, p) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_route_distance_along_one_edge():
     graph = straight_graph()
-    a = graph.project_to_edge(1, *graph.point_at_offset(1, 30.0)).point
-    b = graph.project_to_edge(1, *graph.point_at_offset(1, 170.0)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, 30.0)).point
+    b = graph.project_to_edge(1, *offset_point(graph, 1, 170.0)).point
     assert route_distance(graph, a, b) == pytest.approx(140.0, abs=0.01)
     assert route_distance(graph, b, a) == pytest.approx(140.0, abs=0.01)
 
@@ -301,8 +296,8 @@ node 2 44.6500000 10.9030000
 edge 1 2 1 0
 """
     graph = RoadGraph.from_text(pb_text)
-    a = graph.project_to_edge(1, *graph.point_at_offset(1, 100.0)).point
-    b = graph.project_to_edge(1, *graph.point_at_offset(1, 300.0)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, 100.0)).point
+    b = graph.project_to_edge(1, *offset_point(graph, 1, 300.0)).point
     assert route_distance(graph, a, b) == pytest.approx(200.0, abs=0.01)
     assert math.isinf(route_distance(graph, b, a))  # cannot go back on a one-way
 
@@ -319,8 +314,8 @@ edge 3 3 1 0
 """
     graph = RoadGraph.from_text(text)
     length1 = graph.edges[1].length_m
-    a = graph.project_to_edge(1, *graph.point_at_offset(1, length1 * 0.75)).point
-    b = graph.project_to_edge(1, *graph.point_at_offset(1, length1 * 0.25)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.75)).point
+    b = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.25)).point
     expected = (
         (length1 * 0.25)  # finish edge 1
         + graph.edges[2].length_m
@@ -337,7 +332,7 @@ def test_route_distance_symmetry_and_triangle_inequality():
     for _ in range(12):
         edge_id = rng.choice(list(graph.edges))
         offset = rng.uniform(0, graph.edges[edge_id].length_m)
-        samples.append(graph.project_to_edge(edge_id, *graph.point_at_offset(edge_id, offset)).point)
+        samples.append(graph.project_to_edge(edge_id, *offset_point(graph, edge_id, offset)).point)
     for a in samples:
         for b in samples:
             ab = route_distance(graph, a, b)
@@ -502,7 +497,7 @@ def test_routing_work_does_not_grow_with_the_graph(monkeypatch):
         # three points on each of the four blocks that meet at the centre
         centre_edges = sorted(hit.edge_id for hit in graph.nearest_edges(44.65, 10.92, 60.0, 10))
         points = [
-            graph.project_to_edge(edge_id, *graph.point_at_offset(edge_id, rng.uniform(0, 100))).point
+            graph.project_to_edge(edge_id, *offset_point(graph, edge_id, rng.uniform(0, 100))).point
             for edge_id in centre_edges
             for _ in range(3)
         ]

@@ -256,6 +256,40 @@ def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
         load_scenario(str(scenario_file))
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (
+            {"decoder": {"id": "2F5", "byte_hi": 0.5}, "wheelbase": 2.6},
+            "'decoder.byte_hi' must be an integer, got 0.5",
+        ),
+        (
+            {"decoder": {"id": "2F5", "scale": "0.01"}, "wheelbase": 2.6},
+            "'decoder.scale' must be a finite number, got '0.01'",
+        ),
+        (
+            {"decoder": {"id": 198.5}, "wheelbase": 2.6},
+            "'decoder.id' must be an integer or a hex string, got 198.5",
+        ),
+        (
+            {"decoder": {"id": "2F5", "offset": "7FFG"}, "wheelbase": 2.6},
+            "'decoder.offset' must be an integer or a hex string, got '7FFG'",
+        ),
+        ({"model": "renault captur", "wheelbase": "2.6"}, "'wheelbase' must be a finite number, got '2.6'"),
+        ({"model": "renault captur", "swa_rate": None}, "'swa_rate' must be a finite number, got None"),
+    ],
+    ids=["byte_hi-float", "scale-string", "id-float", "offset-not-hex", "wheelbase-string", "swa_rate-null"],
+)
+def test_scenario_file_wrongly_typed_value_is_an_error(tmp_path, extra, message):
+    sc = turn_left_90()
+    sc.graph.save(str(tmp_path / "roads.txt"))
+    doc = {"name": "x", "graph": "roads.txt", "route": sc.route, "speed_profile": [[0.0, 20.0]], **extra}
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=f"^scenario key {message}$"):
+        load_scenario(str(scenario_file))
+
+
 def test_scenario_file_with_model_and_decoder_is_an_error(tmp_path):
     sc = turn_left_90()
     sc.graph.save(str(tmp_path / "roads.txt"))

@@ -306,6 +306,49 @@ def test_resample_short_track_unchanged():
     assert resample_track(track, 10.0).points == track.points
 
 
+def walking_pointer_resample(track, spacing_m):
+    """Reference resampling: resample_track as it was before it called
+    geokin.point_along, walking a segment pointer forward per sample."""
+    pts = track.points
+    if len(pts) < 2:
+        return Track(points=pts)
+    cum = [0.0]
+    for i in range(len(pts) - 1):
+        cum.append(cum[-1] + geodesic_inverse(pts[i], pts[i + 1])[0])
+    total = cum[-1]
+    if total == 0:
+        return Track(points=(pts[0],))
+    out = []
+    seg = 0
+    target = 0.0
+    limit = total - max(1e-9, 1e-6 * spacing_m)
+    while target < limit:
+        while cum[seg + 1] < target and seg < len(pts) - 2:
+            seg += 1
+        span = cum[seg + 1] - cum[seg]
+        t = 0.0 if span == 0 else (target - cum[seg]) / span
+        (alat, alon), (blat, blon) = pts[seg], pts[seg + 1]
+        out.append((alat + t * (blat - alat), alon + t * (blon - alon)))
+        target += spacing_m
+    out.append(pts[-1])
+    return Track(points=tuple(out))
+
+
+def test_resample_equals_the_walking_pointer_oracle():
+    rng = random.Random(11)
+    for _ in range(400):
+        points = list(_walk(rng, rng.randint(1, 40), BASE, step_m=rng.choice((2.0, 8.0, 40.0))).points)
+        for _ in range(rng.randint(0, 3)):  # repeated points make zero-length segments
+            i = rng.randrange(len(points))
+            points[i:i] = [points[i]] * rng.randint(1, 2)
+        track = Track(points=tuple(points))
+        spacing = rng.choice((1.0, 5.0, 10.0, rng.uniform(0.5, 30.0)))
+        once = resample_track(track, spacing)
+        assert once.points == walking_pointer_resample(track, spacing).points
+        again = rng.choice((spacing, rng.uniform(0.5, 30.0)))
+        assert resample_track(once, again).points == walking_pointer_resample(once, again).points
+
+
 def test_compare_tracks_rate_invariant():
     dense = track_from_meters(*range(0, 501, 1))  # one point per meter
     sparse = track_from_meters(*range(0, 501, 25))  # one per 25 m

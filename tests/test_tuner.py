@@ -1,6 +1,6 @@
 import hashlib
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -212,6 +212,10 @@ def _evaluate_every_cell(tracks, graph, grids):
 
 def test_shared_runs_equal_the_every_cell_oracle(clamp_suite):
     tracks, graph = clamp_suite
+    # a track with frames but no steering frame, which decode_log rejects
+    left = tracks[0]
+    steerless = replace(left, name="steerless", frames=tuple(f for f in left.frames if f.id != left.decoder.id))
+    tracks = tracks + [steerless]
     oracle = _evaluate_every_cell(tracks, graph, CLAMP_GRIDS)
     assert len(oracle) == 16
     assert grid_search(tracks, graph, grids=CLAMP_GRIDS, workers=1) == oracle
@@ -258,8 +262,9 @@ def test_one_run_per_distinct_key(clamp_suite, monkeypatch):
     # both clamps bind on the binding track, each window its own way, so
     # every cell is a run of its own
     assert calls.count(tracks[-1].start) == cells
-    # a track whose key cannot be computed (no frames) runs every cell
-    assert calls.count(empty.start) == cells
+    # a track that decode_log rejects (no frames) fails the same way in
+    # every cell, so it runs once
+    assert calls.count(empty.start) == 1
     assert all(row.per_track[-1] == 0.0 for row in rows)
 
 
