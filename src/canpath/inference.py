@@ -49,6 +49,9 @@ class InferenceParams:
     max_interpolation_points: int = 30  # windows per map-matching batch
 
     def __post_init__(self):
+        batch = self.max_interpolation_points
+        if isinstance(batch, bool) or not isinstance(batch, int):
+            raise ValueError(f"max_interpolation_points must be an integer, got {batch!r}")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")

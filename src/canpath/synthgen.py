@@ -302,8 +302,11 @@ def load_scenario(path: str) -> SimScenario:
         return SimScenario(
             name=doc["name"],
             graph=graph,
-            route=[int(e) for e in doc["route"]],
-            speed_profile=[(float(a), float(b)) for a, b in doc["speed_profile"]],
+            route=[_integer(e, "route") for e in _list(doc["route"], "route")],
+            speed_profile=[
+                (float(_number(a, "speed_profile")), float(_number(b, "speed_profile")))
+                for a, b in (_list(e, "speed_profile", 2) for e in _list(doc["speed_profile"], "speed_profile"))
+            ],
             decoder=decoder,
             vehicle=vehicle,
             swa_rate=_number(doc.get("swa_rate", 100.0), "swa_rate"),
@@ -312,6 +315,14 @@ def load_scenario(path: str) -> SimScenario:
         )
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing key {exc}") from None
+
+
+def _list(value, key: str, length: int | None = None) -> list:
+    """A scenario file value that must be a JSON list, of `length` items if given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        expected = "a list" if length is None else f"a list of {length} items"
+        raise ScenarioError(f"scenario key {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _number(value, key: str) -> float:

@@ -19,6 +19,13 @@ MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_SCORE = -1
 
+# Half-width of nw_align's first band; a band that does not certify is
+# filled once more at the width its score calls for.
+_BAND_START = 8
+# Traceback moves, one byte per filled cell: pair i-1 with j-1, a gap in b
+# (step to row i - 1), a gap in a (step to column j - 1).
+_PAIR, _GAP_B, _GAP_A = 0, 1, 2
+
 # Cell widths of the alignment's point hash are widened by 0.1 % (plus 1e-9
 # degrees) so rounding in the distance never puts a pair within epsilon two
 # cells apart.
@@ -180,10 +187,61 @@ def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
     return rows
 
 
+def _banded_fill(within, la: int, lb: int, w: int):
+    """Fill the alignment matrix on the diagonals min(0, delta) - w <= j - i
+    <= max(0, delta) + w, delta = lb - la, clipped to the matrix; cells
+    outside count as -inf. Returns the score of cell (la, lb), the clipped
+    diagonals dlo and dhi, and per row i the direction bytes of its cells
+    j = max(0, i + dlo) .. min(lb, i + dhi): _PAIR if the cell's score
+    equals the pair move's, else _GAP_B if it equals the gap in b's (from
+    row i - 1), else _GAP_A, the traceback's tie order.
+    """
+    dlo = max(-la, min(0, lb - la) - w)
+    dhi = min(lb, max(0, lb - la) + w)
+    width = dhi - dlo + 1
+    # Stands for -inf: every cell in the band has a path from (0, 0) inside
+    # it, so its score is at least -(la + lb), above this plus one.
+    floor = -(la + lb) - 2
+    # prev[k] is the score of cell (i - 1, i - 1 + dlo + k); prev[width] is
+    # the -inf past the band's right edge.
+    prev = [floor] * (width + 1)
+    for j in range(dhi + 1):
+        prev[j - dlo] = j * GAP_SCORE
+    rows = [bytes([_GAP_A]) * (dhi + 1)]
+    for i in range(1, la + 1):
+        base = i + dlo
+        klo, khi = max(0, -base), min(width - 1, lb - base)
+        step = [MISMATCH_SCORE] * width
+        for j in within[i - 1]:
+            k = j + 1 - base
+            if klo <= k <= khi:
+                step[k] = MATCH_SCORE
+        cur = [floor] * (width + 1)
+        moves = bytearray(khi - klo + 1)  # all _PAIR
+        s = floor
+        for k in range(klo, khi + 1):
+            pair = prev[k] + step[k]
+            up = prev[k + 1] + GAP_SCORE
+            left = s + GAP_SCORE
+            if pair >= up and pair >= left:
+                s = pair
+            elif up >= left:
+                s = up
+                moves[k - klo] = _GAP_B
+            else:
+                s = left
+                moves[k - klo] = _GAP_A
+            cur[k] = s
+        rows.append(moves)
+        prev = cur
+    return prev[lb - la - dlo], dlo, dhi, rows
+
+
 def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult:
     """Global alignment: +1 for pairs within match_epsilon meters, -1 for
     non-matching pairs, -1 per gap. Accuracy = matched / max(len_a, len_b);
-    two empty tracks count as identical.
+    two empty tracks count as identical. A non-finite or negative
+    match_epsilon is a ValueError.
 
     Traceback ties prefer pairing, then a gap in b, then a gap in a.
 
@@ -191,27 +249,55 @@ def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult
     (``_within_sets``), which evaluates the same distance predicate on
     every pair that can pass it, so the result equals that of testing all
     la*lb pairs.
+
+    The dynamic program fills only a band of diagonals d = j - i (banded
+    alignment: Fickett 1984, Ukkonen 1985) and keeps one direction byte
+    per filled cell, so time and memory grow with la times the band width.
+    With delta = lb - la, a band of half-width w holds the diagonals
+    min(0, delta) - w <= d <= max(0, delta) + w. The result is still that
+    of the full matrix, by a certificate:
+
+    - A path starts on diagonal 0 and ends on delta; a gap step moves it
+      one diagonal and a pair step none. To leave the band above it takes
+      dhi + 1 gap steps out to diagonal dhi + 1 and dhi + 1 - delta back;
+      below, 1 - dlo out and 1 - dlo + delta back. So it has at least g
+      gap steps, the lesser of the two sums (both are 2w + 2 + |delta|
+      until the band is clipped to the matrix).
+    - A path with G gaps has (la + lb - G) / 2 pair steps, so it scores
+      at most (la + lb - 3G) / 2, and a path that leaves the band at most
+      (la + lb - 3g) / 2.
+    - The band is accepted only if its optimum B is strictly above that
+      bound. Then no optimal path of the full matrix leaves the band, so
+      every cell on an optimal path holds its full-matrix value in the
+      band. The traceback visits only such cells, and each of its equality
+      tests holds in the band exactly when it holds in the full matrix (a
+      predecessor that passes lies on an optimal path; one that fails can
+      only be lower in the band). So the path, the flags, the matched count
+      and the score are those of the full matrix, ties included.
+
+    The first fill uses w = 8: a drive compared with its own recording
+    pairs up near the diagonal and certifies there. Otherwise the second
+    fill uses the least w whose bound is below that first B. B cannot fall
+    as the band widens, so the second fill always certifies. Since B is at
+    least -max(la, lb) (pairs along the diagonal, gaps for the rest), that
+    w is at most 2 min(la, lb) / 3; for unrelated tracks of equal length
+    the second band is about 8/9 of the full matrix.
     """
+    if not (math.isfinite(match_epsilon) and match_epsilon >= 0):
+        raise ValueError(f"match epsilon must be a finite distance of at least 0 m, got {match_epsilon}")
     pa, pb = a.points, b.points
     la, lb = len(pa), len(pb)
     if la == 0 and lb == 0:
         return AlignmentResult(0, 0, 1.0, (), (), score=0)
 
     within = _within_sets(pa, pb, match_epsilon)
-    score = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(1, la + 1):
-        score[i][0] = i * GAP_SCORE
-    for j in range(1, lb + 1):
-        score[0][j] = j * GAP_SCORE
-    for i in range(1, la + 1):
-        row = score[i]
-        prev = score[i - 1]
-        hit = [False] * lb
-        for j in within[i - 1]:
-            hit[j] = True
-        for j in range(1, lb + 1):
-            pair = prev[j - 1] + (MATCH_SCORE if hit[j - 1] else MISMATCH_SCORE)
-            row[j] = max(pair, prev[j] + GAP_SCORE, row[j - 1] + GAP_SCORE)
+    delta = lb - la
+    best, dlo, dhi, rows = _banded_fill(within, la, lb, _BAND_START)
+    gaps = min(2 * (dhi + 1) - delta, 2 * (1 - dlo) + delta)
+    if 2 * best <= la + lb - 3 * gaps:
+        # the least w with 2 * best > la + lb - 3 * (2w + 2 + |delta|)
+        w = (la + lb - 2 * best - 6 - 3 * abs(delta)) // 6 + 1
+        best, dlo, dhi, rows = _banded_fill(within, la, lb, w)
 
     flags_a = [False] * la
     flags_b = [False] * lb
@@ -220,21 +306,18 @@ def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult
     i, j = la, lb
     while i > 0 or j > 0:
         aligned += 1
-        if i > 0 and j > 0:
-            hit = (j - 1) in within[i - 1]
-            pair = score[i - 1][j - 1] + (MATCH_SCORE if hit else MISMATCH_SCORE)
-            if score[i][j] == pair:
-                if hit:
-                    matched += 1
-                    flags_a[i - 1] = True
-                    flags_b[j - 1] = True
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and score[i][j] == score[i - 1][j] + GAP_SCORE:
+        move = rows[i][j - max(0, i + dlo)]
+        if move == _PAIR:
+            if (j - 1) in within[i - 1]:
+                matched += 1
+                flags_a[i - 1] = True
+                flags_b[j - 1] = True
             i -= 1
-            continue
-        j -= 1
+            j -= 1
+        elif move == _GAP_B:
+            i -= 1
+        else:
+            j -= 1
 
     return AlignmentResult(
         matched_pairs=matched,
@@ -242,18 +325,19 @@ def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult
         accuracy=matched / max(la, lb),
         flags_a=tuple(flags_a),
         flags_b=tuple(flags_b),
-        score=score[la][lb],
+        score=best,
     )
 
 
 def resample_track(track: Track, spacing_m: float) -> Track:
-    """Points every spacing_m meters along the track polyline (endpoints kept).
+    """Points every spacing_m meters along the track polyline (endpoints kept);
+    a spacing that is not finite and positive is a ValueError.
 
     Makes similarity scores comparable between tracks recorded at different
     sampling rates.
     """
-    if spacing_m <= 0:
-        raise ValueError("spacing must be positive")
+    if not (math.isfinite(spacing_m) and spacing_m > 0):
+        raise ValueError(f"spacing must be a finite distance above 0 m, got {spacing_m}")
     pts = track.points
     if len(pts) < 2:
         return Track(points=pts)

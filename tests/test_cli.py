@@ -8,7 +8,7 @@ from canpath.canlog import CanFrame, write_log
 from canpath.cli import main
 from canpath.scenarios import turn_left_90
 from canpath.synthgen import simulate
-from canpath.trackeval import load_gpx, save_gpx
+from canpath.trackeval import Track, load_gpx, save_gpx
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +505,43 @@ def test_tune_manifest_nan_grid_value_is_one_error_line(scenario_dir, capsys, tm
     code, out, err = run(capsys, "tune", manifest_file)
     assert code == 1
     assert err.splitlines() == ["error: t_window must be finite, got nan"]
+
+
+@pytest.mark.parametrize("batch", [2.5, 30.0])
+def test_tune_manifest_fractional_batch_size_is_one_error_line(scenario_dir, capsys, tmp_path, batch):
+    sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
+    track = {
+        "log": str(scenario_dir / "leftturn.log"),
+        "truth": str(scenario_dir / "leftturn_truth.gpx"),
+        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        "model": "renault captur",
+    }
+    grids = {"max_interpolation_points": [batch]}
+    manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": [track], "grids": grids}
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 1
+    assert err.splitlines() == [f"error: max_interpolation_points must be an integer, got {batch}"]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--epsilon", "nan"], "spacing must be a finite distance above 0 m, got nan"),
+        (["--spacing", "nan"], "spacing must be a finite distance above 0 m, got nan"),
+        (["--spacing", "inf"], "spacing must be a finite distance above 0 m, got inf"),
+        (["--epsilon", "inf", "--spacing", "10"], "match epsilon must be a finite distance of at least 0 m, got inf"),
+        (["--epsilon", "-1", "--spacing", "10"], "match epsilon must be a finite distance of at least 0 m, got -1.0"),
+    ],
+)
+def test_compare_non_finite_epsilon_or_spacing_is_one_error_line(capsys, tmp_path, flags, message):
+    track = tmp_path / "t.gpx"
+    save_gpx(Track(points=tuple((44.65 + k * 1e-4, 10.92) for k in range(30))), str(track))
+    code, out, err = run(capsys, "compare", track, track, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
 
 
 def test_infer_graph_with_a_long_segment_is_one_error_line(scenario_dir, capsys, tmp_path):

@@ -248,3 +248,9 @@ def test_params_validation():
         InferenceParams(t_window=0.0)
     with pytest.raises(ValueError):
         InferenceParams(steer_max=120.0)
+
+
+@pytest.mark.parametrize("batch", [2.5, 30.0, True, "30"])
+def test_params_batch_size_must_be_an_integer(batch):
+    with pytest.raises(ValueError, match=f"max_interpolation_points must be an integer, got {batch!r}"):
+        InferenceParams(max_interpolation_points=batch)

@@ -277,8 +277,22 @@ def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
         ),
         ({"model": "renault captur", "wheelbase": "2.6"}, "'wheelbase' must be a finite number, got '2.6'"),
         ({"model": "renault captur", "swa_rate": None}, "'swa_rate' must be a finite number, got None"),
+        ({"model": "renault captur", "route": 5}, "'route' must be a list, got 5"),
+        ({"model": "renault captur", "route": [1, "2"]}, "'route' must be an integer, got '2'"),
+        (
+            {"model": "renault captur", "speed_profile": [[0.0, 20.0, 5]]},
+            r"'speed_profile' must be a list of 2 items, got \[0.0, 20.0, 5\]",
+        ),
+        ({"model": "renault captur", "speed_profile": {"0": 20}}, "'speed_profile' must be a list, got {'0': 20}"),
+        (
+            {"model": "renault captur", "speed_profile": [[0.0, "20"]]},
+            "'speed_profile' must be a finite number, got '20'",
+        ),
     ],
-    ids=["byte_hi-float", "scale-string", "id-float", "offset-not-hex", "wheelbase-string", "swa_rate-null"],
+    ids=[
+        "byte_hi-float", "scale-string", "id-float", "offset-not-hex", "wheelbase-string", "swa_rate-null",
+        "route-number", "route-string-edge", "profile-entry-of-3", "profile-object", "profile-string-speed",
+    ],
 )
 def test_scenario_file_wrongly_typed_value_is_an_error(tmp_path, extra, message):
     sc = turn_left_90()

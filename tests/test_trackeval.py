@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -288,6 +289,163 @@ def test_nw_align_distance_calls_grow_linearly(monkeypatch):
     assert len(calls) <= 5 * (len(a) + len(b)) < len(a) * len(b) // 10
 
 
+def _near_duplicate(rng, track, noise_m=3.0, p_delete=0.0, p_insert=0.0):
+    """A copy of track with each point moved up to noise_m meters, some
+    points dropped and some junk points 40 m off inserted."""
+    out = []
+    for lat, lon in track.points:
+        if rng.random() < p_insert:
+            out.append((lat + 40 * M_LAT, lon))
+        if rng.random() >= p_delete:
+            out.append((lat + rng.uniform(-noise_m, noise_m) * M_LAT, lon + rng.uniform(-noise_m, noise_m) * M_LAT))
+    return Track(points=tuple(out))
+
+
+def _far_walk(rng, n):
+    """A walk about 1 km north of BASE, within epsilon of no BASE walk."""
+    return _walk(rng, n, (BASE[0] + 1000 * M_LAT, BASE[1]), step_m=10.0)
+
+
+def _oracle_case(kind):
+    rng = random.Random(kind)
+    if kind == "near-duplicate":
+        a = _walk(rng, 500, BASE, step_m=10.0)
+        return a, _near_duplicate(rng, a, p_delete=0.03, p_insert=0.03)
+    if kind == "offset":  # b starts 20 points into a and runs 30 points past it
+        a = _walk(rng, 330, BASE, step_m=10.0)
+        b = _near_duplicate(rng, Track(points=a.points[20:]))
+        return a, Track(points=b.points + _far_walk(rng, 30).points)
+    if kind == "unequal-lengths":
+        a = _walk(rng, 600, BASE, step_m=10.0)
+        return a, _near_duplicate(rng, a, p_delete=0.25)
+    if kind == "half-matching":
+        a = _walk(rng, 400, BASE, step_m=10.0)
+        return a, Track(points=_near_duplicate(rng, a).points[:200] + _far_walk(rng, 220).points)
+    if kind == "unrelated":
+        return _walk(rng, 300, BASE, step_m=10.0), _far_walk(rng, 350)
+    return Track(points=()), _walk(rng, 400, BASE, step_m=10.0)  # one empty track
+
+
+def _counting_fills(monkeypatch):
+    """Record the half-width of every band nw_align fills."""
+    widths = []
+    fill = trackeval._banded_fill
+
+    def counting_fill(within, la, lb, w):
+        widths.append(w)
+        return fill(within, la, lb, w)
+
+    monkeypatch.setattr(trackeval, "_banded_fill", counting_fill)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "kind", ["near-duplicate", "offset", "unequal-lengths", "half-matching", "unrelated", "one-empty"]
+)
+def test_banded_nw_align_equals_full_matrix_on_long_tracks(monkeypatch, kind):
+    a, b = _oracle_case(kind)
+    widths = _counting_fills(monkeypatch)
+    assert nw_align(a, b) == full_matrix_nw_align(a, b)
+    assert nw_align(b, a) == full_matrix_nw_align(b, a)
+    if kind == "unrelated":
+        # no pair matches, so the optimum is -max(la, lb) and the second
+        # fill is the widest one can be: floor(2 min(la, lb) / 3)
+        assert widths == [8, 200, 8, 200]
+
+
+def test_banded_nw_align_equals_full_matrix_after_a_forced_second_fill(monkeypatch):
+    monkeypatch.setattr(trackeval, "_BAND_START", 1)
+    widths = _counting_fills(monkeypatch)
+    rng = random.Random(23)
+    calls = 0
+    for _ in range(150):
+        a = _walk(rng, rng.randint(0, 50), BASE)
+        if rng.random() < 0.5:
+            b = _near_duplicate(rng, a, p_delete=0.2, p_insert=0.2)
+        else:
+            b = _walk(rng, rng.randint(0, 50), BASE)
+        if len(a) or len(b):
+            calls += 1
+        assert nw_align(a, b, 10.0) == full_matrix_nw_align(a, b, 10.0)
+    assert len(widths) - calls > calls // 2  # most pairs needed a second fill
+
+
+def _collinear(cells):
+    """A track whose points sit 12 m apart per cell index north of BASE."""
+    return Track(points=tuple((BASE[0] + c * 12 * M_LAT, BASE[1]) for c in cells))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), max_size=24),
+    st.lists(st.integers(0, 4), max_size=24),
+    st.sampled_from([5.0, 15.0]),
+    st.integers(0, 3),
+)
+@example([3, 0, 1, 2, 3], [0, 3, 1, 3], 5.0, 0)
+def test_banded_nw_align_equals_full_matrix_property(xs, ys, eps, start):
+    # Few distinct positions, so many pairs match and many alignments tie.
+    # In the example the first band's optimum equals its bound and an
+    # optimal path leaves the band: accepting it gives another traceback.
+    a, b = _collinear(xs), _collinear(ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trackeval, "_BAND_START", start)
+        assert nw_align(a, b, eps) == full_matrix_nw_align(a, b, eps)
+
+
+@pytest.mark.parametrize(
+    "junk,indel,widths",
+    [
+        (13, False, [8]),  # optimum 1 above the bound: certified
+        (12, True, [8, 9]),  # optimum equal to the bound: not certified
+        (14, False, [8, 9]),
+    ],
+)
+def test_first_band_certifies_only_strictly_above_the_bound(monkeypatch, junk, indel, widths):
+    # a: n points 20 m apart, each within 10 m of its copy only. b replaces
+    # the first `junk` points with far ones, and with `indel` also inserts
+    # one far point and drops a later one. So the optimum is
+    # n - 2 junk - 3 indel, and with w = 8 and delta = 0 the bound is
+    # (2n - 3 * 18) / 2 = n - 27.
+    n = 120
+    a = track_from_meters(*range(0, 20 * n, 20))
+    far = (BASE[0] + 500 * M_LAT, BASE[1])
+    points = [far] * junk + list(a.points[junk:])
+    if indel:
+        points.insert(60, far)
+        del points[91]
+    b = Track(points=tuple(points))
+    counted = _counting_fills(monkeypatch)
+    result = nw_align(a, b)
+    assert result.score == n - 2 * junk - 3 * indel
+    assert counted == widths
+    assert result == full_matrix_nw_align(a, b)
+
+
+def test_banded_nw_align_memory_is_linear():
+    # a 20 km track at 10 m spacing against a noisy copy with a few points
+    # dropped and inserted: the full 2,000 x 2,000 matrix of Python ints
+    # would take about 110 MB
+    rng = random.Random(5)
+    a = track_from_meters(*range(0, 20_000, 10))
+    b = _near_duplicate(rng, a, p_delete=0.002, p_insert=0.002)
+    tracemalloc.start()
+    try:
+        result = nw_align(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.matched_pairs > 1900
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_nw_align_rejects_a_bad_epsilon(eps):
+    track = track_from_meters(0, 20, 40)
+    with pytest.raises(ValueError, match="match epsilon"):
+        nw_align(track, track, eps)
+
+
 # -- resampling & comparison ---------------------------------------------------------
 
 
@@ -299,6 +457,12 @@ def test_resample_spacing_and_endpoints():
     assert resampled.points[-1] == pytest.approx(track.points[-1], abs=1e-12)
     for p, q in zip(resampled.points, resampled.points[1:]):
         assert geodesic_inverse(p, q)[0] == pytest.approx(10.0, abs=0.01)
+
+
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -5.0])
+def test_resample_rejects_a_bad_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        resample_track(track_from_meters(0, 100), spacing)
 
 
 def test_resample_short_track_unchanged():
