@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from http.client import HTTPException
 from json import dumps, loads
 from typing import Sequence
@@ -43,9 +43,15 @@ class MatcherConfig:
     max_candidates: int = 10
 
     def __post_init__(self):
-        for name in ("emission_sigma", "transition_beta", "candidate_radius", "max_candidates"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        candidates = self.max_candidates
+        if isinstance(candidates, bool) or not isinstance(candidates, int):
+            raise ValueError(f"max_candidates must be an integer, got {candidates!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)

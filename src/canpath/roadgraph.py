@@ -11,10 +11,15 @@ positions are prepended/appended automatically. Coordinates must be finite,
 with |lat| <= 90 and |lon| <= 180.
 
 Nearest-edge lookup goes through a grid of segment cells built at load
-time. Distances between nodes come from Dijkstra searches that are run
+time. The segments a query box covers, grouped by edge, are gathered on the
+box's first query and kept, so the many queries that fall in one box share
+that work. Distances between nodes come from Dijkstra searches that are run
 on demand, one paused search per source node, only as far as each query's
 target, so a query's cost depends on how far apart its nodes are, not on
-the size of the graph.
+the size of the graph. Each node carries a weak-component label, so a target
+in another component is answered inf without a search. The node legs between
+two edges are looked up once per edge pair and kept in a table, which
+``route_distance`` reads.
 """
 
 from __future__ import annotations
@@ -87,8 +92,15 @@ class RoadGraph:
         self.edges: dict[int, Edge] = {}
         self._adjacency: dict[int, list[tuple[int, float, int]]] = {n: [] for n in self.nodes}
         self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # per query box (i0, i1, j0, j1): each edge with its ascending segments
+        self._boxes: dict[tuple[int, int, int, int], list[tuple[Edge, tuple[int, ...]]]] = {}
+        # union-find forest of weak components; a root is its own parent
+        self._parent: dict[int, int] = {n: n for n in self.nodes}
         # per source: (settled, tentative, heap) of a paused Dijkstra search
         self._searches: dict[int, tuple[dict[int, float], dict[int, float], list[tuple[float, int]]]] = {}
+        # per (edge_a.id, edge_b.id): (exit index, entry index, node distance)
+        # legs, see route_distance
+        self._legs: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
         for edge in edges:
             self._add_edge(*edge)
@@ -118,6 +130,7 @@ class RoadGraph:
         self._adjacency[node_from].append((node_to, length, edge_id))
         if edge.bidirectional:
             self._adjacency[node_to].append((node_from, length, edge_id))
+        self._parent[self._component(node_from)] = self._component(node_to)
         self._index_edge(edge)
 
     @classmethod
@@ -199,14 +212,15 @@ class RoadGraph:
                 for j in range(j0, j1 + 1):
                     self._cells.setdefault((i, j), []).append((edge.id, seg))
 
-    def _project(self, edge: Edge, segs: Iterable[int], lat: float, lon: float) -> Candidate:
-        """Nearest point of the given segments of an edge, in local meters.
+    def _project(self, edge: Edge, segs: Iterable[int], lat: float, lon: float, kx: float) -> Candidate:
+        """Nearest point of the given segments of an edge, in local meters;
+        ``kx`` is ``DEG_M * math.cos(math.radians(lat))``, metres per degree
+        of longitude at the query.
 
         Segments are tried in the order given and a later one wins only when
         strictly nearer, so ascending order keeps the lowest segment on ties.
         """
         ky = DEG_M
-        kx = DEG_M * math.cos(math.radians(lat))
         geometry = edge.geometry
         best_dist = math.inf
         best_seg = -1
@@ -230,7 +244,7 @@ class RoadGraph:
     def project_to_edge(self, edge_id: int, lat: float, lon: float) -> Candidate:
         """Perpendicular projection of a point onto an edge's polyline."""
         edge = self.edges[edge_id]
-        return self._project(edge, range(len(edge.geometry) - 1), lat, lon)
+        return self._project(edge, range(len(edge.geometry) - 1), lat, lon, DEG_M * math.cos(math.radians(lat)))
 
     def nearest_edges(self, lat: float, lon: float, radius_m: float, max_results: int) -> list[Candidate]:
         """Candidate edges within radius, nearest first (ties by edge id).
@@ -243,12 +257,31 @@ class RoadGraph:
         so each edge's nearest segment within the radius is among the indexed
         segments projected here, and ascending segment order keeps the same
         tie rule. Near a pole, where the box holds more cells than the index,
-        the index's own cells are filtered instead.
+        the index's own cells are filtered instead. The index is fixed after
+        load, so a box's (edge, segments) groups are built on its first query
+        and reused.
         """
+        kx = DEG_M * math.cos(math.radians(lat))
         dlat = radius_m / DEG_M + _PAD_DEG
-        dlon = radius_m / abs(DEG_M * math.cos(math.radians(lat))) + _PAD_DEG
-        i0, i1 = int((lat - dlat) // _CELL_DEG), int((lat + dlat) // _CELL_DEG)
-        j0, j1 = int((lon - dlon) // _CELL_DEG), int((lon + dlon) // _CELL_DEG)
+        dlon = radius_m / abs(kx) + _PAD_DEG
+        box = (
+            int((lat - dlat) // _CELL_DEG), int((lat + dlat) // _CELL_DEG),
+            int((lon - dlon) // _CELL_DEG), int((lon + dlon) // _CELL_DEG),
+        )
+        groups = self._boxes.get(box)
+        if groups is None:
+            groups = self._boxes[box] = self._box_groups(*box)
+        hits = []
+        for edge, segs in groups:
+            hit = self._project(edge, segs, lat, lon, kx)
+            if hit.perp_m <= radius_m:
+                hits.append(hit)
+        hits.sort(key=lambda h: (h.perp_m, h.edge_id))
+        return hits[:max_results]
+
+    def _box_groups(self, i0: int, i1: int, j0: int, j1: int) -> list[tuple[Edge, tuple[int, ...]]]:
+        """Each edge indexed in the cells of a box, with its segments there
+        in ascending order."""
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(self._cells):
             cells = [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
         else:
@@ -257,15 +290,17 @@ class RoadGraph:
         for cell in cells:
             for edge_id, seg in self._cells.get(cell, ()):
                 segs_by_edge.setdefault(edge_id, set()).add(seg)
-        hits = []
-        for edge_id, segs in segs_by_edge.items():
-            hit = self._project(self.edges[edge_id], sorted(segs), lat, lon)
-            if hit.perp_m <= radius_m:
-                hits.append(hit)
-        hits.sort(key=lambda h: (h.perp_m, h.edge_id))
-        return hits[:max_results]
+        return [(self.edges[edge_id], tuple(sorted(segs))) for edge_id, segs in segs_by_edge.items()]
 
     # -- shortest paths --------------------------------------------------------
+
+    def _component(self, node: int) -> int:
+        """The root of a node's weak component, halving the path it walks."""
+        parent = self._parent
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
 
     def node_distance(self, source: int, target: int) -> float:
         """Shortest along-road distance between two nodes; inf when unreachable.
@@ -279,8 +314,12 @@ class RoadGraph:
         pops are the same sequence, only paused. Lengths are >= 0 and float
         addition is monotone, so no relaxation after a node's pop can make
         its distance strictly smaller; a settled value is the value the full
-        search ends with. An unreachable target exhausts its component.
+        search ends with. A target in another weak component is inf at once,
+        with no search started or resumed; one that one-way edges keep out of
+        reach inside the source's component still exhausts that component.
         """
+        if self._component(source) != self._component(target):
+            return math.inf
         search = self._searches.get(source)
         if search is None:
             search = self._searches[source] = ({}, {source: 0.0}, [(0.0, source)])
@@ -315,31 +354,20 @@ def _latlon(lat_text: str, lon_text: str) -> LatLon:
     raise ValueError(f"longitude {lon_text} is outside [-180, 180]")
 
 
-def _exits(edge: Edge, offset: float) -> list[tuple[int, float]]:
-    """Nodes reachable when leaving an edge from a given offset, with cost."""
-    out = [(edge.node_to, edge.length_m - offset)]
-    if edge.bidirectional:
-        out.append((edge.node_from, offset))
-    return out
-
-
-def _entries(edge: Edge, offset: float) -> list[tuple[int, float]]:
-    """Nodes from which an edge point can be entered, with cost."""
-    out = [(edge.node_from, offset)]
-    if edge.bidirectional:
-        out.append((edge.node_to, edge.length_m - offset))
-    return out
-
-
 def route_distance(graph: RoadGraph, a: EdgePoint, b: EdgePoint) -> float:
     """Shortest along-road distance between two points on edges.
 
     Includes the partial first and last edges; returns inf when unreachable.
-    One-way edges are traversed from-node to to-node only. Node-to-node legs
-    come from ``RoadGraph.node_distance``, which searches only as far from
-    each exit node as the entry node lies. This is the one routing
-    definition: the Viterbi matcher, ``sequence_logweight`` and the
-    brute-force oracle all score transitions with it.
+    One-way edges are traversed from-node to to-node only. A point leaves
+    ``a``'s edge by its to-node (or, on a two-way edge, its from-node) and
+    enters ``b``'s edge by its from-node (or, two-way, its to-node). The
+    node-to-node legs between those exits and entries depend only on the
+    edge pair, so they come from ``RoadGraph.node_distance`` on the pair's
+    first call and from the graph's leg table after it; each call adds its
+    own offsets to them as ``exit_cost + leg + entry_cost``, exits outer and
+    entries inner, keeping a total only when strictly smaller. This is the
+    one routing definition: the Viterbi matcher, ``sequence_logweight`` and
+    the brute-force oracle all score transitions with it.
     """
     best = math.inf
     edge_a = graph.edges[a.edge_id]
@@ -349,9 +377,19 @@ def route_distance(graph: RoadGraph, a: EdgePoint, b: EdgePoint) -> float:
             best = abs(a.offset_m - b.offset_m)
         elif b.offset_m >= a.offset_m:
             best = b.offset_m - a.offset_m
-    for exit_node, exit_cost in _exits(edge_a, a.offset_m):
-        for entry_node, entry_cost in _entries(edge_b, b.offset_m):
-            total = exit_cost + graph.node_distance(exit_node, entry_node) + entry_cost
-            if total < best:
-                best = total
+    legs = graph._legs.get((a.edge_id, b.edge_id))
+    if legs is None:
+        exits = (edge_a.node_to, edge_a.node_from) if edge_a.bidirectional else (edge_a.node_to,)
+        entries = (edge_b.node_from, edge_b.node_to) if edge_b.bidirectional else (edge_b.node_from,)
+        legs = graph._legs[a.edge_id, b.edge_id] = [
+            (i, j, graph.node_distance(exit_node, entry_node))
+            for i, exit_node in enumerate(exits)
+            for j, entry_node in enumerate(entries)
+        ]
+    exit_costs = (edge_a.length_m - a.offset_m, a.offset_m)
+    entry_costs = (b.offset_m, edge_b.length_m - b.offset_m)
+    for i, j, leg in legs:
+        total = exit_costs[i] + leg + entry_costs[j]
+        if total < best:
+            best = total
     return best

@@ -361,3 +361,23 @@ def test_external_matcher_default_transport_over_loopback(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         MatcherConfig(emission_sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("emission_sigma", math.nan, "emission_sigma must be finite, got nan"),
+        ("transition_beta", -1.0, "transition_beta must be positive"),
+        ("transition_beta", math.inf, "transition_beta must be finite, got inf"),
+        ("candidate_radius", math.nan, "candidate_radius must be finite, got nan"),
+        ("candidate_radius", math.inf, "candidate_radius must be finite, got inf"),
+        ("candidate_radius", -math.inf, "candidate_radius must be finite, got -inf"),
+        ("max_candidates", 0, "max_candidates must be positive"),
+        ("max_candidates", 2.5, "max_candidates must be an integer, got 2.5"),
+        ("max_candidates", 3.0, "max_candidates must be an integer, got 3.0"),
+        ("max_candidates", True, "max_candidates must be an integer, got True"),
+    ],
+)
+def test_config_rejects_what_matching_cannot_use(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatcherConfig(**{field: value})

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from canpath.geokin import geodesic_inverse
-from canpath import roadgraph
-from canpath.roadgraph import _CELL_DEG, GraphFormatError, RoadGraph, route_distance
+from canpath.geokin import DEG_M, geodesic_inverse
+from canpath import mapmatch, roadgraph
+from canpath.mapmatch import GraphMatcher
+from canpath.roadgraph import _CELL_DEG, EdgePoint, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
 from helpers import all_simple_path_distances, offset_point, straight_graph, triangle_graph, y_junction
@@ -212,10 +213,33 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
     graph = RoadGraph.from_text(text)
     lat, lon = lat0 + 2**-12, lon0 + 2**-11
     edge = graph.edges[7]
-    assert graph._project(edge, [0], lat, lon).perp_m == graph._project(edge, [2], lat, lon).perp_m
+    kx = DEG_M * math.cos(math.radians(lat))
+    assert graph._project(edge, [0], lat, lon, kx).perp_m == graph._project(edge, [2], lat, lon, kx).perp_m
     got = graph.nearest_edges(lat, lon, radius_m=50.0, max_results=5)
     assert got == brute_force_nearest(graph, lat, lon, 50.0, 5)
     assert got[0].point.lat == lat0  # segment 0, not segment 2
+
+
+def test_nearest_edges_equals_brute_force_on_repeated_boxes():
+    # several points a few centimetres apart in each of three cells, taken in
+    # turn, so a box's second query comes after other boxes' first ones
+    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    rng = random.Random(13)
+    centres = [((i + 0.5) * _CELL_DEG, (j + 0.5) * _CELL_DEG) for i, j in ((89301, 21841), (89302, 21843), (89303, 21842))]
+    points = [
+        (lat + rng.uniform(-2e-7, 2e-7), lon + rng.uniform(-2e-7, 2e-7))
+        for _ in range(4)
+        for lat, lon in centres
+    ]
+    _assert_same_as_brute_force(graph, points)
+    assert len(graph._boxes) == len(centres) * 4  # one box per cell and radius
+    # near the pole a box holds more cells than the index: the same points
+    # again, after others, are answered from that branch's groups
+    polar = RoadGraph.from_text(_grid_text(89.99, 10.0))
+    points = _random_points(polar, random.Random(17), 6, margin_deg=0.0005)
+    _assert_same_as_brute_force(polar, points + points[::-1])
+    assert len(polar._boxes) == len(points) * 4
+    assert any((i1 - i0 + 1) * (j1 - j0 + 1) > len(polar._cells) for i0, i1, j0, j1 in polar._boxes)
 
 
 def per_segment_cells(graph):
@@ -459,6 +483,100 @@ def test_node_distance_fixtures_hold_what_they_claim():
     assert math.isinf(unreachable.node_distance(1, 4)) and math.isinf(unreachable.node_distance(7, 1))
     bowed = _one_way_graph()
     assert bowed.edges[6].length_m > bowed.node_distance(1, 2) + bowed.edges[7].length_m
+
+
+def test_cross_component_queries_start_no_search():
+    graph = _two_component_graph()
+    components = ({1, 2, 3, 6}, {4, 5}, {7})
+    for sources in components:
+        for targets in components:
+            if sources is not targets:
+                for source in sources:
+                    for target in targets:
+                        assert math.isinf(graph.node_distance(source, target)), (source, target)
+    assert graph._searches == {}
+    # a target cut off by one-way edges inside the component is still searched for
+    assert math.isinf(graph.node_distance(1, 6)) and 1 in graph._searches
+
+
+def reference_route_distance(graph, a, b, node_distance):
+    """Reference: routing as it was before the leg table, one
+    ``node_distance`` call for each exit and entry node on every call."""
+    edge_a, edge_b = graph.edges[a.edge_id], graph.edges[b.edge_id]
+    best = math.inf
+    if a.edge_id == b.edge_id:
+        if edge_a.bidirectional:
+            best = abs(a.offset_m - b.offset_m)
+        elif b.offset_m >= a.offset_m:
+            best = b.offset_m - a.offset_m
+    exits = [(edge_a.node_to, edge_a.length_m - a.offset_m)]
+    if edge_a.bidirectional:
+        exits.append((edge_a.node_from, a.offset_m))
+    entries = [(edge_b.node_from, b.offset_m)]
+    if edge_b.bidirectional:
+        entries.append((edge_b.node_to, edge_b.length_m - b.offset_m))
+    for exit_node, exit_cost in exits:
+        for entry_node, entry_cost in entries:
+            total = exit_cost + node_distance(exit_node, entry_node) + entry_cost
+            if total < best:
+                best = total
+    return best
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: RoadGraph.from_text(_grid_text(44.65, 10.92)),
+        _one_way_graph,
+        _two_component_graph,
+        _tied_graph,
+    ],
+    ids=["grid", "one-way", "unreachable", "ties"],
+)
+def test_route_distance_equals_the_reference(make_graph):
+    base = make_graph()
+    reference = {s: full_dijkstra(base, s) for s in base.nodes}
+    points = [
+        EdgePoint(edge.id, offset, 0.0, 0.0)
+        for edge in base.edges.values()
+        for offset in (0.0, 0.37 * edge.length_m, edge.length_m)
+    ]
+    expected = {
+        (a, b): reference_route_distance(base, a, b, lambda s, t: reference[s].get(t, math.inf))
+        for a in points
+        for b in points
+    }
+    by_pair = sorted(expected, key=lambda ab: (ab[0].edge_id, ab[1].edge_id, ab[0].offset_m, ab[1].offset_m))
+    for order in (by_pair, by_pair[::-1], random.Random(19).sample(by_pair, len(by_pair))):
+        graph = make_graph()
+        for _repeat in range(2):  # cold, then from the leg table
+            for a, b in order:
+                assert route_distance(graph, a, b) == expected[a, b], (a, b)
+
+
+def test_matching_looks_up_each_edge_pairs_legs_once(monkeypatch):
+    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    # east along row 0, then north up column 3 (its edges are one-way north)
+    points = [(44.65, 10.92 + k * 1e-4) for k in range(22)] + [(44.65 + k * 1e-4, 10.9221) for k in range(1, 22)]
+    pairs, routes, legs = set(), [0], [0]
+    real_route_distance, real_node_distance = mapmatch.route_distance, RoadGraph.node_distance
+
+    def recording_route_distance(graph, a, b):
+        pairs.add((a.edge_id, b.edge_id))
+        routes[0] += 1
+        return real_route_distance(graph, a, b)
+
+    def counting_node_distance(self, source, target):
+        legs[0] += 1
+        return real_node_distance(self, source, target)
+
+    monkeypatch.setattr(mapmatch, "route_distance", recording_route_distance)
+    monkeypatch.setattr(RoadGraph, "node_distance", counting_node_distance)
+    result = GraphMatcher(graph).match(points)
+    edges = graph.edges
+    assert len(result.matched_points) == len(points)
+    assert legs[0] == sum((1 + edges[a].bidirectional) * (1 + edges[b].bidirectional) for a, b in pairs)
+    assert routes[0] > 4 * len(pairs)
 
 
 def _centred_grid(half, lat0=44.65, lon0=10.92, step_deg=0.0009):
