@@ -3,12 +3,18 @@
 A log line looks like ``(1684149582.123456) can0 0C6#7DC80000AAAAAAAA``:
 timestamp in seconds since the epoch, interface name, 11-bit identifier in
 hex, and up to 8 data bytes in hex after the ``#``.
+
+Parsing costs little more than the bytes it reads: ``parse_log`` strips
+each line once and hands it to the same private ``_parse`` that
+``parse_line`` uses, and a ``CanFrame`` is a checked 4-tuple, so building
+one costs a tuple allocation plus its three checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 MAX_STD_ID = 0x7FF
@@ -24,22 +30,40 @@ class LogParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class CanFrame:
-    """One timestamped CAN message."""
+class CanFrame(tuple):
+    """One timestamped CAN message: the immutable 4-tuple
+    ``(timestamp, interface, id, data)`` with those fields by name.
 
-    timestamp: float
-    interface: str
-    id: int
-    data: bytes
+    Every construction checks the identifier, payload length and timestamp.
+    Frames compare and hash as the tuple of their fields (so a frame equals
+    a plain tuple of the same fields); assigning to a field raises
+    AttributeError.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.id <= MAX_STD_ID:
-            raise ValueError(f"identifier 0x{self.id:X} out of 11-bit range")
-        if len(self.data) > 8:
-            raise ValueError(f"data length {len(self.data)} exceeds 8 bytes")
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
-            raise ValueError(f"timestamp {self.timestamp!r} not finite and non-negative")
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, interface: str, id: int, data: bytes):
+        if not 0 <= id <= MAX_STD_ID:
+            raise ValueError(f"identifier 0x{id:X} out of 11-bit range")
+        if len(data) > 8:
+            raise ValueError(f"data length {len(data)} exceeds 8 bytes")
+        if not (math.isfinite(timestamp) and timestamp >= 0):
+            raise ValueError(f"timestamp {timestamp!r} not finite and non-negative")
+        return tuple.__new__(cls, (timestamp, interface, id, data))
+
+    timestamp = property(itemgetter(0), doc="seconds since the epoch")
+    interface = property(itemgetter(1), doc="capture interface name, such as can0")
+    id = property(itemgetter(2), doc="11-bit identifier")
+    data = property(itemgetter(3), doc="payload, at most 8 bytes")
+
+    def __getnewargs__(self):
+        # pickling and copying rebuild the frame through __new__
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"CanFrame(timestamp={self[0]!r}, interface={self[1]!r}, id={self[2]!r}, data={self[3]!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,7 +106,11 @@ def parse_line(line: str, line_no: int | None = None) -> CanFrame:
 
     Raises LogParseError naming the bad field (timestamp, identifier, data).
     """
-    text = line.strip()
+    return _parse(line.strip(), line_no)
+
+
+def _parse(text: str, line_no: int | None) -> CanFrame:
+    """parse_line's body, for a line already stripped of surrounding whitespace."""
     close = text.find(")")
     if not text.startswith("(") or close < 0:
         raise LogParseError(f"missing timestamp parentheses in {text!r}", line_no)
@@ -98,15 +126,15 @@ def parse_line(line: str, line_no: int | None = None) -> CanFrame:
     if len(rest) != 2:
         raise LogParseError(f"expected '<iface> <ID>#<DATA>' after timestamp in {text!r}", line_no)
     interface, frame_text = rest
-    if "#" not in frame_text:
+    id_text, sep, data_text = frame_text.partition("#")
+    if not sep:
         raise LogParseError(f"missing '#' separator in {frame_text!r}", line_no)
-    id_text, data_text = frame_text.split("#", 1)
 
     try:
         frame_id = int(id_text, 16)
     except ValueError:
         raise LogParseError(f"identifier {id_text!r} is not hex", line_no) from None
-    if frame_id > MAX_STD_ID:
+    if not 0 <= frame_id <= MAX_STD_ID:
         raise LogParseError(f"identifier 0x{id_text} out of 11-bit range", line_no)
 
     if len(data_text) % 2 != 0:
@@ -118,7 +146,7 @@ def parse_line(line: str, line_no: int | None = None) -> CanFrame:
     except ValueError:
         raise LogParseError(f"data {data_text!r} is not hex", line_no) from None
 
-    return CanFrame(timestamp=timestamp, interface=interface, id=frame_id, data=data)
+    return CanFrame(timestamp, interface, frame_id, data)
 
 
 def format_line(frame: CanFrame) -> str:
@@ -143,10 +171,11 @@ def parse_log(
     frames: list[CanFrame] = []
     skipped: list[tuple[int, str]] = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        text = line.strip()
+        if not text:
             continue
         try:
-            frames.append(parse_line(line, line_no))
+            frames.append(_parse(text, line_no))
         except LogParseError as exc:
             if strict:
                 raise

@@ -1,16 +1,18 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
-infer_path runs stages that pass plain data. decode_log sorts and decodes
-the frames once into steering-angle and OBD speed samples;
-window_aggregates cuts them into fixed windows anchored at the first
-frame, each the mean of its samples (holding the previous value when a
-category has none); window_controls clamps each window's angle to
-steer_max and says whether it may turn (at most speed_max), the only code
-that reads those two; dead_reckon advances a batch of windows with the
-bicycle model plus a geodesic forward step. Each batch is snapped to the
-road network, and the length difference between the snapped and
-dead-reckoned polylines is carried into the next batch's first window so
-the track does not fall behind.
+infer_path runs stages that pass plain data. decode_log sorts the frames,
+rejects a log whose first and last frames lie more than a day apart, and
+decodes them once into (timestamp, signal, value) samples of steering
+angle and OBD speed, building no object per frame; window_aggregates cuts
+them into fixed windows anchored at the first frame, each the mean of its
+samples (holding the previous value when a category has none);
+window_controls clamps each window's angle to steer_max and says whether
+it may turn (at most speed_max), the only code that reads those two;
+dead_reckon advances a batch of windows with the bicycle model plus a
+geodesic forward step. Each batch is snapped to the road network, and the
+length difference between the snapped and dead-reckoned polylines is
+carried into the next batch's first window so the track does not fall
+behind. A batch the matcher cannot snap keeps its raw points.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Sequence
 
 from .canlog import CanFrame
@@ -31,14 +34,20 @@ from .geokin import (
     kinematic_step,
     polyline_length,
 )
-from .mapmatch import UnmatchedGapError
-from .obd import decode_speed_response
-from .reveng import AngleDecodeError, AngleDecoder, decode_angle
+from .mapmatch import MatchServiceError, UnmatchedGapError
+from .obd import response_speed_kmh
+from .reveng import AngleDecoder, payload_angle
 from .trackeval import Track, write_gpx
 
 
 class InferenceError(ValueError):
     pass
+
+
+# Longest time between a log's first and last frame. A longer span is a
+# stray timestamp (one frame stamped 0 in an epoch-stamped log would ask
+# for about 1.7e10 windows) or several captures run together.
+MAX_LOG_SPAN_S = 24 * 3600.0
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,15 @@ class Diagnostics:
     fallback_spans: list[tuple[int, int]] = field(default_factory=list)
     total_carry: float = 0.0
 
+    def add_fallback(self, start: int, end: int) -> None:
+        """Note raw track indices start..end, merged into the last span when
+        it ends at start - 1."""
+        spans = self.fallback_spans
+        if spans and spans[-1][1] == start - 1:
+            spans[-1] = (spans[-1][0], end)
+        else:
+            spans.append((start, end))
+
     def report(self) -> str:
         lines = [
             f"windows processed: {self.windows}",
@@ -106,35 +124,44 @@ Control = tuple[float, float, bool]
 def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sample]:
     """Every decodable steering angle and OBD-II speed, in frame order.
 
-    Frames with the decoder's ID are angles (malformed ones are skipped);
+    Frames with the decoder's ID are angles (too-short ones are skipped);
     any other frame counts only if it is a speed response. This is the one
     decode pass of the pipeline: inference and ``canpath decode`` share it.
+    Payloads go straight to reveng.payload_angle and obd.response_speed_kmh,
+    so no object is built per frame but the sample tuple.
     """
     samples: list[Sample] = []
-    for frame in frames:
-        if frame.id == decoder.id:
-            try:
-                samples.append((frame.timestamp, ANGLE, decode_angle(decoder, frame).angle_deg))
-            except AngleDecodeError:
-                continue
+    angle_id = decoder.id
+    for timestamp, _interface, frame_id, data in frames:
+        if frame_id == angle_id:
+            value = payload_angle(decoder, data)
+            signal = ANGLE
         else:
-            reading = decode_speed_response(frame)
-            if reading is not None:
-                samples.append((reading.timestamp, SPEED, reading.speed_kmh))
+            value = response_speed_kmh(frame_id, data)
+            signal = SPEED
+        if value is not None:
+            samples.append((timestamp, signal, value))
     return samples
 
 
 def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> tuple[list[Sample], float, float]:
     """The frames' samples in time order (see decode_signals) and the times
-    of the first and last frame; InferenceError for an empty log or one
-    without a decodable steering angle."""
+    of the first and last frame; InferenceError for an empty log, one
+    without a decodable steering angle, or one whose first and last frames
+    lie more than MAX_LOG_SPAN_S apart."""
     if not frames:
         raise InferenceError("empty log: nothing to infer")
-    frames = sorted(frames, key=lambda f: f.timestamp)
+    frames = sorted(frames, key=itemgetter(0))
+    t0, t_end = frames[0].timestamp, frames[-1].timestamp
+    if t_end - t0 > MAX_LOG_SPAN_S:
+        raise InferenceError(
+            f"log spans {t0!r} s to {t_end!r} s, more than {MAX_LOG_SPAN_S:.0f} s: "
+            "a stray timestamp or mixed captures"
+        )
     samples = decode_signals(frames, decoder)
     if not any(signal == ANGLE for _t, signal, _v in samples):
         raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
-    return samples, frames[0].timestamp, frames[-1].timestamp
+    return samples, t0, t_end
 
 
 def window_aggregate(samples: Sequence[Sample], previous: WindowAggregate) -> WindowAggregate:
@@ -252,9 +279,12 @@ def infer_path(
     mapmatch.GraphMatcher / ExternalMatcher); None disables snapping and
     yields the raw dead-reckoned track. Output is deterministic: identical
     inputs produce identical GPX bytes. When a batch has no match (an
-    UnmatchedGapError) its raw points are kept and noted in the
-    diagnostics, and the run goes on; any other matcher error, such as a
-    MatchServiceError, aborts the run.
+    UnmatchedGapError) or the match service fails on it (a
+    MatchServiceError), its raw points are kept and noted in the
+    diagnostics as a fallback span, merged with the span just before it,
+    and the run goes on. A MatchServiceError before any batch has matched
+    ends the run, so an unreachable service is an error, not a raw track;
+    any other matcher error ends it too.
     """
     params = params or InferenceParams()
     samples, t0, t_end = decode_log(frames, decoder)
@@ -274,8 +304,10 @@ def infer_path(
             continue
         try:
             matched = matcher.match(batch).matched_points
-        except UnmatchedGapError:
-            diag.fallback_spans.append((len(inferred), len(inferred) + len(batch) - 1))
+        except (UnmatchedGapError, MatchServiceError) as exc:
+            if isinstance(exc, MatchServiceError) and diag.batches_matched == 0:
+                raise
+            diag.add_fallback(len(inferred), len(inferred) + len(batch) - 1)
             inferred.extend(batch)
             continue
         inferred.extend(matched)

@@ -51,17 +51,26 @@ def encode_speed_response(
     return CanFrame(timestamp=timestamp, interface=interface, id=response_id, data=data)
 
 
-def decode_speed_response(frame: CanFrame) -> ObdSpeedReading | None:
-    """Decode a frame as a speed response, or None when it is not one.
+def response_speed_kmh(frame_id: int, data: bytes) -> int | None:
+    """The km/h a speed response carries, or None when the frame is not one.
 
     A speed response has an ID in 0x7E8-0x7EF (any of the up-to-eight
     responders), echoes mode 0x41 and PID 0x0D, and carries the speed in
     the fourth data byte.
     """
-    if not OBD_RESPONSE_ID_FIRST <= frame.id <= OBD_RESPONSE_ID_LAST:
+    if not OBD_RESPONSE_ID_FIRST <= frame_id <= OBD_RESPONSE_ID_LAST:
         return None
-    if len(frame.data) < 4:
+    if len(data) < 4:
         return None
-    if frame.data[1] != (0x40 | SPEED_MODE) or frame.data[2] != SPEED_PID:
+    if data[1] != (0x40 | SPEED_MODE) or data[2] != SPEED_PID:
         return None
-    return ObdSpeedReading(timestamp=frame.timestamp, speed_kmh=frame.data[3])
+    return data[3]
+
+
+def decode_speed_response(frame: CanFrame) -> ObdSpeedReading | None:
+    """Decode a frame as a speed response (see response_speed_kmh), or None
+    when it is not one."""
+    speed = response_speed_kmh(frame.id, frame.data)
+    if speed is None:
+        return None
+    return ObdSpeedReading(timestamp=frame.timestamp, speed_kmh=speed)

@@ -134,20 +134,28 @@ def rank_swa_candidates(
     return sorted(kept, key=lambda s: (s.avg_hamming, s.id))
 
 
+def payload_angle(decoder: AngleDecoder, data: bytes) -> float | None:
+    """Degrees (positive = left) that ``decoder`` reads from a payload, or
+    None when the payload is too short to hold both angle bytes."""
+    hi, lo = decoder.byte_hi, decoder.byte_lo
+    if len(data) <= hi or len(data) <= lo:
+        return None
+    word = data[hi] * 256 + data[lo]
+    if decoder.mode == TWOS_COMPLEMENT_MODE:
+        if word >= 0x8000:
+            word -= 0x10000
+        return word * decoder.scale
+    return (word - decoder.offset) * decoder.scale
+
+
 def decode_angle(decoder: AngleDecoder, frame: CanFrame) -> SteeringSample:
     """Decode one angle frame into degrees (positive = left)."""
     if frame.id != decoder.id:
         raise AngleDecodeError(f"frame ID 0x{frame.id:03X} does not match decoder 0x{decoder.id:03X}")
-    needed = max(decoder.byte_hi, decoder.byte_lo) + 1
-    if len(frame.data) < needed:
+    angle = payload_angle(decoder, frame.data)
+    if angle is None:
+        needed = max(decoder.byte_hi, decoder.byte_lo) + 1
         raise AngleDecodeError(f"payload too short: {len(frame.data)} bytes, need {needed}")
-    word = frame.data[decoder.byte_hi] * 256 + frame.data[decoder.byte_lo]
-    if decoder.mode == TWOS_COMPLEMENT_MODE:
-        if word >= 0x8000:
-            word -= 0x10000
-        angle = word * decoder.scale
-    else:
-        angle = (word - decoder.offset) * decoder.scale
     return SteeringSample(timestamp=frame.timestamp, angle_deg=angle)
 
 

@@ -10,7 +10,6 @@ curvature: yaw rate omega = v * kappa, hence delta = atan(wheelbase * kappa).
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import json
 import math
 import os
@@ -223,7 +222,8 @@ def simulate(scenario: SimScenario) -> SimResult:
     # resolves exactly to microseconds
     for i in range(1, len(frames)):
         if frames[i].timestamp <= frames[i - 1].timestamp:
-            frames[i] = dataclasses.replace(frames[i], timestamp=frames[i - 1].timestamp + 1e-6)
+            _t, interface, frame_id, data = frames[i]
+            frames[i] = CanFrame(frames[i - 1].timestamp + 1e-6, interface, frame_id, data)
 
     truth_times = [float(i) for i in range(int(t_end) + 1)]
     if not truth_times or truth_times[-1] < t_end:

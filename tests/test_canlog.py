@@ -1,4 +1,7 @@
+import copy
 import io
+import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -167,3 +170,172 @@ def test_read_log_from_stream():
     stream = io.StringIO("(1.0) can0 0C6#7DC8\n")
     frames, _ = read_log(stream)
     assert frames[0].id == 0x0C6
+
+
+# -- CanFrame contract -----------------------------------------------------------
+
+
+def test_frames_compare_and_hash_by_field():
+    a = CanFrame(1.5, "can0", 0x0C6, b"\x7f\xff")
+    b = CanFrame(timestamp=1.5, interface="can0", id=0x0C6, data=b"\x7f\xff")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.timestamp, a.interface, a.id, a.data) == (1.5, "can0", 0x0C6, b"\x7f\xff")
+    for other in (
+        CanFrame(1.6, "can0", 0x0C6, b"\x7f\xff"),
+        CanFrame(1.5, "can1", 0x0C6, b"\x7f\xff"),
+        CanFrame(1.5, "can0", 0x0C7, b"\x7f\xff"),
+        CanFrame(1.5, "can0", 0x0C6, b"\x7f"),
+    ):
+        assert a != other
+    assert repr(a) == "CanFrame(timestamp=1.5, interface='can0', id=198, data=b'\\x7f\\xff')"
+
+
+@pytest.mark.parametrize("name", ["timestamp", "interface", "id", "data", "extra"])
+def test_frame_fields_cannot_be_assigned(name):
+    frame = CanFrame(1.0, "can0", 0x0C6, b"")
+    with pytest.raises(AttributeError):
+        setattr(frame, name, 2)
+    assert frame == CanFrame(1.0, "can0", 0x0C6, b"")
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ((1.0, "can0", 0x800, b""), "identifier 0x800 out of 11-bit range"),
+        ((1.0, "can0", -1, b""), "identifier 0x-1 out of 11-bit range"),
+        ((1.0, "can0", 0x0C6, bytes(9)), "data length 9 exceeds 8 bytes"),
+        ((-0.5, "can0", 0x0C6, b""), "timestamp -0.5 not finite and non-negative"),
+        ((math.nan, "can0", 0x0C6, b""), "timestamp nan not finite and non-negative"),
+        ((math.inf, "can0", 0x0C6, b""), "timestamp inf not finite and non-negative"),
+    ],
+)
+def test_frame_construction_checks(fields, message):
+    with pytest.raises(ValueError) as positional:
+        CanFrame(*fields)
+    assert str(positional.value) == message
+    with pytest.raises(ValueError) as keyword:
+        CanFrame(**dict(zip(("timestamp", "interface", "id", "data"), fields)))
+    assert str(keyword.value) == message
+
+
+def test_frames_survive_pickle_and_copy():
+    # the tuner sends frames to worker processes
+    frame = CanFrame(2.25, "vcan0", 0x7E8, bytes([3, 0x41, 0x0D, 50]))
+    for back in (pickle.loads(pickle.dumps(frame)), copy.copy(frame), copy.deepcopy(frame)):
+        assert back == frame and type(back) is CanFrame
+
+
+def test_parse_log_skips_a_signed_identifier():
+    # int(_, 16) accepts a sign; the frame check must not abort a permissive parse
+    lines = ["(1.0) can0 -1#00", "(2.0) can0 0C6#7DC8"]
+    frames, skipped = parse_log(lines, strict=False)
+    assert frames == [CanFrame(2.0, "can0", 0x0C6, b"\x7d\xc8")]
+    assert skipped == [(1, "line 1: identifier 0x-1 out of 11-bit range")]
+
+
+# -- parse_log against a per-line reference ----------------------------------------
+
+
+def _reference_parse_line(line, line_no):
+    """The line parser as first written: strips, then checks each field in turn.
+    A signed identifier is the one change: it fails the range check here."""
+    text = line.strip()
+    close = text.find(")")
+    if not text.startswith("(") or close < 0:
+        raise LogParseError(f"missing timestamp parentheses in {text!r}", line_no)
+    ts_text = text[1:close]
+    try:
+        timestamp = float(ts_text)
+    except ValueError:
+        raise LogParseError(f"malformed timestamp {ts_text!r}", line_no) from None
+    if not (math.isfinite(timestamp) and timestamp >= 0):
+        raise LogParseError(f"malformed timestamp {ts_text!r}", line_no)
+    rest = text[close + 1 :].split()
+    if len(rest) != 2:
+        raise LogParseError(f"expected '<iface> <ID>#<DATA>' after timestamp in {text!r}", line_no)
+    interface, frame_text = rest
+    if "#" not in frame_text:
+        raise LogParseError(f"missing '#' separator in {frame_text!r}", line_no)
+    id_text, data_text = frame_text.split("#", 1)
+    try:
+        frame_id = int(id_text, 16)
+    except ValueError:
+        raise LogParseError(f"identifier {id_text!r} is not hex", line_no) from None
+    if frame_id > 0x7FF or frame_id < 0:
+        raise LogParseError(f"identifier 0x{id_text} out of 11-bit range", line_no)
+    if len(data_text) % 2 != 0:
+        raise LogParseError(f"odd-length data {data_text!r}", line_no)
+    if len(data_text) > 16:
+        raise LogParseError(f"data {data_text!r} exceeds 8 bytes", line_no)
+    try:
+        data = bytes.fromhex(data_text)
+    except ValueError:
+        raise LogParseError(f"data {data_text!r} is not hex", line_no) from None
+    return CanFrame(timestamp=timestamp, interface=interface, id=frame_id, data=data)
+
+
+def _reference_parse_log(lines):
+    frames, skipped = [], []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            frames.append(_reference_parse_line(line, line_no))
+        except LogParseError as exc:
+            skipped.append((line_no, str(exc)))
+    return frames, skipped
+
+
+@st.composite
+def _well_formed(draw):
+    frame = CanFrame(
+        round(draw(st.floats(min_value=0, max_value=2e9, allow_nan=False, allow_infinity=False)), 6),
+        draw(st.sampled_from(["can0", "vcan1", "slcan0"])),
+        draw(st.integers(min_value=0, max_value=0x7FF)),
+        draw(st.binary(max_size=8)),
+    )
+    line = format_line(frame)
+    if draw(st.booleans()):
+        line = line.lower()
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "\n", " \r\n", "\t"]))
+
+
+@st.composite
+def _log_line(draw):
+    line = draw(_well_formed())
+    kind = draw(st.sampled_from(["well-formed", "truncated", "mutated", "blank"]))
+    if kind == "truncated":
+        line = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+    elif kind == "mutated":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            at = draw(st.integers(min_value=0, max_value=len(line)))
+            char = draw(st.sampled_from(list("()#.-+_ \tx0123456789abcdefABCDEFnNiIzZ")))
+            cut = draw(st.integers(min_value=0, max_value=1))
+            line = line[:at] + char + line[at + cut :]
+    elif kind == "blank":
+        line = draw(st.sampled_from(["", " ", "\t\n", "\n"]))
+    return line
+
+
+@given(st.lists(_log_line(), max_size=20))
+def test_parse_log_equals_the_per_line_reference(lines):
+    frames, skipped = parse_log(lines, strict=False)
+    want_frames, want_skipped = _reference_parse_log(lines)
+    assert frames == want_frames and skipped == want_skipped
+    assert all(type(f) is CanFrame for f in frames)
+    if want_skipped:
+        with pytest.raises(LogParseError) as first_error:
+            parse_log(lines, strict=True)
+        assert str(first_error.value) == want_skipped[0][1]
+    else:
+        assert parse_log(lines, strict=True) == (want_frames, [])
+    for line in lines:
+        if line.strip():
+            assert _outcome(parse_line, line) == _outcome(_reference_parse_line, line)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, None)
+    except LogParseError as exc:
+        return str(exc)

@@ -155,6 +155,19 @@ def test_infer_missing_log_is_runtime_error(scenario_dir, capsys):
     assert err.startswith("error:")
 
 
+def test_infer_log_spanning_more_than_a_day_is_one_error_line(capsys, tmp_path):
+    log = tmp_path / "stray.log"
+    # a second past the limit, at 60 s windows: cheap to build even without the check
+    log.write_text("(0.000000) can0 0C6#7FFF\n(86401.000000) can0 0C6#7FFF\n")
+    code, out, err = run(
+        capsys, "infer", log, "--start", "44.65,10.92,0", "--model", "renault captur",
+        "--matcher", "none", "--params", "t_window=60",
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: log spans 0.0 s to 86401.0 s"), err
+
+
 def test_rewheel_ranks_swa_id(scenario_dir, capsys):
     code, out, err = run(capsys, "rewheel", scenario_dir / "leftturn.log")
     assert code == 0

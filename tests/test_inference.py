@@ -2,24 +2,34 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from canpath.canlog import CanFrame
 from canpath.geokin import VehiclePose, VehicleSpec, geodesic_forward, geodesic_inverse
 from canpath.inference import (
     ANGLE,
     SPEED,
+    MAX_LOG_SPAN_S,
     InferenceError,
     InferenceParams,
     WindowAggregate,
+    decode_log,
     decode_signals,
     infer_path,
     straighten,
     window_aggregate,
     window_controls,
 )
-from canpath.mapmatch import GraphMatcher
-from canpath.obd import encode_speed_response
-from canpath.reveng import AngleDecoder, encode_angle_frame
+from canpath.mapmatch import GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
+from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, decode_speed_response, encode_speed_response
+from canpath.reveng import (
+    OFFSET_MODE,
+    TWOS_COMPLEMENT_MODE,
+    AngleDecodeError,
+    AngleDecoder,
+    decode_angle,
+    encode_angle_frame,
+)
 from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
@@ -51,6 +61,74 @@ def test_decode_signals_skips_malformed_and_unrelated_frames():
     assert [(t, signal) for t, signal, _v in samples] == [(0.01, ANGLE), (0.03, SPEED)]
     assert samples[0][2] == pytest.approx(1.5)
     assert samples[1][2] == 33
+
+
+def _reference_decode_signals(frames, decoder):
+    """decode_signals through the public per-frame decoders and their objects."""
+    samples = []
+    for frame in frames:
+        if frame.id == decoder.id:
+            try:
+                samples.append((frame.timestamp, ANGLE, decode_angle(decoder, frame).angle_deg))
+            except AngleDecodeError:
+                continue
+        else:
+            reading = decode_speed_response(frame)
+            if reading is not None:
+                samples.append((reading.timestamp, SPEED, reading.speed_kmh))
+    return samples
+
+
+_DECODER_IDS = (0x0C6, 0x2F5, OBD_RESPONSE_ID_FIRST)
+_FRAME_IDS = _DECODER_IDS + (0x7DF, OBD_RESPONSE_ID_FIRST - 1, OBD_RESPONSE_ID_LAST + 1) + tuple(
+    range(OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST + 1)
+)
+
+
+@st.composite
+def _decoders(draw):
+    byte_hi = draw(st.integers(min_value=0, max_value=7))
+    byte_lo = draw(st.integers(min_value=0, max_value=7).filter(lambda b: b != byte_hi))
+    return AngleDecoder(
+        id=draw(st.sampled_from(_DECODER_IDS)),
+        byte_hi=byte_hi,
+        byte_lo=byte_lo,
+        offset=draw(st.integers(min_value=0, max_value=0xFFFF)),
+        scale=draw(st.sampled_from([0.01, 0.1, 1 / 3, 0.0625, 1.0])),
+        mode=draw(st.sampled_from([OFFSET_MODE, TWOS_COMPLEMENT_MODE])),
+    )
+
+
+_payloads = st.one_of(
+    st.binary(max_size=8),
+    # speed-response shaped, some with a wrong mode or PID byte
+    st.builds(
+        lambda mode, pid, kmh, tail: bytes([0x03, mode, pid, kmh]) + tail,
+        st.sampled_from([0x41, 0x01, 0x42]),
+        st.sampled_from([0x0D, 0x0C]),
+        st.integers(min_value=0, max_value=255),
+        st.binary(max_size=4),
+    ),
+)
+
+
+def _frames(decoder):
+    return st.builds(
+        CanFrame,
+        timestamp=st.floats(min_value=0, max_value=2e9, allow_nan=False, allow_infinity=False),
+        interface=st.just("can0"),
+        id=st.one_of(st.just(decoder.id), st.sampled_from(_FRAME_IDS)),
+        data=_payloads,
+    )
+
+
+@given(_decoders(), st.data())
+def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
+    frames = data.draw(st.lists(_frames(decoder), max_size=30))
+    samples = decode_signals(frames, decoder)
+    want = _reference_decode_signals(frames, decoder)
+    assert samples == want
+    assert [type(v) for _t, _s, v in samples] == [type(v) for _t, _s, v in want]
 
 
 def test_window_aggregate_means_and_unit_conversion():
@@ -126,6 +204,25 @@ def test_log_without_steering_frames_is_an_error():
     frames = [speed_frame(t / 10.0, 30) for t in range(20)]
     with pytest.raises(InferenceError, match="0x0C6"):
         infer_path(frames, DECODER, DEFAULT_VEHICLE, VehiclePose(44.65, 10.92, 0.0))
+
+
+def test_log_spanning_more_than_a_day_is_an_error():
+    # one frame stamped 0 in an epoch-stamped log would ask for ~1.7e10
+    # windows; one second past the limit is as cheap to build without the check
+    last = MAX_LOG_SPAN_S + 1.0
+    frames = [angle_frame(0.0, 0.0), speed_frame(0.5, 30), angle_frame(last, 0.0)]
+    with pytest.raises(InferenceError) as exc:
+        infer_path(frames, DECODER, DEFAULT_VEHICLE, VehiclePose(44.65, 10.92, 0.0), InferenceParams(t_window=60.0))
+    assert "0.0 s" in str(exc.value) and f"{last!r} s" in str(exc.value)
+
+
+def test_log_spanning_exactly_a_day_is_windowed():
+    frames = [angle_frame(0.0, 0.0), speed_frame(0.5, 30), angle_frame(MAX_LOG_SPAN_S, 0.0)]
+    samples, t0, t_end = decode_log(frames, DECODER)
+    assert (t0, t_end, len(samples)) == (0.0, MAX_LOG_SPAN_S, 3)
+    start = VehiclePose(44.65, 10.92, 0.0)
+    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(t_window=60.0))
+    assert result.diagnostics.windows == 1441
 
 
 def _straight_log(n_windows=100, kmh=36, t_window=0.1):
@@ -210,9 +307,55 @@ def test_matcher_gap_falls_back_to_raw_points():
     result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), NoMatch())
     assert len(result.track) == 60  # raw points kept
     assert result.diagnostics.batches_matched == 0
-    assert len(result.diagnostics.fallback_spans) == 2  # 30-window batches
+    assert result.diagnostics.fallback_spans == [(0, 59)]  # two 30-window batches, merged
     assert "raw points kept" in result.diagnostics.report()
     assert _sha(result.gpx) == "f128f1393eef9a46fe56768f58eed7da9844dc29e3323a0273bcf4012551a2e0"
+
+
+class _ScriptedMatcher:
+    """Answers batch k with outcomes[k]: None returns the points unsnapped,
+    an exception class is raised."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+
+    def match(self, points):
+        outcome = self.outcomes.pop(0)
+        if outcome is None:
+            return MatchResult(matched_points=tuple(points))
+        raise outcome(0) if outcome is UnmatchedGapError else outcome("service unreachable")
+
+
+def test_service_outage_mid_track_keeps_raw_points():
+    frames = _straight_log(n_windows=150)
+    start = VehiclePose(44.65, 10.92, 90.0)
+    raw = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), None)
+    matcher = _ScriptedMatcher(None, MatchServiceError, UnmatchedGapError, MatchServiceError, None)
+    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), matcher)
+    assert result.diagnostics.batches_matched == 2
+    # three failed batches in a row make one span
+    assert result.diagnostics.fallback_spans == [(30, 119)]
+    assert "raw points kept for track indices 30-119" in result.diagnostics.report()
+    # the unsnapped matcher adds no carry, so the track is the raw one
+    assert result.gpx == raw.gpx
+
+
+def test_fallback_spans_merge_only_when_adjacent():
+    frames = _straight_log(n_windows=150)
+    start = VehiclePose(44.65, 10.92, 90.0)
+    matcher = _ScriptedMatcher(None, UnmatchedGapError, None, MatchServiceError, MatchServiceError)
+    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), matcher)
+    assert result.diagnostics.fallback_spans == [(30, 59), (90, 149)]
+
+
+@pytest.mark.parametrize(
+    "outcomes", [(MatchServiceError,), (UnmatchedGapError, MatchServiceError, None)], ids=["first", "after-a-gap"]
+)
+def test_service_outage_before_any_match_is_an_error(outcomes):
+    # an unreachable service must end the run, not leave a silent raw track
+    frames = _straight_log(n_windows=90)
+    with pytest.raises(MatchServiceError, match="unreachable"):
+        infer_path(frames, DECODER, DEFAULT_VEHICLE, VehiclePose(44.65, 10.92, 90.0), None, _ScriptedMatcher(*outcomes))
 
 
 def test_gpx_bytes_are_pinned():

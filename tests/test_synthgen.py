@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from canpath import synthgen
+from canpath.canlog import CanFrame
 from canpath.geokin import geodesic_inverse
 from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
@@ -105,14 +107,24 @@ def test_log_timestamps_strictly_increase():
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
-def test_timestamps_strictly_increase_even_when_rates_collide():
+def test_timestamps_strictly_increase_even_when_rates_collide(monkeypatch):
     # at 200 Hz steering, OBD samples (obd_period/20 phase) land exactly on
     # steering ticks; the log must still be strictly ordered
     sc = turn_left_90()
     sc.swa_rate = 200.0
+    nudged = []
+
+    def checked_frame(*args):
+        nudged.append(CanFrame(*args))
+        return nudged[-1]
+
+    # the nudge builds its frame through the checking constructor
+    monkeypatch.setattr(synthgen, "CanFrame", checked_frame)
     sim = simulate(sc)
     times = [f.timestamp for f in sim.frames]
     assert all(a < b for a, b in zip(times, times[1:]))
+    assert nudged and all(f in sim.frames for f in nudged)
+    assert all(type(f) is CanFrame for f in sim.frames)
 
 
 def test_truth_sampled_at_one_hertz():

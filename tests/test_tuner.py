@@ -6,8 +6,9 @@ import pytest
 
 from canpath import tuner
 from canpath.geokin import VehiclePose
-from canpath.inference import InferenceParams, infer_path
+from canpath.inference import MAX_LOG_SPAN_S, InferenceError, InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
+from canpath.reveng import encode_angle_frame
 from canpath.scenarios import (
     DEFAULT_DECODER,
     DEFAULT_VEHICLE,
@@ -115,6 +116,28 @@ def test_failed_track_scores_zero(one_track):
     assert rows[0].per_track[1] == 0.0
     assert rows[0].per_track[0] > 0.9
     assert rows[0].mean_accuracy == pytest.approx(rows[0].per_track[0] / 2)
+
+
+def test_track_with_a_stray_timestamp_scores_zero_once(one_track, monkeypatch):
+    track, graph = one_track
+    # one steering frame a day and a second after the drive; at 60 s
+    # windows the log would still be only 1,441 windows long
+    stray_frame = encode_angle_frame(track.decoder, track.frames[-1].timestamp + MAX_LOG_SPAN_S + 1.0, 0.0)
+    stray = replace(track, name="stray", frames=track.frames + (stray_frame,))
+    raised = []
+
+    def recording_infer_path(*args, **kwargs):
+        try:
+            return infer_path(*args, **kwargs)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(tuner, "infer_path", recording_infer_path)
+    grids = {"t_window": (60.0,), "speed_max": (40.0, 50.0), "steer_max": (35.0,), "max_interpolation_points": (30,)}
+    rows = grid_search([track, stray], graph, grids=grids)
+    assert raised == [InferenceError]
+    assert [row.per_track[1] for row in rows] == [0.0, 0.0]
 
 
 def test_parallel_equals_serial():
