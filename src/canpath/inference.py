@@ -49,6 +49,12 @@ class InferenceError(ValueError):
 # for about 1.7e10 windows) or several captures run together.
 MAX_LOG_SPAN_S = 24 * 3600.0
 
+# Consecutive batches the match service may fail on (MatchServiceError)
+# before the rest of the drive is no longer sent: each failure can wait out
+# the service's timeout, so a service that hangs mid-track costs this many
+# timeouts, not one per remaining batch.
+MAX_SERVICE_FAILURES = 2
+
 
 @dataclass(frozen=True)
 class InferenceParams:
@@ -282,9 +288,11 @@ def infer_path(
     UnmatchedGapError) or the match service fails on it (a
     MatchServiceError), its raw points are kept and noted in the
     diagnostics as a fallback span, merged with the span just before it,
-    and the run goes on. A MatchServiceError before any batch has matched
-    ends the run, so an unreachable service is an error, not a raw track;
-    any other matcher error ends it too.
+    and the run goes on. After MAX_SERVICE_FAILURES batches in a row fail
+    with a MatchServiceError, later batches are not sent and keep their raw
+    points in the same span. A MatchServiceError before any batch has
+    matched ends the run, so an unreachable service is an error, not a raw
+    track; any other matcher error ends it too.
     """
     params = params or InferenceParams()
     samples, t0, t_end = decode_log(frames, decoder)
@@ -294,6 +302,7 @@ def infer_path(
     inferred: list[LatLon] = []
     diag = Diagnostics(windows=len(controls))
     size = params.max_interpolation_points
+    service_failures = 0
     for first in range(0, len(controls), size):
         batch, pose, prev_start = dead_reckon(
             controls[first:first + size], pose, prev_start, carry, vehicle.wheelbase, params.t_window
@@ -302,11 +311,18 @@ def infer_path(
         if matcher is None:
             inferred.extend(batch)
             continue
-        try:
-            matched = matcher.match(batch).matched_points
-        except (UnmatchedGapError, MatchServiceError) as exc:
-            if isinstance(exc, MatchServiceError) and diag.batches_matched == 0:
-                raise
+        matched = None
+        if service_failures < MAX_SERVICE_FAILURES:
+            try:
+                matched = matcher.match(batch).matched_points
+                service_failures = 0
+            except UnmatchedGapError:
+                service_failures = 0
+            except MatchServiceError:
+                if diag.batches_matched == 0:
+                    raise
+                service_failures += 1
+        if matched is None:
             diag.add_fallback(len(inferred), len(inferred) + len(batch) - 1)
             inferred.extend(batch)
             continue

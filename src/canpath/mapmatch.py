@@ -101,6 +101,16 @@ def sequence_logweight(
 def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherConfig) -> MatchResult:
     """Maximum-weight candidate sequence via dynamic programming.
 
+    Each step visits the previous candidates in descending score order
+    (a stable sort, so equal scores keep ascending index) and stops at the
+    first whose score is below the best weight found so far. This is exact:
+    ``transition_logweight`` is never positive and float addition rounds
+    monotonically, so a previous candidate's weight ``w`` is at most its
+    score; a skipped one can neither beat nor tie the best. Among equal
+    weights the lowest index (smallest edge id) wins, as in a full scan in
+    index order. Skipping a ``route_distance`` call changes only which
+    paused searches run, and node distances are exact in any call order.
+
     Raises UnmatchedGapError naming the first point without a usable candidate.
     """
     if not points:
@@ -116,15 +126,20 @@ def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherCon
     backrefs: list[list[int]] = []
     for t in range(1, len(points)):
         gc = geodesic_inverse(points[t - 1], points[t])[0]
+        prev_cands = candidates[t - 1]
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         new_scores = []
         back = []
         for cand in candidates[t]:
             best = -math.inf
             best_prev = 0
-            for prev_idx, prev in enumerate(candidates[t - 1]):
-                route = route_distance(graph, prev.point, cand.point)
-                w = scores[prev_idx] + transition_logweight(gc, route, config.transition_beta)
-                if w > best:  # strict: earlier (smaller edge id) wins ties
+            for prev_idx in order:
+                score = scores[prev_idx]
+                if score < best:
+                    break
+                route = route_distance(graph, prev_cands[prev_idx].point, cand.point)
+                w = score + transition_logweight(gc, route, config.transition_beta)
+                if w > best or (w == best and prev_idx < best_prev):
                     best = w
                     best_prev = prev_idx
             new_scores.append(best + emission_logweight(cand.perp_m, config.emission_sigma))

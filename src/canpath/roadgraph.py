@@ -41,6 +41,8 @@ _MAX_SEGMENT_CELLS = 1_000_000
 # Query boxes are widened by 0.1 mm so rounding in the projection arithmetic
 # can never leave a segment within the radius outside the box.
 _PAD_DEG = 1e-9
+# (lat_lo, lat_hi, lon_lo, lon_hi) of a query box that clips no segment
+_UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 class GraphFormatError(ValueError):
@@ -212,21 +214,42 @@ class RoadGraph:
                 for j in range(j0, j1 + 1):
                     self._cells.setdefault((i, j), []).append((edge.id, seg))
 
-    def _project(self, edge: Edge, segs: Iterable[int], lat: float, lon: float, kx: float) -> Candidate:
-        """Nearest point of the given segments of an edge, in local meters;
-        ``kx`` is ``DEG_M * math.cos(math.radians(lat))``, metres per degree
-        of longitude at the query.
+    def _project(
+        self,
+        edge: Edge,
+        segs: Iterable[int],
+        lat: float,
+        lon: float,
+        kx: float,
+        radius_m: float = math.inf,
+        bounds: tuple[float, float, float, float] = _UNBOUNDED,
+    ) -> Candidate | None:
+        """Nearest point of the given segments of an edge, in local meters,
+        or None when it is farther than ``radius_m``; ``kx`` is
+        ``DEG_M * math.cos(math.radians(lat))``, metres per degree of
+        longitude at the query.
 
-        Segments are tried in the order given and a later one wins only when
-        strictly nearer, so ascending order keeps the lowest segment on ties.
+        ``bounds`` is the padded query box (lat_lo, lat_hi, lon_lo, lon_hi);
+        a segment whose two ends both lie beyond the same side of it is
+        skipped (see ``nearest_edges``). Segments are tried in the order
+        given and a later one wins only when strictly nearer, so ascending
+        order keeps the lowest segment on ties.
         """
         ky = DEG_M
         geometry = edge.geometry
+        lat_lo, lat_hi, lon_lo, lon_hi = bounds
         best_dist = math.inf
         best_seg = -1
         best_t = 0.0
         for seg in segs:
             (alat, alon), (blat, blon) = geometry[seg], geometry[seg + 1]
+            if (
+                (alat > lat_hi and blat > lat_hi)
+                or (alat < lat_lo and blat < lat_lo)
+                or (alon > lon_hi and blon > lon_hi)
+                or (alon < lon_lo and blon < lon_lo)
+            ):
+                continue
             ax, ay = (alon - lon) * kx, (alat - lat) * ky
             bx, by = (blon - lon) * kx, (blat - lat) * ky
             dx, dy = bx - ax, by - ay
@@ -235,6 +258,8 @@ class RoadGraph:
             dist = math.hypot(ax + t * dx, ay + t * dy)
             if dist < best_dist or best_seg < 0:
                 best_dist, best_seg, best_t = dist, seg, t
+        if best_seg < 0 or best_dist > radius_m:
+            return None
         (alat, alon), (blat, blon) = geometry[best_seg], geometry[best_seg + 1]
         t, cum = best_t, edge.cum_m
         offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
@@ -260,21 +285,29 @@ class RoadGraph:
         the index's own cells are filtered instead. The index is fixed after
         load, so a box's (edge, segments) groups are built on its first query
         and reused.
+
+        Within a group, ``_project`` skips a segment whose two ends lie beyond
+        the same side of the query box. Every point of such a segment lies
+        beyond that side too, more than ``radius_m`` away in ``_project``'s
+        metric by the ``_PAD_DEG`` pad, so it is never a hit, never an
+        edge's nearest segment within the radius and never part of a tie.
+        An ``EdgePoint`` and ``Candidate`` are built only for a hit.
         """
         kx = DEG_M * math.cos(math.radians(lat))
         dlat = radius_m / DEG_M + _PAD_DEG
         dlon = radius_m / abs(kx) + _PAD_DEG
+        bounds = (lat - dlat, lat + dlat, lon - dlon, lon + dlon)
         box = (
-            int((lat - dlat) // _CELL_DEG), int((lat + dlat) // _CELL_DEG),
-            int((lon - dlon) // _CELL_DEG), int((lon + dlon) // _CELL_DEG),
+            int(bounds[0] // _CELL_DEG), int(bounds[1] // _CELL_DEG),
+            int(bounds[2] // _CELL_DEG), int(bounds[3] // _CELL_DEG),
         )
         groups = self._boxes.get(box)
         if groups is None:
             groups = self._boxes[box] = self._box_groups(*box)
         hits = []
         for edge, segs in groups:
-            hit = self._project(edge, segs, lat, lon, kx)
-            if hit.perp_m <= radius_m:
+            hit = self._project(edge, segs, lat, lon, kx, radius_m, bounds)
+            if hit is not None:
                 hits.append(hit)
         hits.sort(key=lambda h: (h.perp_m, h.edge_id))
         return hits[:max_results]

@@ -10,6 +10,7 @@ from canpath.inference import (
     ANGLE,
     SPEED,
     MAX_LOG_SPAN_S,
+    MAX_SERVICE_FAILURES,
     InferenceError,
     InferenceParams,
     WindowAggregate,
@@ -20,7 +21,7 @@ from canpath.inference import (
     window_aggregate,
     window_controls,
 )
-from canpath.mapmatch import GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
+from canpath.mapmatch import ExternalMatcher, GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
 from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, decode_speed_response, encode_speed_response
 from canpath.reveng import (
     OFFSET_MODE,
@@ -346,6 +347,45 @@ def test_fallback_spans_merge_only_when_adjacent():
     matcher = _ScriptedMatcher(None, UnmatchedGapError, None, MatchServiceError, MatchServiceError)
     result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), matcher)
     assert result.diagnostics.fallback_spans == [(30, 59), (90, 149)]
+
+
+class _ScriptedSession:
+    """A match service transport: request k is answered with the points it
+    sent when up[k] is true, and times out when it is false or past the end."""
+
+    def __init__(self, *up):
+        self.up = list(up)
+        self.posts = 0
+
+    def post(self, url, json, timeout):
+        self.posts += 1
+        if not (self.up and self.up.pop(0)):
+            raise TimeoutError("timed out")
+        return _StubReply({"matched_points": json["shape"]})
+
+
+class _StubReply:
+    status_code = 200
+
+    def __init__(self, document):
+        self.document = document
+
+    def json(self):
+        return self.document
+
+
+def test_service_outage_stops_sending_after_consecutive_failures():
+    frames = _straight_log(n_windows=300)  # ten 30-window batches
+    start = VehiclePose(44.65, 10.92, 90.0)
+    raw = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), None)
+    # one failure between two matches resets the count; the next two in a row end sending
+    session = _ScriptedSession(True, False, True, *[False] * MAX_SERVICE_FAILURES)
+    matcher = ExternalMatcher("http://matcher.local/trace_attributes", session=session)
+    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), matcher)
+    assert session.posts == 3 + MAX_SERVICE_FAILURES
+    assert result.diagnostics.batches_matched == 2
+    assert result.diagnostics.fallback_spans == [(30, 59), (90, 299)]
+    assert result.gpx == raw.gpx
 
 
 @pytest.mark.parametrize(

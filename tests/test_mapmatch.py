@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import socket
 import threading
 import urllib.error
@@ -7,23 +8,29 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from canpath import mapmatch
 from canpath.geokin import geodesic_inverse
 from canpath.mapmatch import (
     ExternalMatcher,
     MatcherConfig,
+    MatchResult,
     MatchServiceError,
     UnmatchedGapError,
     build_external_request,
     candidates_for_point,
+    emission_logweight,
     parse_external_response,
     sequence_logweight,
+    transition_logweight,
     viterbi_match,
 )
+from canpath.roadgraph import RoadGraph, route_distance
 
 from helpers import (
     arc_graph,
     brute_force_best_match_score,
     grid3,
+    grid_text,
     match_score_of_result,
     offset_point,
     straight_graph,
@@ -154,6 +161,152 @@ def test_tie_break_prefers_smaller_edge_id():
     junction = graph.nodes[graph.edges[1].node_to]
     result = viterbi_match(graph, [junction], CONFIG)
     assert result.edge_ids == (1,)
+
+
+def reference_viterbi_match(graph, points, config):
+    """Reference: the Viterbi loop as it was before score-ordered pruning,
+    every previous candidate scored for every candidate, in index order."""
+    candidates = []
+    for i, (lat, lon) in enumerate(points):
+        cands = candidates_for_point(graph, lat, lon, config)
+        if not cands:
+            raise UnmatchedGapError(i)
+        candidates.append(cands)
+
+    scores = [emission_logweight(c.perp_m, config.emission_sigma) for c in candidates[0]]
+    backrefs = []
+    for t in range(1, len(points)):
+        gc = geodesic_inverse(points[t - 1], points[t])[0]
+        new_scores = []
+        back = []
+        for cand in candidates[t]:
+            best = -math.inf
+            best_prev = 0
+            for prev_idx, prev in enumerate(candidates[t - 1]):
+                route = route_distance(graph, prev.point, cand.point)
+                w = scores[prev_idx] + transition_logweight(gc, route, config.transition_beta)
+                if w > best:  # strict: earlier (smaller edge id) wins ties
+                    best = w
+                    best_prev = prev_idx
+            new_scores.append(best + emission_logweight(cand.perp_m, config.emission_sigma))
+            back.append(best_prev)
+        if all(math.isinf(s) and s < 0 for s in new_scores):
+            raise UnmatchedGapError(t, f"no feasible road continuation at point {t}")
+        scores = new_scores
+        backrefs.append(back)
+
+    best_idx = 0
+    best_score = -math.inf
+    for idx, score in enumerate(scores):
+        if score > best_score:
+            best_score = score
+            best_idx = idx
+
+    chain = [best_idx]
+    for back in reversed(backrefs):
+        chain.append(back[chain[-1]])
+    chain.reverse()
+
+    chosen = [candidates[t][idx] for t, idx in enumerate(chain)]
+    return MatchResult(
+        matched_points=tuple((c.point.lat, c.point.lon) for c in chosen),
+        edge_ids=tuple(c.edge_id for c in chosen),
+    )
+
+
+GRID = grid_text(44.65, 10.92)  # two-way rows, one-way (northbound) columns
+
+
+def _grid_walk(graph, rng, steps, noise_m):
+    """A random legal drive over the grid: each point 5-25 m further along
+    the road than the last, with up to ``noise_m`` of noise; it ends early
+    at a node with no way out."""
+    edge = graph.edges[rng.choice(sorted(graph.edges))]
+    forward, along = True, rng.uniform(0, edge.length_m)
+    points = []
+    for _ in range(steps):
+        along += rng.uniform(5.0, 25.0)
+        if along > edge.length_m:
+            node = edge.node_to if forward else edge.node_from
+            ways = [(e, True) for e in graph.edges.values() if e.node_from == node and e is not edge]
+            ways += [(e, False) for e in graph.edges.values() if e.bidirectional and e.node_to == node and e is not edge]
+            if not ways:
+                break
+            edge, forward = ways[rng.randrange(len(ways))]
+            along = rng.uniform(0, 20.0)
+        offset = along if forward else edge.length_m - along
+        east, north = rng.uniform(-noise_m, noise_m), rng.uniform(-noise_m, noise_m)
+        points.append(offset_point(graph, edge.id, offset, east_m=east, north_m=north))
+    return points
+
+
+def _assert_same_as_reference(points, config):
+    """viterbi_match and the reference give equal results, or raise at the
+    same point, each on its own freshly loaded graph."""
+    try:
+        want = reference_viterbi_match(RoadGraph.from_text(GRID), points, config)
+    except UnmatchedGapError as exc:
+        with pytest.raises(UnmatchedGapError) as err:
+            viterbi_match(RoadGraph.from_text(GRID), points, config)
+        assert err.value.point_index == exc.point_index
+        return exc.point_index
+    assert viterbi_match(RoadGraph.from_text(GRID), points, config) == want
+    return None
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CONFIG, MatcherConfig(emission_sigma=1e9), MatcherConfig(candidate_radius=25.0, max_candidates=3)],
+    ids=["default", "flat-scores", "few-candidates"],
+)
+def test_viterbi_equals_the_reference_on_random_grid_drives(config):
+    graph = RoadGraph.from_text(GRID)
+    rng = random.Random(23)
+    gaps = [_assert_same_as_reference(_grid_walk(graph, rng, 25, 8.0), config) for _ in range(12)]
+    assert gaps.count(None) >= 10  # most drives match end to end
+    # unrelated points: transitions that one-way columns may make infeasible
+    lats = [lat for lat, _lon in graph.nodes.values()]
+    lons = [lon for _lat, lon in graph.nodes.values()]
+    for _ in range(12):
+        points = [(rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons))) for _ in range(8)]
+        _assert_same_as_reference(points, config)
+
+
+@pytest.mark.parametrize("config", [CONFIG, MatcherConfig(emission_sigma=1e9)], ids=["default", "flat-scores"])
+def test_viterbi_equals_the_reference_on_nodes(config):
+    # every edge meeting at a node is a candidate at distance 0, so scores tie
+    graph = RoadGraph.from_text(GRID)
+    rng = random.Random(29)
+    nodes = sorted(graph.nodes)
+    row = [graph.nodes[n] for n in nodes[:4]]
+    _assert_same_as_reference(row + row[::-1], config)
+    for _ in range(10):
+        _assert_same_as_reference([graph.nodes[rng.choice(nodes)] for _ in range(6)], config)
+
+
+def test_viterbi_equals_the_reference_with_no_feasible_continuation():
+    # southward on a northbound column: no route leads back down it
+    graph = RoadGraph.from_text(GRID)
+    column = next(e.id for e in graph.edges.values() if not e.bidirectional)
+    points = [offset_point(graph, column, offset) for offset in (40.0, 50.0, 30.0, 20.0)]
+    config = MatcherConfig(candidate_radius=5.0)
+    assert _assert_same_as_reference(points, config) == 2
+
+
+def test_viterbi_scores_fewer_transitions_than_the_full_product(monkeypatch):
+    graph = RoadGraph.from_text(GRID)
+    points = _grid_walk(graph, random.Random(31), 40, 4.0)
+    counts = [len(candidates_for_point(graph, lat, lon, CONFIG)) for lat, lon in points]
+    calls = [0]
+    real_route_distance = mapmatch.route_distance
+
+    def counting_route_distance(graph, a, b):
+        calls[0] += 1
+        return real_route_distance(graph, a, b)
+
+    monkeypatch.setattr(mapmatch, "route_distance", counting_route_distance)
+    viterbi_match(graph, points, CONFIG)
+    assert calls[0] < sum(a * b for a, b in zip(counts, counts[1:]))
 
 
 # -- external backend -------------------------------------------------------------

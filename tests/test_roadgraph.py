@@ -7,10 +7,10 @@ import pytest
 from canpath.geokin import DEG_M, geodesic_inverse
 from canpath import mapmatch, roadgraph
 from canpath.mapmatch import GraphMatcher
-from canpath.roadgraph import _CELL_DEG, EdgePoint, GraphFormatError, RoadGraph, route_distance
+from canpath.roadgraph import _CELL_DEG, _PAD_DEG, Candidate, EdgePoint, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
-from helpers import all_simple_path_distances, offset_point, straight_graph, triangle_graph, y_junction
+from helpers import all_simple_path_distances, grid_text, offset_point, straight_graph, triangle_graph, y_junction
 
 GRAPH_TEXT = """\
 # two nodes, one edge with an intermediate point
@@ -119,27 +119,6 @@ def brute_force_nearest(graph, lat, lon, radius_m, max_results):
     return hits[:max_results]
 
 
-def _grid_text(lat0, lon0, n=4, step_deg=0.0007, vertex_deg=0.00009):
-    """n x n street grid with ~78 m blocks and a vertex every ~10 m."""
-    lines, edge_id = [], 1
-    for r in range(n):
-        for c in range(n):
-            lines.append(f"node {r * n + c} {lat0 + r * step_deg:.9f} {lon0 + c * step_deg:.9f}")
-    mids = [k * vertex_deg for k in range(1, int(step_deg / vertex_deg))]
-    for r in range(n):
-        for c in range(n):
-            lat, lon = lat0 + r * step_deg, lon0 + c * step_deg
-            if c + 1 < n:
-                pts = " ".join(f"{lat:.9f} {lon + d:.9f}" for d in mids)
-                lines.append(f"edge {edge_id} {r * n + c} {r * n + c + 1} 1 {pts}")
-                edge_id += 1
-            if r + 1 < n:
-                pts = " ".join(f"{lat + d:.9f} {lon:.9f}" for d in mids)
-                lines.append(f"edge {edge_id} {r * n + c} {(r + 1) * n + c} 0 {pts}")
-                edge_id += 1
-    return "\n".join(lines) + "\n"
-
-
 def _arc_graph():
     """A 600 m edge whose 300 m arc has a vertex every 2 m, plus a parallel
     straight 30 m to one side."""
@@ -149,11 +128,24 @@ def _arc_graph():
 
 
 def _assert_same_as_brute_force(graph, points, radii=(3.0, 20.0, 50.0, 150.0), max_results=(1, 3, 50)):
-    for lat, lon in points:
-        for radius in radii:
-            for k in max_results:
-                got = graph.nearest_edges(lat, lon, radius, k)
-                assert got == brute_force_nearest(graph, lat, lon, radius, k), (lat, lon, radius, k)
+    """nearest_edges equals the brute-force lookup, and builds a Candidate
+    only for an edge within the radius."""
+    built = [0]
+
+    def counting_candidate(point, perp_m):
+        built[0] += 1
+        return Candidate(point, perp_m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roadgraph, "Candidate", counting_candidate)
+        for lat, lon in points:
+            for radius in radii:
+                within = brute_force_nearest(graph, lat, lon, radius, len(graph.edges))
+                for k in max_results:
+                    built[0] = 0
+                    got = graph.nearest_edges(lat, lon, radius, k)
+                    assert got == within[:k], (lat, lon, radius, k)
+                    assert built[0] == len(within), (lat, lon, radius, k)
 
 
 def _random_points(graph, rng, n, margin_deg=0.0015):
@@ -167,7 +159,7 @@ def _random_points(graph, rng, n, margin_deg=0.0015):
 
 
 def test_nearest_edges_equals_brute_force_on_a_grid():
-    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
     _assert_same_as_brute_force(graph, _random_points(graph, random.Random(3), 150))
 
 
@@ -178,12 +170,12 @@ def test_nearest_edges_equals_brute_force_on_a_dense_arc():
 
 
 def test_nearest_edges_equals_brute_force_at_latitude_70():
-    graph = RoadGraph.from_text(_grid_text(70.0, 25.0))
+    graph = RoadGraph.from_text(grid_text(70.0, 25.0))
     _assert_same_as_brute_force(graph, _random_points(graph, random.Random(9), 100))
 
 
 def test_nearest_edges_equals_brute_force_on_cell_boundaries():
-    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
     i = round(44.6505 / _CELL_DEG)
     j = round(10.9205 / _CELL_DEG)
     points = []
@@ -198,6 +190,46 @@ def test_nearest_edges_equals_brute_force_on_cell_boundaries():
     # node and vertex positions sit on a 1e-9 degree lattice, some on boundaries
     points += [graph.nodes[n] for n in graph.nodes]
     _assert_same_as_brute_force(graph, points)
+
+
+def _on_box_side(target, half_width, sign):
+    """A query coordinate q whose box side ``q + sign * half_width``, as
+    nearest_edges computes it, is exactly ``target``; None if no float is."""
+    step = sign * half_width
+    q = target - step
+    for _ in range(4):
+        if q + step == target:
+            return q
+        q = math.nextafter(q, math.inf if q + step < target else -math.inf)
+    return None
+
+
+def test_nearest_edges_equals_brute_force_with_a_vertex_on_the_box_side():
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
+    rng = random.Random(37)
+    vertices = rng.sample([v for edge in graph.edges.values() for v in edge.geometry], 40)
+    for radius in (3.0, 20.0, 50.0):
+        points = []
+        for vlat, vlon in vertices:
+            # the vertex on the box's north side, then on its west side
+            points.append((_on_box_side(vlat, radius / DEG_M + _PAD_DEG, 1), vlon))
+            lat = vlat + rng.uniform(-2e-4, 2e-4)
+            points.append((lat, _on_box_side(vlon, radius / abs(DEG_M * math.cos(math.radians(lat))) + _PAD_DEG, -1)))
+        points = [p for p in points if None not in p]
+        assert len(points) > len(vertices) * 3 / 2
+        _assert_same_as_brute_force(graph, points, radii=(radius,))
+
+
+def test_nearest_edges_equals_brute_force_at_a_radius_equal_to_a_distance():
+    # the radius is an edge's exact perpendicular distance, so <= decides
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
+    rng = random.Random(41)
+    vertices = [v for edge in graph.edges.values() for v in edge.geometry]
+    for lat, lon in _random_points(graph, rng, 20) + rng.sample(vertices, 10):
+        distances = sorted({graph.project_to_edge(e, lat, lon).perp_m for e in graph.edges})
+        for radius in distances[:4]:
+            assert brute_force_nearest(graph, lat, lon, radius, 50)[-1].perp_m == radius
+            _assert_same_as_brute_force(graph, [(lat, lon)], radii=(radius, math.nextafter(radius, 0)))
 
 
 def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
@@ -223,7 +255,7 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
 def test_nearest_edges_equals_brute_force_on_repeated_boxes():
     # several points a few centimetres apart in each of three cells, taken in
     # turn, so a box's second query comes after other boxes' first ones
-    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
     rng = random.Random(13)
     centres = [((i + 0.5) * _CELL_DEG, (j + 0.5) * _CELL_DEG) for i, j in ((89301, 21841), (89302, 21843), (89303, 21842))]
     points = [
@@ -235,7 +267,7 @@ def test_nearest_edges_equals_brute_force_on_repeated_boxes():
     assert len(graph._boxes) == len(centres) * 4  # one box per cell and radius
     # near the pole a box holds more cells than the index: the same points
     # again, after others, are answered from that branch's groups
-    polar = RoadGraph.from_text(_grid_text(89.99, 10.0))
+    polar = RoadGraph.from_text(grid_text(89.99, 10.0))
     points = _random_points(polar, random.Random(17), 6, margin_deg=0.0005)
     _assert_same_as_brute_force(polar, points + points[::-1])
     assert len(polar._boxes) == len(points) * 4
@@ -275,7 +307,7 @@ def _boundary_graph():
     "make_graph",
     [
         _boundary_graph,
-        lambda: RoadGraph.from_text(_grid_text(-33.45, -70.66)),
+        lambda: RoadGraph.from_text(grid_text(-33.45, -70.66)),
         _arc_graph,
     ],
     ids=["boundaries", "southwest-grid", "dense-arc"],
@@ -452,7 +484,7 @@ edge 5 4 5 0
 @pytest.mark.parametrize(
     "make_graph",
     [
-        lambda: RoadGraph.from_text(_grid_text(44.65, 10.92, n=5)),
+        lambda: RoadGraph.from_text(grid_text(44.65, 10.92, n=5)),
         _one_way_graph,
         _two_component_graph,
         _tied_graph,
@@ -526,7 +558,7 @@ def reference_route_distance(graph, a, b, node_distance):
 @pytest.mark.parametrize(
     "make_graph",
     [
-        lambda: RoadGraph.from_text(_grid_text(44.65, 10.92)),
+        lambda: RoadGraph.from_text(grid_text(44.65, 10.92)),
         _one_way_graph,
         _two_component_graph,
         _tied_graph,
@@ -555,7 +587,7 @@ def test_route_distance_equals_the_reference(make_graph):
 
 
 def test_matching_looks_up_each_edge_pairs_legs_once(monkeypatch):
-    graph = RoadGraph.from_text(_grid_text(44.65, 10.92))
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
     # east along row 0, then north up column 3 (its edges are one-way north)
     points = [(44.65, 10.92 + k * 1e-4) for k in range(22)] + [(44.65 + k * 1e-4, 10.9221) for k in range(1, 22)]
     pairs, routes, legs = set(), [0], [0]
