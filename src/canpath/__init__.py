@@ -7,8 +7,8 @@ from .canlog import CanFrame, IdFilter, filter_frames, format_line, parse_line
 from .geokin import VehiclePose, VehicleSpec
 from .inference import InferenceParams, infer_path
 from .mapmatch import ExternalMatcher, GraphMatcher, MatcherConfig, MatchResult
-from .obd import ObdSpeedReading, decode_speed_response, encode_speed_request
-from .reveng import AngleDecoder, decode_angle, encode_angle, lookup_known_swa
+from .obd import encode_speed_request, response_speed_kmh
+from .reveng import AngleDecoder, encode_angle, lookup_vehicle, payload_angle
 from .roadgraph import RoadGraph
 from .synthgen import SimScenario, simulate
 from .trackeval import Track, compare_tracks, nw_align, read_gpx, write_gpx
@@ -22,24 +22,23 @@ __all__ = [
     "InferenceParams",
     "MatchResult",
     "MatcherConfig",
-    "ObdSpeedReading",
     "RoadGraph",
     "SimScenario",
     "Track",
     "VehiclePose",
     "VehicleSpec",
     "compare_tracks",
-    "decode_angle",
-    "decode_speed_response",
     "encode_angle",
     "encode_speed_request",
     "filter_frames",
     "format_line",
     "infer_path",
-    "lookup_known_swa",
+    "lookup_vehicle",
     "nw_align",
     "parse_line",
+    "payload_angle",
     "read_gpx",
+    "response_speed_kmh",
     "simulate",
     "write_gpx",
 ]

@@ -21,6 +21,7 @@ from .canlog import IdFilter, LogParseError, filter_frames, read_log, write_log
 from .geokin import VehiclePose, VehicleSpec
 from .inference import ANGLE, InferenceError, InferenceParams, decode_signals, infer_path
 from .mapmatch import ExternalMatcher, GraphMatcher, MatchServiceError
+from .obd import OBD_RESPONSE_ID_FIRST
 from .reveng import (
     VehicleEntry,
     candidate_report_csv,
@@ -208,7 +209,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_logfilter(args) -> int:
     swa_id = int(args.swa_id, 16)
-    id_filter = IdFilter(((0x7E8, 0x7FF), (swa_id, 0x7FF)))
+    # the mask keeps all eight OBD responders, 0x7E8-0x7EF
+    id_filter = IdFilter(((OBD_RESPONSE_ID_FIRST, 0x7F8), (swa_id, 0x7FF)))
     frames = _read_frames(args.log, strict=args.strict)
     kept = filter_frames(frames, id_filter)
     if args.out:
@@ -220,6 +222,8 @@ def _cmd_logfilter(args) -> int:
 
 def _cmd_infer(args) -> int:
     # flag-only validation first, file I/O after
+    if args.log == "-" and not args.out:
+        raise UsageError("infer reads the log from stdin: pass --out for the GPX")
     start = _parse_start(args.start.split(","), "--start")
     params = _parse_params(args.params)
     decoder, vehicle = _resolve_vehicle(args.model, args.decoder_file, args.wheelbase)
@@ -369,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--wheelbase", type=float)
     p.add_argument("--params", help="t_window=0.1,speed_max=50,... overrides")
     p.add_argument("--matcher", help="internal:<graph file> | external:<url> | none")
-    p.add_argument("--out", help="output GPX (default: <log>_inferred.gpx)")
+    p.add_argument("--out", help="output GPX (default: <log>_inferred.gpx; required for stdin)")
     p.add_argument("--report", help="write the diagnostics report to a file")
     p.set_defaults(func=_cmd_infer)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 # Mean Earth radius in meters. Per-step distances here are meters, so
@@ -62,14 +62,6 @@ class VehicleSpec:
             raise ValueError("wheelbase must be positive")
 
 
-@dataclass(frozen=True)
-class KinematicStep:
-    """Yaw rate and the wrapped heading change it produces over one window."""
-
-    omega: float
-    heading_delta: float
-
-
 def angular_speed(speed_ms: float, angle_deg: float, wheelbase_m: float) -> float:
     """Bicycle-model yaw rate in rad/s: speed * tan(angle) / wheelbase."""
     return speed_ms * math.tan(math.radians(angle_deg)) / wheelbase_m
@@ -81,26 +73,19 @@ def heading_delta(omega: float, t_window: float) -> float:
     return math.degrees(math.atan2(math.sin(x), math.cos(x)))
 
 
-def kinematic_step(speed_ms: float, angle_deg: float, wheelbase_m: float, t_window: float) -> KinematicStep:
-    omega = angular_speed(speed_ms, angle_deg, wheelbase_m)
-    return KinematicStep(omega=omega, heading_delta=heading_delta(omega, t_window))
-
-
-def apply_heading(pose: VehiclePose, delta_deg: float) -> VehiclePose:
-    """Turn the pose: positive delta (left turn) decreases the compass bearing."""
-    return replace(pose, bearing=wrap_bearing(pose.bearing - delta_deg))
-
-
-def geodesic_forward(pose: VehiclePose, distance_m: float) -> LatLon:
-    """Great-circle destination from the pose along its bearing (direct problem)."""
+def geodesic_forward(a: LatLon, bearing: float, distance_m: float) -> LatLon:
+    """Great-circle destination ``distance_m`` metres from a along the
+    initial compass bearing (direct problem; the inverse of geodesic_inverse).
+    The longitude is folded into [-180, 180]: a point a hair west of the
+    antimeridian comes out as 180.0, which VehiclePose stores as -180.0."""
     if distance_m < 0:
         raise ValueError("distance must be non-negative")
     if distance_m == 0:
-        return (pose.lat, pose.lon)
+        return (a[0], a[1])
     sigma = distance_m / EARTH_RADIUS_M
-    phi1 = math.radians(pose.lat)
-    lam1 = math.radians(pose.lon)
-    theta = math.radians(pose.bearing)
+    phi1 = math.radians(a[0])
+    lam1 = math.radians(a[1])
+    theta = math.radians(bearing)
     sin_phi2 = math.sin(phi1) * math.cos(sigma) + math.cos(phi1) * math.sin(sigma) * math.cos(theta)
     phi2 = math.asin(max(-1.0, min(1.0, sin_phi2)))
     lam2 = lam1 + math.atan2(

@@ -9,17 +9,17 @@ samples (holding the previous value when a category has none);
 window_controls clamps each window's angle to steer_max and says whether
 it may turn (at most speed_max), the only code that reads those two;
 dead_reckon advances a batch of windows with the bicycle model plus a
-geodesic forward step. Each batch is snapped to the road network, and the
-length difference between the snapped and dead-reckoned polylines is
-carried into the next batch's first window so the track does not fall
-behind. A batch the matcher cannot snap keeps its raw points.
+geodesic forward step, on plain floats. Each batch is snapped to the road
+network, and the length difference between the snapped and dead-reckoned
+polylines is carried into the next batch's first window so the track does
+not fall behind. A batch the matcher cannot snap keeps its raw points.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Sequence
 
@@ -28,11 +28,12 @@ from .geokin import (
     LatLon,
     VehiclePose,
     VehicleSpec,
-    apply_heading,
+    angular_speed,
     geodesic_forward,
     geodesic_inverse,
-    kinematic_step,
+    heading_delta,
     polyline_length,
+    wrap_bearing,
 )
 from .mapmatch import MatchServiceError, UnmatchedGapError
 from .obd import response_speed_kmh
@@ -232,17 +233,6 @@ def window_controls(windows: Sequence[WindowAggregate], params: InferenceParams)
     ]
 
 
-def straighten(pose: VehiclePose, prev_window_start: LatLon | None) -> VehiclePose:
-    """Force the bearing to the previous window's travel direction, for a
-    window too fast to turn: a car cannot turn at that speed."""
-    if prev_window_start is None:
-        return pose
-    distance, bearing = geodesic_inverse(prev_window_start, pose.position)
-    if distance <= 0.0:
-        return pose
-    return replace(pose, bearing=bearing)
-
-
 def dead_reckon(
     controls: Sequence[Control],
     pose: VehiclePose,
@@ -252,23 +242,33 @@ def dead_reckon(
     t_window: float,
 ) -> tuple[list[LatLon], VehiclePose, LatLon | None]:
     """One batch of windows driven from ``pose``: the point each window
-    ends at, the final pose, and where the last window started. A window
-    that may not turn is straightened along the chord from where the one
-    before it started; the first window also travels ``carry`` metres."""
+    ends at, the final pose, and where the last window started.
+
+    Each window turns the bearing by the bicycle model, then steps forward
+    along it. A window that may not turn (a car cannot turn at that speed)
+    is straightened first: it takes the bearing of the chord from where the
+    window before it started, when that chord has length. The first window
+    also travels ``carry`` metres. Position and bearing are plain floats
+    inside the loop; the pose is built once, at the end.
+    """
     points: list[LatLon] = []
+    lat, lon, bearing = pose.lat, pose.lon, pose.bearing
     for angle, speed, may_turn in controls:
         distance = speed * t_window + carry
         carry = 0.0
-        step = kinematic_step(speed, angle, wheelbase, t_window)
-        pose = apply_heading(pose, step.heading_delta)
-        window_start = pose.position
-        if not may_turn:
-            pose = straighten(pose, prev_start)
-        lat, lon = geodesic_forward(pose, distance)
-        pose = VehiclePose(lat, lon, pose.bearing)
-        points.append((lat, lon))
+        bearing = wrap_bearing(bearing - heading_delta(angular_speed(speed, angle, wheelbase), t_window))
+        window_start = (lat, lon)
+        if not may_turn and prev_start is not None:
+            chord, chord_bearing = geodesic_inverse(prev_start, window_start)
+            if chord > 0.0:
+                bearing = chord_bearing
+        point = geodesic_forward(window_start, bearing, distance)
+        points.append(point)
+        lat, lon = point
+        if lon == 180.0:  # VehiclePose's fold: the next window starts at -180.0
+            lon = -180.0
         prev_start = window_start
-    return points, pose, prev_start
+    return points, VehiclePose(lat, lon, bearing), prev_start
 
 
 def infer_path(

@@ -6,8 +6,6 @@ answered on 0x7E8-0x7EF with the km/h value in a single byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canlog import CanFrame
 
 OBD_REQUEST_ID = 0x7DF
@@ -18,22 +16,6 @@ SPEED_PID = 0x0D
 
 # 2-byte request (mode, PID), remainder padded with 0xAA.
 SPEED_REQUEST_DATA = bytes([0x02, SPEED_MODE, SPEED_PID, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA])
-
-
-@dataclass(frozen=True)
-class ObdSpeedReading:
-    """A decoded speed response: km/h as carried in the single value byte."""
-
-    timestamp: float
-    speed_kmh: int
-
-    def __post_init__(self):
-        if not 0 <= self.speed_kmh <= 255:
-            raise ValueError(f"speed {self.speed_kmh} outside the single-byte range 0-255")
-
-    @property
-    def speed_ms(self) -> float:
-        return self.speed_kmh / 3.6
 
 
 def encode_speed_request(timestamp: float = 0.0, interface: str = "can0") -> CanFrame:
@@ -65,12 +47,3 @@ def response_speed_kmh(frame_id: int, data: bytes) -> int | None:
     if data[1] != (0x40 | SPEED_MODE) or data[2] != SPEED_PID:
         return None
     return data[3]
-
-
-def decode_speed_response(frame: CanFrame) -> ObdSpeedReading | None:
-    """Decode a frame as a speed response (see response_speed_kmh), or None
-    when it is not one."""
-    speed = response_speed_kmh(frame.id, frame.data)
-    if speed is None:
-        return None
-    return ObdSpeedReading(timestamp=frame.timestamp, speed_kmh=speed)

@@ -25,10 +25,6 @@ DEFAULT_ID_CEILING = 0x300
 SHEET_HEADER = "canpath-decoders v1"
 
 
-class AngleDecodeError(ValueError):
-    pass
-
-
 class AngleEncodeError(ValueError):
     pass
 
@@ -62,12 +58,6 @@ class AngleDecoder:
             raise ValueError("scale must be positive")
         if self.mode not in (OFFSET_MODE, TWOS_COMPLEMENT_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class SteeringSample:
-    timestamp: float
-    angle_deg: float
 
 
 @dataclass(frozen=True)
@@ -148,19 +138,8 @@ def payload_angle(decoder: AngleDecoder, data: bytes) -> float | None:
     return (word - decoder.offset) * decoder.scale
 
 
-def decode_angle(decoder: AngleDecoder, frame: CanFrame) -> SteeringSample:
-    """Decode one angle frame into degrees (positive = left)."""
-    if frame.id != decoder.id:
-        raise AngleDecodeError(f"frame ID 0x{frame.id:03X} does not match decoder 0x{decoder.id:03X}")
-    angle = payload_angle(decoder, frame.data)
-    if angle is None:
-        needed = max(decoder.byte_hi, decoder.byte_lo) + 1
-        raise AngleDecodeError(f"payload too short: {len(frame.data)} bytes, need {needed}")
-    return SteeringSample(timestamp=frame.timestamp, angle_deg=angle)
-
-
 def encode_angle(decoder: AngleDecoder, angle_deg: float) -> int:
-    """Inverse of decode_angle: degrees to the 16-bit payload word.
+    """Inverse of payload_angle: degrees to the 16-bit payload word.
 
     Round-trips within one quantization step (``scale`` degrees).
     """
@@ -237,17 +216,11 @@ KNOWN_VEHICLES: dict[str, VehicleEntry] = {e.model: e for e in _KNOWN}
 
 
 def lookup_vehicle(model: str) -> VehicleEntry | None:
+    """The shipped sheet row (decoder and wheelbase) for a vehicle model,
+    spelling variants included, or None when the model is unknown."""
     key = _normalize_model(model)
     key = _ALIASES.get(key, key)
     return KNOWN_VEHICLES.get(key)
-
-
-def lookup_known_swa(model: str) -> tuple[int, AngleDecoder] | None:
-    """Shipped (id, decoder) for a vehicle model, or None when unknown."""
-    entry = lookup_vehicle(model)
-    if entry is None:
-        return None
-    return (entry.decoder.id, entry.decoder)
 
 
 def format_decoder_sheet(entries: Iterable[VehicleEntry]) -> str:

@@ -11,8 +11,8 @@ from canpath.canlog import CanFrame, format_line
 from canpath.geokin import VehiclePose, geodesic_forward, polyline_length
 from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher, MatcherConfig, viterbi_match
-from canpath.obd import decode_speed_response, encode_speed_request
-from canpath.reveng import AngleDecoder, decode_angle
+from canpath.obd import encode_speed_request, response_speed_kmh
+from canpath.reveng import AngleDecoder, payload_angle
 from canpath.scenarios import default_suite, fork_turns, tuning_graph, tuning_suite
 from canpath.synthgen import simulate
 from canpath.trackeval import Track, compare_tracks, nw_align
@@ -63,16 +63,16 @@ def closed_loop():
 def test_criterion_1_angle_decode_exact():
     decoder = AngleDecoder(id=0x0C6, byte_hi=0, byte_lo=1, offset=0x7FFF, scale=0.01)
     frame = CanFrame(0.0, "can0", 0x0C6, bytes([0x7D, 0xC8]))
-    angle = decode_angle(decoder, frame).angle_deg
+    angle = payload_angle(decoder, frame.data)
     _report(1, "angle decode exactness", angle == -5.67, f"0x7DC8 -> {angle}")
 
 
 def test_criterion_2_obd_decode_exact():
     frame = CanFrame(0.0, "can0", 0x7E8, bytes([0x03, 0x41, 0x0D, 0x21, 0xAA, 0xAA, 0xAA, 0xAA]))
-    reading = decode_speed_response(frame)
+    speed = response_speed_kmh(frame.id, frame.data)
     line = format_line(encode_speed_request())
-    ok = reading is not None and reading.speed_kmh == 33 and line.endswith("7DF#02010DAAAAAAAAAA")
-    _report(2, "OBD decode exactness", ok, f"0x21 -> {reading.speed_kmh} km/h; {line.split()[-1]}")
+    ok = speed is not None and speed == 33 and line.endswith("7DF#02010DAAAAAAAAAA")
+    _report(2, "OBD decode exactness", ok, f"0x21 -> {speed} km/h; {line.split()[-1]}")
 
 
 def test_criterion_3_kinematics():
@@ -80,14 +80,14 @@ def test_criterion_3_kinematics():
     pose = VehiclePose(44.65, 10.92, 63.0)
     points = [pose.position]
     for _ in range(1000):
-        lat, lon = geodesic_forward(pose, 10.0 * 0.1)
+        lat, lon = geodesic_forward(pose.position, pose.bearing, 10.0 * 0.1)
         pose = VehiclePose(lat, lon, pose.bearing)
         points.append((lat, lon))
     length = polyline_length(points)
     length_ok = abs(length - 1000.0) <= 1.0  # 0.1 % of 1 km
 
     # heading update matches an independent scalar recomputation to 1e-9
-    from canpath.geokin import kinematic_step
+    from canpath.geokin import angular_speed, heading_delta
 
     rng = random.Random(1234)
     worst = 0.0
@@ -97,8 +97,8 @@ def test_criterion_3_kinematics():
         wheelbase = rng.uniform(2.0, 3.5)
         omega = v * math.tan(math.radians(delta)) / wheelbase
         expected = math.degrees(math.atan2(math.sin(omega * 0.1), math.cos(omega * 0.1)))
-        step = kinematic_step(v, delta, wheelbase, 0.1)
-        worst = max(worst, abs(step.omega - omega), abs(step.heading_delta - expected))
+        got = angular_speed(v, delta, wheelbase)
+        worst = max(worst, abs(got - omega), abs(heading_delta(got, 0.1) - expected))
     _report(
         3,
         "kinematics",

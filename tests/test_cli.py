@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from canpath.canlog import CanFrame, write_log
 from canpath.cli import main
-from canpath.scenarios import turn_left_90
+from canpath.scenarios import straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import Track, load_gpx, save_gpx
 
@@ -200,6 +201,40 @@ def test_logfilter_applies_mask_semantics(scenario_dir, capsys, tmp_path):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert "0C6#" in lines[0] and "7E8#" in lines[1]
+
+
+def test_logfilter_keeps_every_obd_responder(capsys, tmp_path):
+    # speed answered by the third responder, 0x7EA, and two speed-shaped
+    # frames just outside the responder range, which no stage reads
+    frames = [f if f.id == 0x0C6 else CanFrame(f.timestamp, f.interface, 0x7EA, f.data) for f in simulate(straight_1km()).frames]
+    outside = [CanFrame(0.001, "can0", fid, b"\x03\x41\x0d\x21") for fid in (0x7E7, 0x7F0)]
+    raw, kept = tmp_path / "raw.log", tmp_path / "kept.log"
+    write_log(outside + frames, str(raw))
+    code, out, err = run(capsys, "logfilter", raw, "--swa-id", "0C6", "--out", kept)
+    assert code == 0, err
+    text = kept.read_text()
+    assert text.count(" can0 7EA#") == 1000
+    assert "7E7#" not in text and "7F0#" not in text
+    _code, from_raw, _err = run(capsys, "decode", raw, "--model", "renault captur")
+    _code, from_kept, _err = run(capsys, "decode", kept, "--model", "renault captur")
+    assert from_raw.count(",speed_kmh,") == 1000
+    assert from_kept == from_raw
+
+
+def test_infer_from_stdin_needs_out(capsys, monkeypatch, tmp_path):
+    log = io.StringIO()
+    write_log(simulate(straight_1km()).frames, log)
+    argv = ["infer", "-", "--start", "44.65,10.92,90", "--model", "renault captur", "--matcher", "none"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(log.getvalue()))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: usage:") and "--out" in err and len(err.splitlines()) == 1, err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr("sys.stdin", io.StringIO(log.getvalue()))
+    code, out, err = run(capsys, *argv, "--out", "trip.gpx")
+    assert code == 0, err
+    assert len(load_gpx(str(tmp_path / "trip.gpx"))) == 1000
 
 
 def test_tune_small_grid(scenario_dir, capsys, tmp_path):

@@ -8,12 +8,10 @@ from canpath.geokin import (
     VehiclePose,
     VehicleSpec,
     angular_speed,
-    apply_heading,
     cumulative_lengths,
     geodesic_forward,
     geodesic_inverse,
     heading_delta,
-    kinematic_step,
     point_along,
     polyline_length,
     wrap_bearing,
@@ -72,25 +70,9 @@ def test_kinematic_step_matches_scalar_recomputation():
         t_window = 0.1
         omega = v * math.tan(math.radians(delta)) / wheelbase
         expected = math.degrees(math.atan2(math.sin(omega * t_window), math.cos(omega * t_window)))
-        step = kinematic_step(v, delta, wheelbase, t_window)
-        assert abs(step.omega - omega) <= 1e-9
-        assert abs(step.heading_delta - expected) <= 1e-9
-
-
-def test_apply_heading_left_turn_decreases_bearing():
-    pose = VehiclePose(45.0, 11.0, 90.0)
-    turned = apply_heading(pose, 3.8855)
-    assert turned.bearing == pytest.approx(86.1145)
-    assert (turned.lat, turned.lon) == (45.0, 11.0)
-
-
-def test_apply_heading_wraps_at_zero():
-    assert apply_heading(VehiclePose(45.0, 11.0, 0.0), 10.0).bearing == pytest.approx(350.0)
-
-
-def test_apply_heading_identity():
-    pose = VehiclePose(45.0, 11.0, 123.4)
-    assert apply_heading(pose, 0.0) == pose
+        got = angular_speed(v, delta, wheelbase)
+        assert abs(got - omega) <= 1e-9
+        assert abs(heading_delta(got, t_window) - expected) <= 1e-9
 
 
 def test_wrap_bearing_range():
@@ -110,12 +92,11 @@ def test_wrap_bearing_mod_360_identity(deg, k):
 
 
 def test_forward_zero_distance():
-    pose = VehiclePose(45.0, 11.0, 37.0)
-    assert geodesic_forward(pose, 0.0) == (45.0, 11.0)
+    assert geodesic_forward((45.0, 11.0), 37.0, 0.0) == (45.0, 11.0)
 
 
 def test_forward_north_1km():
-    lat, lon = geodesic_forward(VehiclePose(45.0, 11.0, 0.0), 1000.0)
+    lat, lon = geodesic_forward((45.0, 11.0), 0.0, 1000.0)
     # independent oracle: 1000 m of latitude is 1000/(R*pi/180) degrees
     expected_lat = 45.0 + 1000.0 / (EARTH_RADIUS_M * math.pi / 180.0)
     assert lat == pytest.approx(expected_lat, abs=1e-6)
@@ -124,8 +105,7 @@ def test_forward_north_1km():
 
 
 def test_forward_then_inverse_consistent():
-    pose = VehiclePose(45.0, 11.0, 0.0)
-    dest = geodesic_forward(pose, 1000.0)
+    dest = geodesic_forward((45.0, 11.0), 0.0, 1000.0)
     distance, bearing = geodesic_inverse((45.0, 11.0), dest)
     assert distance == pytest.approx(1000.0, rel=1e-6)
     assert bearing == pytest.approx(0.0, abs=1e-6)
@@ -138,8 +118,7 @@ def test_forward_then_inverse_consistent():
     distance=st.floats(min_value=0.1, max_value=10_000),
 )
 def test_forward_inverse_roundtrip(lat, lon, bearing, distance):
-    pose = VehiclePose(lat, lon, bearing)
-    dest = geodesic_forward(pose, distance)
+    dest = geodesic_forward((lat, lon), bearing, distance)
     back_distance, back_bearing = geodesic_inverse((lat, lon), dest)
     assert back_distance == pytest.approx(distance, rel=1e-6)
     diff = abs(back_bearing - bearing)
@@ -157,13 +136,10 @@ def test_inverse_symmetric_distance():
 
 def test_straight_steps_conserve_length():
     # N forward steps of v*t each must cover N*v*t of great-circle length
-    pose = VehiclePose(45.0, 11.0, 77.0)
     step = 10.0 * 0.1
-    points = [pose.position]
+    points = [(45.0, 11.0)]
     for _ in range(1000):
-        lat, lon = geodesic_forward(pose, step)
-        pose = VehiclePose(lat, lon, pose.bearing)
-        points.append((lat, lon))
+        points.append(geodesic_forward(points[-1], 77.0, step))
     total = polyline_length(points)
     assert total == pytest.approx(1000 * step, rel=1e-3)
 

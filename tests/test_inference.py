@@ -1,11 +1,22 @@
 import hashlib
 import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from canpath.canlog import CanFrame
-from canpath.geokin import VehiclePose, VehicleSpec, geodesic_forward, geodesic_inverse
+from canpath.geokin import (
+    DEG_M,
+    VehiclePose,
+    VehicleSpec,
+    angular_speed,
+    geodesic_forward,
+    geodesic_inverse,
+    heading_delta,
+    wrap_bearing,
+)
 from canpath.inference import (
     ANGLE,
     SPEED,
@@ -14,23 +25,16 @@ from canpath.inference import (
     InferenceError,
     InferenceParams,
     WindowAggregate,
+    dead_reckon,
     decode_log,
     decode_signals,
     infer_path,
-    straighten,
     window_aggregate,
     window_controls,
 )
 from canpath.mapmatch import ExternalMatcher, GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
-from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, decode_speed_response, encode_speed_response
-from canpath.reveng import (
-    OFFSET_MODE,
-    TWOS_COMPLEMENT_MODE,
-    AngleDecodeError,
-    AngleDecoder,
-    decode_angle,
-    encode_angle_frame,
-)
+from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, encode_speed_response
+from canpath.reveng import OFFSET_MODE, TWOS_COMPLEMENT_MODE, AngleDecoder, encode_angle_frame
 from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
@@ -65,18 +69,29 @@ def test_decode_signals_skips_malformed_and_unrelated_frames():
 
 
 def _reference_decode_signals(frames, decoder):
-    """decode_signals through the public per-frame decoders and their objects."""
+    """decode_signals one frame at a time with the formulas written out: a
+    frame with the decoder's ID is an angle when its payload holds both
+    angle bytes; any other is a speed when it is a well-formed response of
+    one of the eight OBD-II responders."""
     samples = []
     for frame in frames:
+        data = frame.data
         if frame.id == decoder.id:
-            try:
-                samples.append((frame.timestamp, ANGLE, decode_angle(decoder, frame).angle_deg))
-            except AngleDecodeError:
+            if len(data) <= max(decoder.byte_hi, decoder.byte_lo):
                 continue
-        else:
-            reading = decode_speed_response(frame)
-            if reading is not None:
-                samples.append((reading.timestamp, SPEED, reading.speed_kmh))
+            word = data[decoder.byte_hi] * 256 + data[decoder.byte_lo]
+            if decoder.mode == TWOS_COMPLEMENT_MODE:
+                angle = (word - 0x10000 if word >= 0x8000 else word) * decoder.scale
+            else:
+                angle = (word - decoder.offset) * decoder.scale
+            samples.append((frame.timestamp, ANGLE, angle))
+        elif (
+            OBD_RESPONSE_ID_FIRST <= frame.id <= OBD_RESPONSE_ID_LAST
+            and len(data) >= 4
+            and data[1] == 0x41
+            and data[2] == 0x0D
+        ):
+            samples.append((frame.timestamp, SPEED, data[3]))
     return samples
 
 
@@ -171,26 +186,119 @@ def test_clamp_steer(angle, expected):
     assert control == (expected, 10.0, True)
 
 
+def _one_window(control, pose, prev_start):
+    """dead_reckon over a single 0.1 s window of a 2.6 m wheelbase car."""
+    (point,), end, window_start = dead_reckon([control], pose, prev_start, 0.0, 2.6, 0.1)
+    assert window_start == pose.position
+    return point, end
+
+
 def test_straighten_forces_travel_bearing_at_speed():
     start = VehiclePose(44.65, 10.92, 90.0)
-    ahead = geodesic_forward(start, 2.0)  # 2 m due east
+    ahead = geodesic_forward(start.position, 90.0, 2.0)  # 2 m due east
     pose = VehiclePose(ahead[0], ahead[1], 45.0)  # bearing got twisted somehow
     # 72 km/h is above speed_max: the window may not turn, so it is straightened
     (control,) = window_controls([WindowAggregate(0.0, 20.0)], InferenceParams(speed_max=50.0))
     assert control[2] is False
-    assert straighten(pose, start.position).bearing == pytest.approx(90.0, abs=1e-6)
+    point, end = _one_window(control, pose, start.position)
+    assert end.bearing == pytest.approx(90.0, abs=1e-6)
+    distance, bearing = geodesic_inverse(ahead, point)
+    assert distance == pytest.approx(2.0) and bearing == pytest.approx(90.0, abs=1e-6)
 
 
 def test_straighten_below_threshold_is_identity():
     # 36 km/h, and exactly speed_max, may turn; the window is never straightened
     windows = [WindowAggregate(0.0, 10.0), WindowAggregate(0.0, 50.0 / 3.6)]
-    assert [c[2] for c in window_controls(windows, InferenceParams(speed_max=50.0))] == [True, True]
+    controls = window_controls(windows, InferenceParams(speed_max=50.0))
+    assert [c[2] for c in controls] == [True, True]
+    behind = geodesic_forward((44.65, 10.92), 270.0, 2.0)  # a chord due east
+    _point, end = _one_window(controls[0], VehiclePose(44.65, 10.92, 45.0), behind)
+    assert end.bearing == 45.0
 
 
 def test_straighten_degenerate_chord_keeps_bearing():
     pose = VehiclePose(44.65, 10.92, 45.0)
-    assert straighten(pose, pose.position) == pose
-    assert straighten(pose, None) == pose
+    for prev_start in (pose.position, None):
+        point, end = _one_window((0.0, 20.0, False), pose, prev_start)
+        assert end.bearing == 45.0
+        assert point == geodesic_forward(pose.position, 45.0, 2.0)
+
+
+def test_dead_reckon_left_turn_decreases_bearing():
+    # 10 m/s at 10 degrees left on a 2.6 m wheelbase turns 3.8855 degrees in 0.1 s
+    point, end = _one_window((10.0, 10.0, True), VehiclePose(45.0, 11.0, 90.0), None)
+    assert end.bearing == pytest.approx(86.1145, abs=1e-3)
+    assert point == geodesic_forward((45.0, 11.0), end.bearing, 1.0)
+    assert end.position == point
+
+
+def test_dead_reckon_bearing_wraps_at_zero():
+    _point, end = _one_window((10.0, 10.0, True), VehiclePose(45.0, 11.0, 0.0), None)
+    assert end.bearing == pytest.approx(360.0 - 3.8855, abs=1e-3)
+    _point, end = _one_window((-10.0, 10.0, True), VehiclePose(45.0, 11.0, 359.0), None)
+    assert end.bearing == pytest.approx(2.8855, abs=1e-3)
+
+
+def test_dead_reckon_standing_still_is_identity():
+    pose = VehiclePose(45.0, 11.0, 123.4)
+    point, end = _one_window((20.0, 0.0, True), pose, None)
+    assert (point, end) == (pose.position, pose)
+
+
+def reference_dead_reckon(controls, pose, prev_start, carry, wheelbase, t_window):
+    """dead_reckon as it was written on VehiclePose objects: the pose is
+    rebuilt, and so re-validated, after the turn, the straightening and the
+    step of every window."""
+    points = []
+    for angle, speed, may_turn in controls:
+        distance = speed * t_window + carry
+        carry = 0.0
+        omega = angular_speed(speed, angle, wheelbase)
+        pose = replace(pose, bearing=wrap_bearing(pose.bearing - heading_delta(omega, t_window)))
+        window_start = pose.position
+        if not may_turn and prev_start is not None:
+            chord, bearing = geodesic_inverse(prev_start, pose.position)
+            if chord > 0.0:
+                pose = replace(pose, bearing=bearing)
+        lat, lon = geodesic_forward(pose.position, pose.bearing, distance)
+        pose = VehiclePose(lat, lon, pose.bearing)
+        points.append((lat, lon))
+        prev_start = window_start
+    return points, pose, prev_start
+
+
+def _random_controls(rng, n):
+    controls = []
+    for _ in range(n):
+        speed = rng.choice((0.0, 0.0, rng.uniform(0.0, 40.0)))
+        angle = rng.choice((0.0, rng.uniform(-35.0, 35.0), rng.uniform(-1.0, 1.0)))
+        controls.append((angle, speed, rng.random() < 0.5))
+    return controls
+
+
+def test_dead_reckon_equals_the_pose_object_loop():
+    rng = random.Random(20241019)
+    # 1 m east of the antimeridian on the equator, heading west: a 1 m step
+    # lands a hair past it, on lon 180.0, and the next window starts at -180.0
+    antimeridian = VehiclePose(0.0, -180.0 + 1.0 / DEG_M, 270.0)
+    starts = [antimeridian, VehiclePose(44.65, 10.92, 359.9), VehiclePose(-33.9, 151.2, 0.05)]
+    starts += [VehiclePose(rng.uniform(-70, 70), rng.uniform(-180, 180), rng.uniform(0, 360)) for _ in range(20)]
+    lons = []
+    for start in starts:
+        pose, prev_start, want_pose, want_prev = start, None, start, None
+        for batch in range(6):
+            controls = _random_controls(rng, rng.randint(1, 30))
+            carry = rng.choice((0.0, rng.uniform(0.0, 25.0)))
+            if start is antimeridian and batch == 0:
+                # 10 m/s for 0.1 s is the 1 m step; then the car stands, and drives on
+                controls, carry = [(0.0, 10.0, True), (0.0, 0.0, False), (0.0, 5.0, False)] + controls, 0.0
+            points, pose, prev_start = dead_reckon(controls, pose, prev_start, carry, 2.6, 0.1)
+            want, want_pose, want_prev = reference_dead_reckon(controls, want_pose, want_prev, carry, 2.6, 0.1)
+            assert (points, pose, prev_start) == (want, want_pose, want_prev)
+            lons.extend(lon for _lat, lon in points)
+            if rng.random() < 0.3:
+                prev_start = want_prev = None  # as after a one-point match
+    assert 180.0 in lons
 
 
 # -- the pipeline -----------------------------------------------------------------

@@ -2,9 +2,9 @@ import pytest
 
 from canpath.canlog import CanFrame, format_line
 from canpath.obd import (
-    decode_speed_response,
     encode_speed_request,
     encode_speed_response,
+    response_speed_kmh,
 )
 
 
@@ -19,31 +19,29 @@ def test_request_serializes_to_standard_line():
 
 
 def test_own_request_is_not_a_response():
-    assert decode_speed_response(encode_speed_request()) is None
+    request = encode_speed_request()
+    assert response_speed_kmh(request.id, request.data) is None
 
 
 def test_decode_33_kmh():
     frame = CanFrame(3.0, "can0", 0x7E8, bytes([0x03, 0x41, 0x0D, 0x21, 0xAA, 0xAA, 0xAA, 0xAA]))
-    reading = decode_speed_response(frame)
-    assert reading is not None
-    assert reading.speed_kmh == 33
-    assert reading.timestamp == 3.0
+    assert response_speed_kmh(frame.id, frame.data) == 33
 
 
 def test_decode_zero_speed():
     frame = CanFrame(0.0, "can0", 0x7E8, bytes([0x03, 0x41, 0x0D, 0x00, 0xAA, 0xAA, 0xAA, 0xAA]))
-    assert decode_speed_response(frame).speed_kmh == 0
+    assert response_speed_kmh(frame.id, frame.data) == 0
 
 
 def test_wrong_id_is_not_a_response():
     frame = CanFrame(0.0, "can0", 0x0C6, bytes([0x7D, 0xC8]))
-    assert decode_speed_response(frame) is None
+    assert response_speed_kmh(frame.id, frame.data) is None
 
 
 @pytest.mark.parametrize("responder", range(0x7E8, 0x7F0))
 def test_all_responder_ids_accepted(responder):
     frame = CanFrame(0.0, "can0", responder, bytes([0x03, 0x41, 0x0D, 0x55]))
-    assert decode_speed_response(frame).speed_kmh == 0x55
+    assert response_speed_kmh(frame.id, frame.data) == 0x55
 
 
 @pytest.mark.parametrize(
@@ -56,14 +54,13 @@ def test_all_responder_ids_accepted(responder):
 )
 def test_shape_check_failures_are_not_errors(data):
     frame = CanFrame(0.0, "can0", 0x7E8, data)
-    assert decode_speed_response(frame) is None
+    assert response_speed_kmh(frame.id, frame.data) is None
 
 
 def test_every_byte_value_roundtrips():
     for value in range(256):
         frame = encode_speed_response(value, timestamp=float(value))
-        reading = decode_speed_response(frame)
-        assert reading.speed_kmh == value
+        assert response_speed_kmh(frame.id, frame.data) == value
 
 
 def test_encode_response_rejects_out_of_range():

@@ -2,20 +2,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canpath.canlog import CanFrame
+from canpath.inference import ANGLE, decode_signals
 from canpath.reveng import (
-    AngleDecodeError,
     AngleDecoder,
     AngleEncodeError,
     IdChangeStats,
     TWOS_COMPLEMENT_MODE,
     bit_hamming,
     compute_change_stats,
-    decode_angle,
     encode_angle,
     encode_angle_frame,
     format_decoder_sheet,
-    lookup_known_swa,
+    lookup_vehicle,
     parse_decoder_sheet,
+    payload_angle,
     rank_swa_candidates,
 )
 
@@ -132,31 +132,27 @@ def test_ranking_invariants(entries, ceiling):
 
 
 def test_decode_known_word_bit_exact():
-    frame = CanFrame(0.0, "can0", 0x0C6, bytes([0x7D, 0xC8]))
-    assert decode_angle(DECODER, frame).angle_deg == -5.67
+    assert payload_angle(DECODER, bytes([0x7D, 0xC8])) == -5.67
 
 
 def test_decode_offset_word_is_straight():
-    frame = CanFrame(0.0, "can0", 0x0C6, bytes([0x7F, 0xFF]))
-    assert decode_angle(DECODER, frame).angle_deg == 0.0
+    assert payload_angle(DECODER, bytes([0x7F, 0xFF])) == 0.0
 
 
 def test_decode_twos_complement():
     decoder = AngleDecoder(id=0x0C6, mode=TWOS_COMPLEMENT_MODE, scale=0.01)
-    frame = CanFrame(0.0, "can0", 0x0C6, bytes([0xFF, 0xFF]))
-    assert decode_angle(decoder, frame).angle_deg == -0.01
+    assert payload_angle(decoder, bytes([0xFF, 0xFF])) == -0.01
 
 
 def test_decode_short_payload_fails():
-    frame = CanFrame(0.0, "can0", 0x0C6, bytes([0x7D]))
-    with pytest.raises(AngleDecodeError, match="too short"):
-        decode_angle(DECODER, frame)
+    assert payload_angle(DECODER, bytes([0x7D])) is None
+    assert payload_angle(AngleDecoder(id=0x0C6, byte_hi=7, byte_lo=0), bytes(7)) is None
 
 
 def test_decode_id_mismatch_fails():
-    frame = CanFrame(0.0, "can0", 0x2F5, bytes([0x7D, 0xC8]))
-    with pytest.raises(AngleDecodeError, match="does not match"):
-        decode_angle(DECODER, frame)
+    # another ID's payload is never read as an angle, however well it decodes
+    frames = [CanFrame(0.0, "can0", 0x2F5, bytes([0x7D, 0xC8])), CanFrame(0.1, "can0", 0x0C6, bytes([0x7D, 0xC8]))]
+    assert decode_signals(frames, DECODER) == [(0.1, ANGLE, -5.67)]
 
 
 def test_encode_known_angle():
@@ -185,8 +181,7 @@ def test_roundtrip_sweep_within_one_step(decoder):
     for hundredths in range(-5000, 5001):
         angle = hundredths / 100.0
         word = encode_angle(decoder, angle)
-        frame = CanFrame(0.0, "can0", 0x0C6, bytes([word >> 8, word & 0xFF]))
-        assert abs(decode_angle(decoder, frame).angle_deg - angle) <= decoder.scale
+        assert abs(payload_angle(decoder, bytes([word >> 8, word & 0xFF])) - angle) <= decoder.scale
 
 
 def test_angle_frame_places_word_and_fill():
@@ -194,26 +189,27 @@ def test_angle_frame_places_word_and_fill():
     frame = encode_angle_frame(decoder, 1.0, -5.67)
     assert frame.data[2] == 0x7D and frame.data[5] == 0xC8
     assert frame.data[0] == frame.data[1] == 0xAA
-    assert decode_angle(decoder, frame).angle_deg == -5.67
+    assert payload_angle(decoder, frame.data) == -5.67
 
 
 # -- shipped decoder sheet ------------------------------------------------------------
 
 
 def test_lookup_known_models():
-    assert lookup_known_swa("Renault Captur")[0] == 0x0C6
-    assert lookup_known_swa("Opel Crossland")[0] == 0x2F5
-    assert lookup_known_swa("Dacia Duster")[0] == 0x0C6
-    assert lookup_known_swa("Peugeot 5008")[0] == 0x2EB
+    assert lookup_vehicle("Renault Captur").decoder.id == 0x0C6
+    assert lookup_vehicle("Opel Crossland").decoder.id == 0x2F5
+    assert lookup_vehicle("Dacia Duster").decoder.id == 0x0C6
+    assert lookup_vehicle("Peugeot 5008").decoder.id == 0x2EB
+    assert lookup_vehicle("Renault Captur").wheelbase == 2.606
 
 
 def test_lookup_tolerates_spelling_variants():
-    assert lookup_known_swa("renault capture")[0] == 0x0C6
-    assert lookup_known_swa("PEUGEOUT 5008")[0] == 0x2EB
+    assert lookup_vehicle("renault capture").decoder.id == 0x0C6
+    assert lookup_vehicle("PEUGEOUT 5008").decoder.id == 0x2EB
 
 
 def test_lookup_unknown_model():
-    assert lookup_known_swa("DeLorean DMC-12") is None
+    assert lookup_vehicle("DeLorean DMC-12") is None
 
 
 def test_decoder_sheet_roundtrip(tmp_path):

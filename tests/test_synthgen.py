@@ -8,8 +8,8 @@ from canpath.canlog import CanFrame
 from canpath.geokin import geodesic_inverse
 from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
-from canpath.obd import decode_speed_response
-from canpath.reveng import decode_angle
+from canpath.obd import response_speed_kmh
+from canpath.reveng import payload_angle
 from canpath.scenarios import (
     DEFAULT_DECODER,
     DEFAULT_VEHICLE,
@@ -51,7 +51,7 @@ def test_straight_route_emits_zero_angles_and_profile_speed():
         if frame.id == DEFAULT_DECODER.id:
             angle_words.add((frame.data[0], frame.data[1]))
         else:
-            speed_bytes.add(decode_speed_response(frame).speed_kmh)
+            speed_bytes.add(response_speed_kmh(frame.id, frame.data))
     assert angle_words == {(0x7F, 0xFF)}  # offset word = wheels straight
     assert speed_bytes == {36}
 
@@ -69,7 +69,7 @@ def test_arc_steering_is_steady_at_atan_L_over_R():
     inside = []
     for frame in sim.frames:
         if frame.id == DEFAULT_DECODER.id and t_enter <= frame.timestamp <= t_leave:
-            inside.append(decode_angle(DEFAULT_DECODER, frame).angle_deg)
+            inside.append(payload_angle(DEFAULT_DECODER, frame.data))
     assert inside, "no samples inside the arc"
     for angle in inside:
         assert abs(angle - expected) <= DEFAULT_DECODER.scale + 1e-9
@@ -81,7 +81,7 @@ def test_emitted_angles_match_analytic_steering_within_quantization():
     analytic = dict(sim.steering_deg)
     for frame in sim.frames:
         if frame.id == DEFAULT_DECODER.id:
-            decoded = decode_angle(DEFAULT_DECODER, frame).angle_deg
+            decoded = payload_angle(DEFAULT_DECODER, frame.data)
             assert abs(decoded - analytic[frame.timestamp]) <= DEFAULT_DECODER.scale
 
 
@@ -97,7 +97,7 @@ def test_speed_bytes_follow_profile_rounding():
         vehicle=DEFAULT_VEHICLE,
     )
     sim = simulate(sc)
-    seen = {decode_speed_response(f).speed_kmh for f in sim.frames if f.id != DEFAULT_DECODER.id}
+    seen = {response_speed_kmh(f.id, f.data) for f in sim.frames if f.id != DEFAULT_DECODER.id}
     assert seen == {36, 54, 20}  # 53.5 km/h rounds to the 54 byte
 
 
