@@ -80,23 +80,6 @@ class IdFilter:
             if not (0 <= fid <= MAX_STD_ID and 0 <= mask <= MAX_STD_ID):
                 raise ValueError(f"filter entry {fid:X}:{mask:X} out of 11-bit range")
 
-    @classmethod
-    def parse(cls, text: str) -> "IdFilter":
-        """Parse the candump notation ``7E8:7FF,0C6:7FF``."""
-        entries = []
-        text = text.strip()
-        if text:
-            for part in text.split(","):
-                try:
-                    fid, mask = part.split(":")
-                    entries.append((int(fid, 16), int(mask, 16)))
-                except ValueError:
-                    raise LogParseError(f"bad filter entry {part!r}") from None
-        return cls(tuple(entries))
-
-    def __str__(self) -> str:
-        return ",".join(f"{fid:X}:{mask:X}" for fid, mask in self.entries)
-
     def matches(self, frame_id: int) -> bool:
         return any((frame_id & mask) == (fid & mask) for fid, mask in self.entries)
 

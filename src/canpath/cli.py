@@ -23,17 +23,19 @@ from .inference import ANGLE, InferenceError, InferenceParams, decode_signals, i
 from .mapmatch import ExternalMatcher, GraphMatcher, MatchServiceError
 from .obd import OBD_RESPONSE_ID_FIRST
 from .reveng import (
+    DEFAULT_ID_CEILING,
     VehicleEntry,
     candidate_report_csv,
     compute_change_stats,
     format_candidate_report,
     load_decoder_sheet,
     lookup_vehicle,
+    normalize_model,
     rank_swa_candidates,
 )
 from .roadgraph import GraphFormatError, RoadGraph
 from .synthgen import ScenarioError, load_scenario, manifest_for, simulate
-from .trackeval import GpxError, comparison_csv_row, compare_tracks, load_gpx, save_gpx
+from .trackeval import MATCH_EPSILON_M, GpxError, comparison_csv_row, compare_tracks, load_gpx, save_gpx
 from .tuner import TuneTrack, grid_search, marginal_curves, resolve_grids, rows_to_csv
 
 MATCHER_URL_ENV = "CANPATH_MATCHER_URL"
@@ -130,7 +132,7 @@ def _resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
     if decoder_file:
         sheet = load_decoder_sheet(decoder_file)
         if model:
-            entry = sheet.get(" ".join(model.lower().split()))
+            entry = sheet.get(normalize_model(model))
             if entry is None:
                 raise UsageError(f"model {model!r} not in decoder file")
             return entry
@@ -343,7 +345,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rewheel", help="rank likely steering-angle IDs in a wiggle log")
     p.add_argument("log")
-    p.add_argument("--ceiling", default="300", help="hex ID ceiling (default 300)")
+    p.add_argument("--ceiling", default=f"{DEFAULT_ID_CEILING:X}", help="hex ID ceiling (default %(default)s)")
     p.add_argument("--strict", action="store_true", help="abort on unparseable lines")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     p.add_argument("--out", help="write the report to a file")
@@ -380,7 +382,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="similarity of two GPX tracks")
     p.add_argument("gpx_a")
     p.add_argument("gpx_b")
-    p.add_argument("--epsilon", type=float, default=10.0, help="match distance in meters")
+    p.add_argument("--epsilon", type=float, default=MATCH_EPSILON_M, help="match distance in meters")
     p.add_argument("--spacing", type=float, default=None, help="resample spacing in meters")
     p.set_defaults(func=_cmd_compare)
 

@@ -58,8 +58,8 @@ class VehicleSpec:
     wheelbase: float
 
     def __post_init__(self):
-        if self.wheelbase <= 0:
-            raise ValueError("wheelbase must be positive")
+        if not (math.isfinite(self.wheelbase) and self.wheelbase > 0):
+            raise ValueError(f"wheelbase must be finite and positive, got {self.wheelbase}")
 
 
 def angular_speed(speed_ms: float, angle_deg: float, wheelbase_m: float) -> float:

@@ -4,8 +4,9 @@ infer_path runs stages that pass plain data. decode_log sorts the frames,
 rejects a log whose first and last frames lie more than a day apart, and
 decodes them once into (timestamp, signal, value) samples of steering
 angle and OBD speed, building no object per frame; window_aggregates cuts
-them into fixed windows anchored at the first frame, each the mean of its
-samples (holding the previous value when a category has none);
+them into fixed windows anchored at the first frame, each an (angle, speed)
+tuple of its samples' means (holding the previous value when a category
+has none);
 window_controls clamps each window's angle to steer_max and says whether
 it may turn (at most speed_max), the only code that reads those two;
 dead_reckon advances a batch of windows with the bicycle model plus a
@@ -77,14 +78,6 @@ class InferenceParams:
             raise ValueError("steer_max must be in (0, 90] degrees")
 
 
-@dataclass(frozen=True)
-class WindowAggregate:
-    avg_angle_deg: float
-    avg_speed_ms: float
-    angle_samples: int = 0
-    speed_samples: int = 0
-
-
 @dataclass
 class Diagnostics:
     windows: int = 0
@@ -124,6 +117,8 @@ class InferenceResult:
 Sample = tuple[float, str, float]
 ANGLE = "angle_deg"
 SPEED = "speed_kmh"
+# (mean steering angle in degrees, mean speed in m/s) of one window
+Window = tuple[float, float]
 # (clamped steering angle in degrees, speed in m/s, may turn) of one window
 Control = tuple[float, float, bool]
 
@@ -171,40 +166,26 @@ def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> tuple[list[
     return samples, t0, t_end
 
 
-def window_aggregate(samples: Sequence[Sample], previous: WindowAggregate) -> WindowAggregate:
-    """Mean angle (degrees) and speed (m/s) over one window's samples.
-
-    OBD responses arrive slower than angle broadcasts, so a category with
-    no samples inherits the previous window's value instead of zeroing out.
-    """
-    angles = [value for _t, signal, value in samples if signal == ANGLE]
-    speeds = [value for _t, signal, value in samples if signal == SPEED]
-    avg_angle = sum(angles) / len(angles) if angles else previous.avg_angle_deg
-    avg_speed = (sum(speeds) / len(speeds)) / 3.6 if speeds else previous.avg_speed_ms
-    return WindowAggregate(
-        avg_angle_deg=avg_angle,
-        avg_speed_ms=avg_speed,
-        angle_samples=len(angles),
-        speed_samples=len(speeds),
-    )
-
-
 def window_aggregates(
     samples: Sequence[Sample], t0: float, t_end: float, t_window: float
-) -> list[WindowAggregate]:
-    """One aggregate per window of ``t_window`` seconds, from ``t0`` (the
-    first frame) to ``t_end`` (the last), in time order.
+) -> list[Window]:
+    """The (mean angle in degrees, mean speed in m/s) of each window of
+    ``t_window`` seconds, from ``t0`` (the first frame) to ``t_end`` (the
+    last), in time order.
 
     Window k holds the samples stamped in [t0 + k*t_window, t0 + (k+1)*t_window);
     the last window also holds the final frame, which sits exactly on its
-    closing edge. ``samples`` must be in time order. The aggregates depend
-    on nothing but the samples and the window length, so runs that differ
-    only in their other parameters share them.
+    closing edge. ``samples`` must be in time order. OBD responses arrive
+    slower than angle broadcasts, so a category with no samples in a window
+    holds the previous window's value (0.0 before the first) instead of
+    zeroing out. The windows depend on nothing but the samples and the
+    window length, so runs that differ only in their other parameters share
+    them.
     """
     n_windows = int((t_end - t0) / t_window) + 1
     times = [t for t, _signal, _v in samples]
-    aggregates: list[WindowAggregate] = []
-    aggregate = WindowAggregate(avg_angle_deg=0.0, avg_speed_ms=0.0)
+    windows: list[Window] = []
+    angle = speed = 0.0
     sample_idx = 0
     for k in range(n_windows):
         first = sample_idx
@@ -212,24 +193,26 @@ def window_aggregates(
             sample_idx = len(samples)
         else:
             sample_idx = bisect_left(times, t0 + (k + 1) * t_window, sample_idx)
-        aggregate = window_aggregate(samples[first:sample_idx], aggregate)
-        aggregates.append(aggregate)
-    return aggregates
+        window = samples[first:sample_idx]
+        angles = [value for _t, signal, value in window if signal == ANGLE]
+        speeds = [value for _t, signal, value in window if signal == SPEED]
+        if angles:
+            angle = sum(angles) / len(angles)
+        if speeds:
+            speed = (sum(speeds) / len(speeds)) / 3.6
+        windows.append((angle, speed))
+    return windows
 
 
-def window_controls(windows: Sequence[WindowAggregate], params: InferenceParams) -> list[Control]:
+def window_controls(windows: Sequence[Window], params: InferenceParams) -> list[Control]:
     """Per window, all that dead reckoning reads of it: the steering angle
     clamped to ``steer_max``, the speed in m/s, and whether the car may
     turn (not above ``speed_max``). Runs equal in these, the window length
     and the batch size make the same track; the tuner keys runs on that."""
     steer_max, speed_max = params.steer_max, params.speed_max
     return [
-        (
-            max(-steer_max, min(steer_max, w.avg_angle_deg)),
-            w.avg_speed_ms,
-            w.avg_speed_ms * 3.6 <= speed_max + 1e-9,
-        )
-        for w in windows
+        (max(-steer_max, min(steer_max, angle)), speed, speed * 3.6 <= speed_max + 1e-9)
+        for angle, speed in windows
     ]
 
 

@@ -92,7 +92,7 @@ def sequence_logweight(
     total = emission_logweight(chosen[0].perp_m, config.emission_sigma)
     for t in range(1, len(points)):
         gc = geodesic_inverse(points[t - 1], points[t])[0]
-        route = route_distance(graph, chosen[t - 1].point, chosen[t].point)
+        route = route_distance(graph, chosen[t - 1], chosen[t])
         total += transition_logweight(gc, route, config.transition_beta)
         total += emission_logweight(chosen[t].perp_m, config.emission_sigma)
     return total
@@ -137,7 +137,7 @@ def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherCon
                 score = scores[prev_idx]
                 if score < best:
                     break
-                route = route_distance(graph, prev_cands[prev_idx].point, cand.point)
+                route = route_distance(graph, prev_cands[prev_idx], cand)
                 w = score + transition_logweight(gc, route, config.transition_beta)
                 if w > best or (w == best and prev_idx < best_prev):
                     best = w
@@ -149,21 +149,15 @@ def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherCon
         scores = new_scores
         backrefs.append(back)
 
-    best_idx = 0
-    best_score = -math.inf
-    for idx, score in enumerate(scores):
-        if score > best_score:
-            best_score = score
-            best_idx = idx
-
-    chain = [best_idx]
+    # max keeps the first of equal scores, the smaller edge id
+    chain = [max(range(len(scores)), key=scores.__getitem__)]
     for back in reversed(backrefs):
         chain.append(back[chain[-1]])
     chain.reverse()
 
     chosen = [candidates[t][idx] for t, idx in enumerate(chain)]
     return MatchResult(
-        matched_points=tuple((c.point.lat, c.point.lon) for c in chosen),
+        matched_points=tuple((c.lat, c.lon) for c in chosen),
         edge_ids=tuple(c.edge_id for c in chosen),
     )
 

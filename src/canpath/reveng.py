@@ -10,6 +10,7 @@ offset stays a manual step, helped by the per-byte change rates.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,8 +55,8 @@ class AngleDecoder:
             raise ValueError("byte_hi and byte_lo must differ")
         if not 0 <= self.offset <= 0xFFFF:
             raise ValueError("offset must fit 16 bits")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.mode not in (OFFSET_MODE, TWOS_COMPLEMENT_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -192,7 +193,8 @@ class VehicleEntry:
     wheelbase: float | None = None
 
 
-def _normalize_model(name: str) -> str:
+def normalize_model(name: str) -> str:
+    """A model name as the sheet keys it: lower case, single spaces."""
     return " ".join(name.lower().split())
 
 
@@ -218,7 +220,7 @@ KNOWN_VEHICLES: dict[str, VehicleEntry] = {e.model: e for e in _KNOWN}
 def lookup_vehicle(model: str) -> VehicleEntry | None:
     """The shipped sheet row (decoder and wheelbase) for a vehicle model,
     spelling variants included, or None when the model is unknown."""
-    key = _normalize_model(model)
+    key = normalize_model(model)
     key = _ALIASES.get(key, key)
     return KNOWN_VEHICLES.get(key)
 
@@ -251,7 +253,7 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (7, 8):
             raise ValueError(f"line {line_no}: expected 7 or 8 comma-separated fields")
-        model = _normalize_model(parts[0])
+        model = normalize_model(parts[0])
         decoder = AngleDecoder(
             id=int(parts[1], 16),
             byte_hi=int(parts[2]),

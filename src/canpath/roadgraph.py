@@ -61,26 +61,16 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class EdgePoint:
-    """A location constrained to an edge: the snapped coordinate plus its
-    along-edge offset from the edge's from-node."""
+class Candidate:
+    """A point snapped onto an edge: its along-edge offset from the edge's
+    from-node, its coordinate, and its perpendicular distance from the
+    query point."""
 
     edge_id: int
     offset_m: float
     lat: float
     lon: float
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A nearest-edge query hit."""
-
-    point: EdgePoint
     perp_m: float
-
-    @property
-    def edge_id(self) -> int:
-        return self.point.edge_id
 
 
 class RoadGraph:
@@ -92,7 +82,7 @@ class RoadGraph:
         """edges entries: (id, from, to, bidirectional, intermediate points)."""
         self.nodes = dict(nodes)
         self.edges: dict[int, Edge] = {}
-        self._adjacency: dict[int, list[tuple[int, float, int]]] = {n: [] for n in self.nodes}
+        self._adjacency: dict[int, list[tuple[int, float]]] = {n: [] for n in self.nodes}
         self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
         # per query box (i0, i1, j0, j1): each edge with its ascending segments
         self._boxes: dict[tuple[int, int, int, int], list[tuple[Edge, tuple[int, ...]]]] = {}
@@ -129,9 +119,9 @@ class RoadGraph:
             cum_m=tuple(cum),
         )
         self.edges[edge_id] = edge
-        self._adjacency[node_from].append((node_to, length, edge_id))
+        self._adjacency[node_from].append((node_to, length))
         if edge.bidirectional:
-            self._adjacency[node_to].append((node_from, length, edge_id))
+            self._adjacency[node_to].append((node_from, length))
         self._parent[self._component(node_from)] = self._component(node_to)
         self._index_edge(edge)
 
@@ -263,8 +253,7 @@ class RoadGraph:
         (alat, alon), (blat, blon) = geometry[best_seg], geometry[best_seg + 1]
         t, cum = best_t, edge.cum_m
         offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
-        point = EdgePoint(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon))
-        return Candidate(point, best_dist)
+        return Candidate(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon), best_dist)
 
     def project_to_edge(self, edge_id: int, lat: float, lon: float) -> Candidate:
         """Perpendicular projection of a point onto an edge's polyline."""
@@ -291,7 +280,7 @@ class RoadGraph:
         beyond that side too, more than ``radius_m`` away in ``_project``'s
         metric by the ``_PAD_DEG`` pad, so it is never a hit, never an
         edge's nearest segment within the radius and never part of a tie.
-        An ``EdgePoint`` and ``Candidate`` are built only for a hit.
+        A ``Candidate`` is built only for a hit.
         """
         kx = DEG_M * math.cos(math.radians(lat))
         dlat = radius_m / DEG_M + _PAD_DEG
@@ -365,7 +354,7 @@ class RoadGraph:
             if d > dist[node]:
                 continue
             settled[node] = d
-            for neighbor, length, _edge_id in adjacency[node]:
+            for neighbor, length in adjacency[node]:
                 nd = d + length
                 if nd < dist.get(neighbor, math.inf):
                     dist[neighbor] = nd
@@ -387,7 +376,7 @@ def _latlon(lat_text: str, lon_text: str) -> LatLon:
     raise ValueError(f"longitude {lon_text} is outside [-180, 180]")
 
 
-def route_distance(graph: RoadGraph, a: EdgePoint, b: EdgePoint) -> float:
+def route_distance(graph: RoadGraph, a: Candidate, b: Candidate) -> float:
     """Shortest along-road distance between two points on edges.
 
     Includes the partial first and last edges; returns inf when unreachable.

@@ -253,7 +253,6 @@ _SCENARIO_KEYS = frozenset({
     "name", "graph", "route", "speed_profile", "model", "decoder", "wheelbase",
     "swa_rate", "obd_rate", "start_bearing_error",
 })
-_DECODER_KEYS = frozenset({"id", "byte_hi", "byte_lo", "offset", "scale", "mode"})
 
 
 def load_scenario(path: str) -> SimScenario:
@@ -274,7 +273,7 @@ def load_scenario(path: str) -> SimScenario:
         raise ScenarioError("scenario file must hold a JSON object")
     unknown = sorted(set(doc) - _SCENARIO_KEYS)
     if isinstance(doc.get("decoder"), dict):
-        unknown += [f"decoder.{k}" for k in sorted(set(doc["decoder"]) - _DECODER_KEYS)]
+        unknown += [f"decoder.{k}" for k in sorted(set(doc["decoder"]) - _DECODER_READERS.keys())]
     if unknown:
         raise ScenarioError(f"scenario file has unknown key {unknown[0]!r}")
     if "model" in doc and "decoder" in doc:
@@ -290,12 +289,8 @@ def load_scenario(path: str) -> SimScenario:
         else:
             d = doc["decoder"]
             decoder = AngleDecoder(
-                id=_integer(d["id"], "decoder.id", hex_text=True),
-                byte_hi=_integer(d.get("byte_hi", 0), "decoder.byte_hi"),
-                byte_lo=_integer(d.get("byte_lo", 1), "decoder.byte_lo"),
-                offset=_integer(d.get("offset", 0x7FFF), "decoder.offset", hex_text=True),
-                scale=_number(d.get("scale", 0.01), "decoder.scale"),
-                mode=d.get("mode", "offset"),
+                id=_hex_integer(d["id"], "decoder.id"),
+                **{k: _DECODER_READERS[k](v, f"decoder.{k}") for k, v in d.items() if k != "id"},
             )
             wheelbase = _number(doc["wheelbase"], "wheelbase")
         vehicle = VehicleSpec(wheelbase=wheelbase)
@@ -309,9 +304,7 @@ def load_scenario(path: str) -> SimScenario:
             ],
             decoder=decoder,
             vehicle=vehicle,
-            swa_rate=_number(doc.get("swa_rate", 100.0), "swa_rate"),
-            obd_rate=_number(doc.get("obd_rate", 10.0), "obd_rate"),
-            start_bearing_error=_number(doc.get("start_bearing_error", 0.0), "start_bearing_error"),
+            **{k: _number(doc[k], k) for k in ("swa_rate", "obd_rate", "start_bearing_error") if k in doc},
         )
     except KeyError as exc:
         raise ScenarioError(f"scenario file missing key {exc}") from None
@@ -344,6 +337,22 @@ def _integer(value, key: str, hex_text: bool = False) -> int:
         return value
     expected = "an integer or a hex string" if hex_text else "an integer"
     raise ScenarioError(f"scenario key {key!r} must be {expected}, got {value!r}")
+
+
+def _hex_integer(value, key: str) -> int:
+    return _integer(value, key, hex_text=True)
+
+
+# How each key of a scenario file's "decoder" is read; a key the file
+# leaves out takes AngleDecoder's default.
+_DECODER_READERS = {
+    "id": _hex_integer,
+    "byte_hi": _integer,
+    "byte_lo": _integer,
+    "offset": _hex_integer,
+    "scale": _number,
+    "mode": lambda value, _key: value,
+}
 
 
 def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:

@@ -18,6 +18,8 @@ from .geokin import EARTH_RADIUS_M, LatLon, cumulative_lengths, geodesic_inverse
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
 GAP_SCORE = -1
+# Default distance in metres within which two points match
+MATCH_EPSILON_M = 10.0
 
 # Half-width of nw_align's first band; a band that does not certify is
 # filled once more at the width its score calls for.
@@ -237,7 +239,7 @@ def _banded_fill(within, la: int, lb: int, w: int):
     return prev[lb - la - dlo], dlo, dhi, rows
 
 
-def nw_align(a: Track, b: Track, match_epsilon: float = 10.0) -> AlignmentResult:
+def nw_align(a: Track, b: Track, match_epsilon: float = MATCH_EPSILON_M) -> AlignmentResult:
     """Global alignment: +1 for pairs within match_epsilon meters, -1 for
     non-matching pairs, -1 per gap. Accuracy = matched / max(len_a, len_b);
     two empty tracks count as identical. A non-finite or negative
@@ -359,7 +361,7 @@ def resample_track(track: Track, spacing_m: float) -> Track:
 def compare_tracks(
     a: Track,
     b: Track,
-    match_epsilon: float = 10.0,
+    match_epsilon: float = MATCH_EPSILON_M,
     spacing_m: float | None = None,
 ) -> AlignmentResult:
     """Sampling-rate-independent similarity of two tracks.

@@ -137,12 +137,6 @@ def test_filter_is_subsequence_and_mask_literal(ids, entries):
         assert any((f.id & mask) == (fid & mask) for fid, mask in entries)
 
 
-def test_filter_string_roundtrip():
-    id_filter = IdFilter.parse("7E8:7FF,0C6:7FF")
-    assert id_filter.entries == ((0x7E8, 0x7FF), (0x0C6, 0x7FF))
-    assert IdFilter.parse(str(id_filter)) == id_filter
-
-
 def test_parse_log_permissive_reports_line_numbers():
     text = "(1.0) can0 0C6#7DC8\nnot a line\n(2.0) can0 0C6#7DC9\n"
     frames, skipped = parse_log(text.splitlines(), strict=False)

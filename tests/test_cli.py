@@ -237,6 +237,42 @@ def test_infer_from_stdin_needs_out(capsys, monkeypatch, tmp_path):
     assert len(load_gpx(str(tmp_path / "trip.gpx"))) == 1000
 
 
+@pytest.mark.parametrize("wheelbase", ["inf", "nan"])
+def test_infer_non_finite_wheelbase_is_one_error_line(scenario_dir, capsys, tmp_path, wheelbase):
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0",
+        "--model", "renault captur", "--wheelbase", wheelbase, "--matcher", "none",
+        "--out", tmp_path / "out.gpx",
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: wheelbase must be finite and positive, got {wheelbase}"]
+    assert not (tmp_path / "out.gpx").exists()
+
+
+def test_decoder_sheet_with_infinite_scale_is_one_error_line(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "mycar.txt"
+    sheet.write_text("canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, inf, offset, 2.60\n")
+    for command in (["decode"], ["infer", "--start", "44.65,10.92,0", "--matcher", "none", "--out", tmp_path / "out.gpx"]):
+        code, out, err = run(capsys, command[0], scenario_dir / "leftturn.log", *command[1:], "--decoder-file", sheet)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: scale must be finite and positive, got inf"]
+    assert not (tmp_path / "out.gpx").exists()
+
+
+def test_rewheel_ceiling(scenario_dir, capsys):
+    log = scenario_dir / "leftturn.log"
+    code, default, err = run(capsys, "rewheel", log, "--csv")
+    assert code == 0, err
+    assert run(capsys, "rewheel", log, "--csv", "--ceiling", "300")[1] == default
+    assert "0x0C6," in default
+    code, below, err = run(capsys, "rewheel", log, "--csv", "--ceiling", "C6")
+    assert code == 0, err
+    assert below.splitlines() == default.splitlines()[:1] + [
+        line for line in default.splitlines()[1:] if not line.startswith("0x0C6,")
+    ]
+    assert "0x0C6," in run(capsys, "rewheel", log, "--csv", "--ceiling", "C7")[1]
+
+
 def test_tune_small_grid(scenario_dir, capsys, tmp_path):
     sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
     start = [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")]
@@ -260,12 +296,18 @@ def test_tune_small_grid(scenario_dir, capsys, tmp_path):
     }
     manifest_file = tmp_path / "tune.json"
     manifest_file.write_text(json.dumps(manifest))
-    out_csv = tmp_path / "grid.csv"
-    code, out, err = run(capsys, "tune", manifest_file, "--out", out_csv)
+    out_csv, marginals = tmp_path / "grid.csv", tmp_path / "marginals.csv"
+    code, out, err = run(capsys, "tune", manifest_file, "--out", out_csv, "--marginals", marginals)
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 combinations
     assert "best:" in err
+    # one row per grid value, parameters in grid order
+    header, *rows = marginals.read_text().splitlines()
+    assert header == "parameter,value,mean_accuracy"
+    assert [row.rsplit(",", 1)[0] for row in rows] == [
+        f"{name},{value}" for name, values in manifest["grids"].items() for value in values
+    ]
 
 
 def test_decode_output_bytes_are_pinned(capsys, tmp_path):

@@ -180,3 +180,9 @@ def test_pose_validation():
 def test_vehicle_spec_validation():
     with pytest.raises(ValueError):
         VehicleSpec(wheelbase=0.0)
+
+
+@pytest.mark.parametrize("wheelbase", [math.inf, -math.inf, math.nan])
+def test_vehicle_spec_rejects_non_finite_wheelbase(wheelbase):
+    with pytest.raises(ValueError, match="wheelbase must be finite and positive"):
+        VehicleSpec(wheelbase=wheelbase)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
 import pytest
@@ -24,12 +25,11 @@ from canpath.inference import (
     MAX_SERVICE_FAILURES,
     InferenceError,
     InferenceParams,
-    WindowAggregate,
     dead_reckon,
     decode_log,
     decode_signals,
     infer_path,
-    window_aggregate,
+    window_aggregates,
     window_controls,
 )
 from canpath.mapmatch import ExternalMatcher, GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
@@ -40,7 +40,6 @@ from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
 
 DECODER = AngleDecoder(id=0x0C6)
-PREV = WindowAggregate(avg_angle_deg=1.0, avg_speed_ms=9.1666, angle_samples=1, speed_samples=1)
 
 
 def angle_frame(ts, deg):
@@ -148,33 +147,99 @@ def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
 
 
 def test_window_aggregate_means_and_unit_conversion():
-    frames = [angle_frame(0.00, -5.67), angle_frame(0.05, -5.67), speed_frame(0.02, 33)]
-    agg = window_aggregate(decode_signals(frames, DECODER), WindowAggregate(0.0, 0.0))
-    assert agg.avg_angle_deg == pytest.approx(-5.67)
-    assert agg.avg_speed_ms == pytest.approx(33 / 3.6)
-    assert agg.avg_speed_ms == pytest.approx(9.1667, abs=5e-5)
-    assert agg.angle_samples == 2 and agg.speed_samples == 1
+    frames = [angle_frame(0.00, -5.67), speed_frame(0.02, 33), angle_frame(0.05, -5.67)]
+    ((angle, speed),) = window_aggregates(decode_signals(frames, DECODER), 0.0, 0.05, 0.1)
+    assert angle == pytest.approx(-5.67)
+    assert speed == pytest.approx(33 / 3.6)
+    assert speed == pytest.approx(9.1667, abs=5e-5)
 
 
 def test_window_aggregate_holds_last_speed():
-    agg = window_aggregate(decode_signals([angle_frame(0.0, 2.0)], DECODER), PREV)
-    assert agg.avg_speed_ms == PREV.avg_speed_ms
-    assert agg.avg_angle_deg == pytest.approx(2.0)
-    assert agg.speed_samples == 0
+    frames = [angle_frame(0.0, 1.0), speed_frame(0.02, 33), angle_frame(0.1, 2.0)]
+    first, second = window_aggregates(decode_signals(frames, DECODER), 0.0, 0.1, 0.1)
+    assert second[1] == first[1]
+    assert second[0] == pytest.approx(2.0)
 
 
 def test_window_aggregate_empty_window_keeps_previous():
-    agg = window_aggregate([], PREV)
-    assert agg.avg_angle_deg == PREV.avg_angle_deg
-    assert agg.avg_speed_ms == PREV.avg_speed_ms
+    samples = decode_signals([angle_frame(0.0, 1.0), speed_frame(0.02, 33)], DECODER)
+    first, second = window_aggregates(samples, 0.0, 0.15, 0.1)
+    assert second[0] == first[0]
+    assert second[1] == first[1]
 
 
 def test_window_aggregate_skips_malformed_angle_frames():
     broken = CanFrame(0.0, "can0", DECODER.id, b"\x7f")  # one byte only
     samples = decode_signals([broken, angle_frame(0.01, 1.5)], DECODER)
-    agg = window_aggregate(samples, WindowAggregate(0.0, 0.0))
-    assert agg.avg_angle_deg == pytest.approx(1.5)
-    assert agg.angle_samples == 1
+    ((angle, _speed),) = window_aggregates(samples, 0.0, 0.01, 0.1)
+    assert angle == pytest.approx(1.5)
+
+
+def reference_window_aggregates(samples, t0, t_end, t_window):
+    """The per-window code that window_aggregates replaced: each window's
+    samples sliced out and averaged by a window_aggregate call that holds
+    the previous window's (angle, speed) for a category with no samples."""
+
+    def window_aggregate(window, previous):
+        angles = [value for _t, signal, value in window if signal == ANGLE]
+        speeds = [value for _t, signal, value in window if signal == SPEED]
+        avg_angle = sum(angles) / len(angles) if angles else previous[0]
+        avg_speed = (sum(speeds) / len(speeds)) / 3.6 if speeds else previous[1]
+        return (avg_angle, avg_speed)
+
+    n_windows = int((t_end - t0) / t_window) + 1
+    times = [t for t, _signal, _v in samples]
+    aggregates = []
+    aggregate = (0.0, 0.0)
+    sample_idx = 0
+    for k in range(n_windows):
+        first = sample_idx
+        if k == n_windows - 1:
+            sample_idx = len(samples)
+        else:
+            sample_idx = bisect_left(times, t0 + (k + 1) * t_window, sample_idx)
+        aggregate = window_aggregate(samples[first:sample_idx], aggregate)
+        aggregates.append(aggregate)
+    return aggregates
+
+
+def _random_sample_stream(rng, t_window):
+    """A time-ordered sample stream from t0 to t_end, with quiet stretches
+    and runs of one category only. Half the streams end with a sample
+    stamped exactly on a window edge."""
+    t0 = rng.choice([0.0, 12.345, 1.7e9 + rng.random()])
+    t = t0
+    samples = [(t0, ANGLE, rng.uniform(-40.0, 40.0))]
+    for _ in range(rng.randrange(120)):
+        t += rng.choice([0.0, 0.003, 0.01, rng.uniform(0.0, 2.5 * t_window)])
+        if rng.random() < 0.5:
+            samples.append((t, ANGLE, rng.uniform(-540.0, 540.0)))
+        else:
+            samples.append((t, SPEED, rng.randrange(256)))
+    if rng.random() < 0.5:
+        t = t0 + (int((t - t0) / t_window) + rng.randrange(1, 3)) * t_window
+        samples.append((t, SPEED, rng.randrange(256)))
+    return samples, t0, t
+
+
+def test_window_aggregates_equal_the_per_window_code():
+    rng = random.Random(14)
+    seen = {"empty": 0, "angle only": 0, "speed only": 0, "last on closing edge": 0}
+    for t_window in (0.01, 0.05, 0.1, 0.3, 1.0):
+        for _ in range(120):
+            samples, t0, t_end = _random_sample_stream(rng, t_window)
+            got = window_aggregates(samples, t0, t_end, t_window)
+            assert got == reference_window_aggregates(samples, t0, t_end, t_window)
+            # which signals each window holds, to show that every case occurs
+            edges = [t0 + k * t_window for k in range(1, len(got) + 1)]
+            signals = [set() for _ in got]
+            for t, signal, _v in samples:
+                signals[min(bisect_right(edges, t), len(got) - 1)].add(signal)
+            seen["empty"] += sum(not s for s in signals)
+            seen["angle only"] += signals.count({ANGLE})
+            seen["speed only"] += signals.count({SPEED})
+            seen["last on closing edge"] += t_end >= edges[-1]
+    assert all(seen.values()), seen
 
 
 # -- clamping and straightening ----------------------------------------------------
@@ -182,7 +247,7 @@ def test_window_aggregate_skips_malformed_angle_frames():
 
 @pytest.mark.parametrize("angle,expected", [(40.0, 35.0), (-50.0, -35.0), (10.0, 10.0)])
 def test_clamp_steer(angle, expected):
-    (control,) = window_controls([WindowAggregate(angle, 10.0)], InferenceParams(steer_max=35.0))
+    (control,) = window_controls([(angle, 10.0)], InferenceParams(steer_max=35.0))
     assert control == (expected, 10.0, True)
 
 
@@ -198,7 +263,7 @@ def test_straighten_forces_travel_bearing_at_speed():
     ahead = geodesic_forward(start.position, 90.0, 2.0)  # 2 m due east
     pose = VehiclePose(ahead[0], ahead[1], 45.0)  # bearing got twisted somehow
     # 72 km/h is above speed_max: the window may not turn, so it is straightened
-    (control,) = window_controls([WindowAggregate(0.0, 20.0)], InferenceParams(speed_max=50.0))
+    (control,) = window_controls([(0.0, 20.0)], InferenceParams(speed_max=50.0))
     assert control[2] is False
     point, end = _one_window(control, pose, start.position)
     assert end.bearing == pytest.approx(90.0, abs=1e-6)
@@ -208,7 +273,7 @@ def test_straighten_forces_travel_bearing_at_speed():
 
 def test_straighten_below_threshold_is_identity():
     # 36 km/h, and exactly speed_max, may turn; the window is never straightened
-    windows = [WindowAggregate(0.0, 10.0), WindowAggregate(0.0, 50.0 / 3.6)]
+    windows = [(0.0, 10.0), (0.0, 50.0 / 3.6)]
     controls = window_controls(windows, InferenceParams(speed_max=50.0))
     assert [c[2] for c in controls] == [True, True]
     behind = geodesic_forward((44.65, 10.92), 270.0, 2.0)  # a chord due east

@@ -87,8 +87,8 @@ def test_straight_two_edge_transition_weight_zero():
     assert result.edge_ids == (1, 2)
     from canpath.roadgraph import route_distance
 
-    a = graph.project_to_edge(1, *points[0]).point
-    b = graph.project_to_edge(2, *points[1]).point
+    a = graph.project_to_edge(1, *points[0])
+    b = graph.project_to_edge(2, *points[1])
     assert route_distance(graph, a, b) == pytest.approx(gc, rel=1e-6)
 
 
@@ -183,7 +183,7 @@ def reference_viterbi_match(graph, points, config):
             best = -math.inf
             best_prev = 0
             for prev_idx, prev in enumerate(candidates[t - 1]):
-                route = route_distance(graph, prev.point, cand.point)
+                route = route_distance(graph, prev, cand)
                 w = scores[prev_idx] + transition_logweight(gc, route, config.transition_beta)
                 if w > best:  # strict: earlier (smaller edge id) wins ties
                     best = w
@@ -209,7 +209,7 @@ def reference_viterbi_match(graph, points, config):
 
     chosen = [candidates[t][idx] for t, idx in enumerate(chain)]
     return MatchResult(
-        matched_points=tuple((c.point.lat, c.point.lon) for c in chosen),
+        matched_points=tuple((c.lat, c.lon) for c in chosen),
         edge_ids=tuple(c.edge_id for c in chosen),
     )
 

@@ -225,3 +225,15 @@ def test_decoder_sheet_roundtrip(tmp_path):
 def test_decoder_sheet_requires_header():
     with pytest.raises(ValueError, match="canpath-decoders"):
         parse_decoder_sheet("model, 0C6, 0, 1, 7FFF, 0.01, offset\n")
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("-inf"), float("nan"), 0.0, -0.01])
+def test_decoder_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        AngleDecoder(id=0x0C6, scale=scale)
+
+
+def test_decoder_sheet_with_infinite_scale_is_rejected():
+    sheet = "canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, inf, offset\n"
+    with pytest.raises(ValueError, match="scale"):
+        parse_decoder_sheet(sheet)

@@ -7,7 +7,7 @@ import pytest
 from canpath.geokin import DEG_M, geodesic_inverse
 from canpath import mapmatch, roadgraph
 from canpath.mapmatch import GraphMatcher
-from canpath.roadgraph import _CELL_DEG, _PAD_DEG, Candidate, EdgePoint, GraphFormatError, RoadGraph, route_distance
+from canpath.roadgraph import _CELL_DEG, _PAD_DEG, Candidate, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
 from helpers import all_simple_path_distances, grid_text, offset_point, straight_graph, triangle_graph, y_junction
@@ -101,7 +101,7 @@ def test_nearest_edges_finds_projection():
     hits = graph.nearest_edges(mid_lat + 5 / 111194.9, mid_lon, radius_m=50, max_results=5)
     assert len(hits) == 1
     assert hits[0].perp_m == pytest.approx(5.0, abs=0.05)
-    assert hits[0].point.offset_m == pytest.approx(100.0, abs=0.1)
+    assert hits[0].offset_m == pytest.approx(100.0, abs=0.1)
 
 
 def test_nearest_edges_radius_excludes():
@@ -132,9 +132,9 @@ def _assert_same_as_brute_force(graph, points, radii=(3.0, 20.0, 50.0, 150.0), m
     only for an edge within the radius."""
     built = [0]
 
-    def counting_candidate(point, perp_m):
+    def counting_candidate(*fields):
         built[0] += 1
-        return Candidate(point, perp_m)
+        return Candidate(*fields)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roadgraph, "Candidate", counting_candidate)
@@ -249,7 +249,7 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
     assert graph._project(edge, [0], lat, lon, kx).perp_m == graph._project(edge, [2], lat, lon, kx).perp_m
     got = graph.nearest_edges(lat, lon, radius_m=50.0, max_results=5)
     assert got == brute_force_nearest(graph, lat, lon, 50.0, 5)
-    assert got[0].point.lat == lat0  # segment 0, not segment 2
+    assert got[0].lat == lat0  # segment 0, not segment 2
 
 
 def test_nearest_edges_equals_brute_force_on_repeated_boxes():
@@ -321,14 +321,14 @@ def test_index_equals_the_per_segment_rule(make_graph):
 
 def test_route_distance_same_point():
     graph = straight_graph()
-    p = graph.project_to_edge(1, *offset_point(graph, 1, 50.0)).point
+    p = graph.project_to_edge(1, *offset_point(graph, 1, 50.0))
     assert route_distance(graph, p, p) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_route_distance_along_one_edge():
     graph = straight_graph()
-    a = graph.project_to_edge(1, *offset_point(graph, 1, 30.0)).point
-    b = graph.project_to_edge(1, *offset_point(graph, 1, 170.0)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, 30.0))
+    b = graph.project_to_edge(1, *offset_point(graph, 1, 170.0))
     assert route_distance(graph, a, b) == pytest.approx(140.0, abs=0.01)
     assert route_distance(graph, b, a) == pytest.approx(140.0, abs=0.01)
 
@@ -337,8 +337,8 @@ def test_route_distance_triangle_against_enumeration():
     graph = triangle_graph()
     # nodes: 1 at right angle, 2 east (300 m), 3 north (400 m)
     best_by_dfs = min(all_simple_path_distances(graph, 2, 3))
-    a = graph.project_to_edge(1, *graph.nodes[2]).point  # end of edge 1 at node 2
-    b = graph.project_to_edge(2, *graph.nodes[3]).point  # end of edge 2 at node 3
+    a = graph.project_to_edge(1, *graph.nodes[2])  # end of edge 1 at node 2
+    b = graph.project_to_edge(2, *graph.nodes[3])  # end of edge 2 at node 3
     via_edges = route_distance(graph, a, b)
     assert via_edges == pytest.approx(best_by_dfs, rel=1e-6)
     # and the direct hypotenuse edge is shorter than the two-leg path
@@ -352,8 +352,8 @@ node 2 44.6500000 10.9030000
 edge 1 2 1 0
 """
     graph = RoadGraph.from_text(pb_text)
-    a = graph.project_to_edge(1, *offset_point(graph, 1, 100.0)).point
-    b = graph.project_to_edge(1, *offset_point(graph, 1, 300.0)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, 100.0))
+    b = graph.project_to_edge(1, *offset_point(graph, 1, 300.0))
     assert route_distance(graph, a, b) == pytest.approx(200.0, abs=0.01)
     assert math.isinf(route_distance(graph, b, a))  # cannot go back on a one-way
 
@@ -370,8 +370,8 @@ edge 3 3 1 0
 """
     graph = RoadGraph.from_text(text)
     length1 = graph.edges[1].length_m
-    a = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.75)).point
-    b = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.25)).point
+    a = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.75))
+    b = graph.project_to_edge(1, *offset_point(graph, 1, length1 * 0.25))
     expected = (
         (length1 * 0.25)  # finish edge 1
         + graph.edges[2].length_m
@@ -388,7 +388,7 @@ def test_route_distance_symmetry_and_triangle_inequality():
     for _ in range(12):
         edge_id = rng.choice(list(graph.edges))
         offset = rng.uniform(0, graph.edges[edge_id].length_m)
-        samples.append(graph.project_to_edge(edge_id, *offset_point(graph, edge_id, offset)).point)
+        samples.append(graph.project_to_edge(edge_id, *offset_point(graph, edge_id, offset)))
     for a in samples:
         for b in samples:
             ab = route_distance(graph, a, b)
@@ -569,7 +569,7 @@ def test_route_distance_equals_the_reference(make_graph):
     base = make_graph()
     reference = {s: full_dijkstra(base, s) for s in base.nodes}
     points = [
-        EdgePoint(edge.id, offset, 0.0, 0.0)
+        Candidate(edge.id, offset, 0.0, 0.0, 0.0)
         for edge in base.edges.values()
         for offset in (0.0, 0.37 * edge.length_m, edge.length_m)
     ]
@@ -647,7 +647,7 @@ def test_routing_work_does_not_grow_with_the_graph(monkeypatch):
         # three points on each of the four blocks that meet at the centre
         centre_edges = sorted(hit.edge_id for hit in graph.nearest_edges(44.65, 10.92, 60.0, 10))
         points = [
-            graph.project_to_edge(edge_id, *offset_point(graph, edge_id, rng.uniform(0, 100))).point
+            graph.project_to_edge(edge_id, *offset_point(graph, edge_id, rng.uniform(0, 100)))
             for edge_id in centre_edges
             for _ in range(3)
         ]

@@ -9,7 +9,7 @@ from canpath.geokin import geodesic_inverse
 from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
 from canpath.obd import response_speed_kmh
-from canpath.reveng import payload_angle
+from canpath.reveng import AngleDecoder, payload_angle
 from canpath.scenarios import (
     DEFAULT_DECODER,
     DEFAULT_VEHICLE,
@@ -240,6 +240,25 @@ def test_scenario_file_with_inline_decoder(tmp_path):
     loaded = load_scenario(str(scenario_file))
     assert loaded.decoder.id == 0x2F5
     assert loaded.vehicle.wheelbase == 2.604
+
+
+def test_scenario_file_leaves_defaults_to_the_dataclasses(tmp_path):
+    sc = turn_left_90()
+    sc.graph.save(str(tmp_path / "roads.txt"))
+    doc = {
+        "name": "minimal",
+        "graph": "roads.txt",
+        "route": sc.route,
+        "speed_profile": [[0.0, 20.0]],
+        "decoder": {"id": "2F5"},
+        "wheelbase": 2.604,
+    }
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc))
+    loaded = load_scenario(str(scenario_file))
+    assert loaded.decoder == AngleDecoder(id=0x2F5)
+    defaults = SimScenario(loaded.name, loaded.graph, loaded.route, loaded.speed_profile, loaded.decoder, loaded.vehicle)
+    assert loaded == defaults
 
 
 def test_scenario_file_missing_key(tmp_path):
