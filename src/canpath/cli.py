@@ -18,28 +18,24 @@ from dataclasses import fields
 
 from . import __version__
 from .canlog import IdFilter, LogParseError, filter_frames, read_log, write_log
-from .geokin import VehiclePose, VehicleSpec
+from .geokin import VehiclePose
 from .inference import ANGLE, InferenceError, InferenceParams, decode_signals, infer_path
 from .mapmatch import ExternalMatcher, GraphMatcher, MatchServiceError
 from .obd import OBD_RESPONSE_ID_FIRST
 from .reveng import (
     DEFAULT_ID_CEILING,
-    VehicleEntry,
+    VehicleError,
     candidate_report_csv,
     compute_change_stats,
     format_candidate_report,
-    load_decoder_sheet,
-    lookup_vehicle,
-    normalize_model,
     rank_swa_candidates,
+    resolve_entry,
+    resolve_spec,
 )
 from .roadgraph import GraphFormatError, RoadGraph
 from .synthgen import ScenarioError, load_scenario, manifest_for, simulate
 from .trackeval import MATCH_EPSILON_M, GpxError, comparison_csv_row, compare_tracks, load_gpx, save_gpx
 from .tuner import TuneTrack, grid_search, marginal_curves, resolve_grids, rows_to_csv
-
-MATCHER_URL_ENV = "CANPATH_MATCHER_URL"
-
 
 class UsageError(Exception):
     pass
@@ -111,68 +107,13 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _manifest_grids(raw) -> dict:
-    """The manifest's ``grids`` laid over the default grids: each key a
-    parameter name, each value a non-empty list of numbers."""
-    if not isinstance(raw, dict):
-        raise UsageError("manifest 'grids' must map parameter names to lists of values")
-    for name, values in raw.items():
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise UsageError(f"manifest grids: {name!r} must be a list of numbers")
-    try:
-        return resolve_grids({name: tuple(values) for name, values in raw.items()})
-    except ValueError as exc:
-        raise UsageError(f"manifest grids: {exc}") from None
-
-
-def _resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
-    """Decoder-sheet row from a model name and/or a decoder file."""
-    if decoder_file:
-        sheet = load_decoder_sheet(decoder_file)
-        if model:
-            entry = sheet.get(normalize_model(model))
-            if entry is None:
-                raise UsageError(f"model {model!r} not in decoder file")
-            return entry
-        if len(sheet) != 1:
-            raise UsageError("--decoder-file has several models; pick one with --model")
-        return next(iter(sheet.values()))
-    if model:
-        entry = lookup_vehicle(model)
-        if entry is None:
-            raise UsageError(f"unknown model {model!r}: supply --decoder-file and --wheelbase")
-        return entry
-    raise UsageError("one of --model or --decoder-file is required")
-
-
-def _resolve_vehicle(
-    model: str | None, decoder_file: str | None, wheelbase: float | None
-) -> tuple:
-    """Decoder + vehicle spec; an explicit wheelbase overrides the sheet's."""
-    entry = _resolve_entry(model, decoder_file)
-    if wheelbase is None:
-        wheelbase = entry.wheelbase
-    if wheelbase is None:
-        raise UsageError(f"no wheelbase on record for {entry.model!r}: pass --wheelbase")
-    return entry.decoder, VehicleSpec(wheelbase=wheelbase)
-
-
 def _make_matcher(spec: str | None):
     if spec is None or spec == "none":
-        if spec is None and os.environ.get(MATCHER_URL_ENV):
-            return ExternalMatcher(os.environ[MATCHER_URL_ENV])
         return None
     if spec.startswith("internal:"):
         return GraphMatcher(RoadGraph.load(spec[len("internal:"):]))
     if spec.startswith("external:"):
         return ExternalMatcher(spec[len("external:"):])
-    if spec == "external":
-        url = os.environ.get(MATCHER_URL_ENV)
-        if not url:
-            raise UsageError(f"--matcher external needs a URL or {MATCHER_URL_ENV}")
-        return ExternalMatcher(url)
     raise UsageError(f"--matcher must be internal:<graph>, external:<url> or none, got {spec!r}")
 
 
@@ -199,7 +140,7 @@ def _cmd_rewheel(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    decoder = _resolve_entry(args.model, args.decoder_file).decoder
+    decoder = resolve_entry(args.model, args.decoder_file).decoder
     frames = _read_frames(args.log, strict=args.strict)
     lines = ["timestamp,signal,value"]
     for t, signal, value in decode_signals(frames, decoder):
@@ -228,10 +169,11 @@ def _cmd_infer(args) -> int:
         raise UsageError("infer reads the log from stdin: pass --out for the GPX")
     start = _parse_start(args.start.split(","), "--start")
     params = _parse_params(args.params)
-    decoder, vehicle = _resolve_vehicle(args.model, args.decoder_file, args.wheelbase)
+    entry = resolve_entry(args.model, args.decoder_file)
+    vehicle = resolve_spec(entry, args.wheelbase)
     matcher = _make_matcher(args.matcher)
     frames = _read_frames(args.log, strict=args.strict)
-    result = infer_path(frames, decoder, vehicle, start, params, matcher)
+    result = infer_path(frames, entry.decoder, vehicle, start, params, matcher)
     out = args.out or os.path.splitext(args.log)[0] + "_inferred.gpx"
     with open(out, "w", encoding="utf-8") as fp:
         fp.write(result.gpx)
@@ -281,44 +223,53 @@ def _cmd_tune(args) -> int:
         doc = json.load(fp)
     base = os.path.dirname(os.path.abspath(args.manifest))
 
-    def resolve(path):
-        return path if os.path.isabs(path) else os.path.join(base, path)
-
     def required(mapping, key, where):
         if not isinstance(mapping, dict) or key not in mapping:
             raise UsageError(f"{where} has no {key!r} key")
         return mapping[key]
 
-    graph_file = resolve(required(doc, "graph", "manifest"))
-    grids = _manifest_grids(doc.get("grids", {}))
+    def string(value, key, where):
+        if not isinstance(value, str):
+            raise UsageError(f"{where}: {key!r} must be a string, got {value!r}")
+        return value
+
+    def path(mapping, key, where):
+        """A file named relative to the manifest."""
+        return os.path.join(base, string(required(mapping, key, where), key, where))
+
+    graph_file = path(doc, "graph", "manifest")
+    grids = doc.get("grids", {})
+    if not isinstance(grids, dict):
+        raise UsageError("manifest 'grids' must map parameter names to lists of values")
+    try:
+        grids = resolve_grids(grids)
+    except ValueError as exc:
+        raise UsageError(f"manifest grids: {exc}") from None
     graph = RoadGraph.load(graph_file)
     entries = required(doc, "tracks", "manifest")
     if not isinstance(entries, list):
         raise UsageError("manifest 'tracks' must be a list of tracks")
     tracks = []
     for entry in entries:
-        log = required(entry, "log", "manifest track")
-        name = entry.get("name", os.path.basename(log))
+        log = path(entry, "log", "manifest track")
+        name = string(entry.get("name", os.path.basename(log)), "name", "manifest track")
         where = f"manifest track {name!r}"
         start = _parse_start(required(entry, "start", where), f"{where}: start")
-        decoder_file = entry.get("decoder_file")
+        decoder_file = None if entry.get("decoder_file") is None else path(entry, "decoder_file", where)
         try:
-            decoder, vehicle = _resolve_vehicle(
-                entry.get("model"),
-                resolve(decoder_file) if decoder_file else None,
-                entry.get("wheelbase"),
-            )
-        except UsageError as exc:
+            row = resolve_entry(entry.get("model"), decoder_file)
+            vehicle = resolve_spec(row, entry.get("wheelbase"))
+        except VehicleError as exc:
             raise UsageError(f"{where}: {exc}") from None
-        frames, _ = read_log(resolve(log), strict=False)
-        truth = load_gpx(resolve(required(entry, "truth", where)))
+        frames, _ = read_log(log, strict=False)
+        truth = load_gpx(path(entry, "truth", where))
         tracks.append(
             TuneTrack(
                 name=name,
                 frames=tuple(frames),
                 truth=truth,
                 start=start,
-                decoder=decoder,
+                decoder=row.decoder,
                 vehicle=vehicle,
             )
         )
@@ -409,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         # downstream consumer (e.g. head) closed the pipe; exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except UsageError as exc:
+    except (UsageError, VehicleError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     except (

@@ -58,6 +58,8 @@ class VehicleSpec:
     wheelbase: float
 
     def __post_init__(self):
+        if isinstance(self.wheelbase, bool) or not isinstance(self.wheelbase, (int, float)):
+            raise ValueError(f"wheelbase must be a number, got {self.wheelbase!r}")
         if not (math.isfinite(self.wheelbase) and self.wheelbase > 0):
             raise ValueError(f"wheelbase must be finite and positive, got {self.wheelbase}")
 

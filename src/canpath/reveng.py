@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .canlog import CanFrame
+from .geokin import VehicleSpec
 
 OFFSET_MODE = "offset"
 TWOS_COMPLEMENT_MODE = "twos-complement"
@@ -240,8 +241,35 @@ def format_decoder_sheet(entries: Iterable[VehicleEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _hex(text: str) -> int:
+    return int(text, 16)
+
+
+def _mode(text: str) -> str:
+    if text not in (OFFSET_MODE, TWOS_COMPLEMENT_MODE):
+        raise ValueError(text)
+    return text
+
+
+# How each sheet field after the model reads, and what it must look like;
+# AngleDecoder then checks the ranges.
+_SHEET_FIELDS = (
+    ("id", _hex, "a hex integer"),
+    ("byte_hi", int, "an integer"),
+    ("byte_lo", int, "an integer"),
+    ("offset", _hex, "a hex integer"),
+    ("scale", float, "a number"),
+    ("mode", _mode, f"{OFFSET_MODE} or {TWOS_COMPLEMENT_MODE}"),
+    ("wheelbase", float, "a number"),
+)
+
+
 def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
-    """Parse a decoder sheet file back into entries keyed by normalized model."""
+    """Parse a decoder sheet file back into entries keyed by normalized model.
+
+    A row with the wrong field count, or a field that does not read as its
+    kind (a hex id, an integer byte index, ...), is a ValueError naming its
+    line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != SHEET_HEADER:
         raise ValueError(f"decoder sheet must start with {SHEET_HEADER!r}")
@@ -254,19 +282,54 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
         if len(parts) not in (7, 8):
             raise ValueError(f"line {line_no}: expected 7 or 8 comma-separated fields")
         model = normalize_model(parts[0])
-        decoder = AngleDecoder(
-            id=int(parts[1], 16),
-            byte_hi=int(parts[2]),
-            byte_lo=int(parts[3]),
-            offset=int(parts[4], 16),
-            scale=float(parts[5]),
-            mode=parts[6],
-        )
-        wheelbase = float(parts[7]) if len(parts) == 8 else None
-        entries[model] = VehicleEntry(model=model, decoder=decoder, wheelbase=wheelbase)
+        values = {}
+        for (name, read, kind), part in zip(_SHEET_FIELDS, parts[1:]):
+            try:
+                values[name] = read(part)
+            except ValueError:
+                raise ValueError(f"line {line_no}: {name} must be {kind}, got {part!r}") from None
+        wheelbase = values.pop("wheelbase", None)
+        entries[model] = VehicleEntry(model=model, decoder=AngleDecoder(**values), wheelbase=wheelbase)
     return entries
 
 
 def load_decoder_sheet(path: str) -> dict[str, VehicleEntry]:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_decoder_sheet(fp.read())
+
+
+class VehicleError(ValueError):
+    """A vehicle named so that no decoder-sheet row, or no wheelbase, fits."""
+
+
+def resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
+    """The decoder-sheet row that a model name and/or a decoder file name:
+    the model's row in the file, the file's only row, or the shipped row."""
+    if model is not None and not isinstance(model, str):
+        raise VehicleError(f"model must be a string, got {model!r}")
+    if decoder_file:
+        sheet = load_decoder_sheet(decoder_file)
+        if model:
+            entry = sheet.get(normalize_model(model))
+            if entry is None:
+                raise VehicleError(f"model {model!r} not in decoder file")
+            return entry
+        if len(sheet) != 1:
+            raise VehicleError("--decoder-file has several models; pick one with --model")
+        return next(iter(sheet.values()))
+    if model:
+        entry = lookup_vehicle(model)
+        if entry is None:
+            raise VehicleError(f"unknown model {model!r}: supply --decoder-file and --wheelbase")
+        return entry
+    raise VehicleError("one of --model or --decoder-file is required")
+
+
+def resolve_spec(entry: VehicleEntry, wheelbase: float | None) -> VehicleSpec:
+    """The vehicle spec for a sheet row: an explicit wheelbase overrides the
+    row's, and a row without one needs it."""
+    if wheelbase is None:
+        wheelbase = entry.wheelbase
+    if wheelbase is None:
+        raise VehicleError(f"no wheelbase on record for {entry.model!r}: pass --wheelbase")
+    return VehicleSpec(wheelbase=wheelbase)

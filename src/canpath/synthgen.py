@@ -27,7 +27,7 @@ from .geokin import (
     wrap_bearing,
 )
 from .obd import encode_speed_response
-from .reveng import AngleDecoder, encode_angle_frame, lookup_vehicle
+from .reveng import AngleDecoder, VehicleError, encode_angle_frame, resolve_entry, resolve_spec
 from .roadgraph import RoadGraph
 from .trackeval import Track
 
@@ -250,7 +250,7 @@ def simulate(scenario: SimScenario) -> SimResult:
 
 
 _SCENARIO_KEYS = frozenset({
-    "name", "graph", "route", "speed_profile", "model", "decoder", "wheelbase",
+    "name", "graph", "route", "speed_profile", "model", "decoder_file", "wheelbase",
     "swa_rate", "obd_rate", "start_bearing_error",
 })
 
@@ -259,12 +259,13 @@ def load_scenario(path: str) -> SimScenario:
     """Load a scenario description file (JSON).
 
     Required keys: name, graph (path relative to the file), route,
-    speed_profile ([[from_m, kmh], ...]), and either "model" (a known
-    vehicle) or "decoder" {id, byte_hi, byte_lo, offset, scale, mode} plus
-    "wheelbase". Optional: wheelbase (overrides the model's), swa_rate,
-    obd_rate, start_bearing_error. The steering limit is not a scenario
-    key: it is the inference parameter ``steer_max``. Any other key, and a
-    "decoder" next to a "model", is an error rather than being ignored.
+    speed_profile ([[from_m, kmh], ...]), and the vehicle, named as a tune
+    manifest track names it: "model" and/or "decoder_file" (a decoder
+    sheet, relative to the file), resolved by ``reveng.resolve_entry``.
+    Optional: wheelbase (overrides the sheet row's), swa_rate, obd_rate,
+    start_bearing_error. The steering limit is not a scenario key: it is
+    the inference parameter ``steer_max``. Any other key is an error rather
+    than being ignored.
     """
     with open(path, "r", encoding="utf-8") as fp:
         doc = json.load(fp)
@@ -272,37 +273,28 @@ def load_scenario(path: str) -> SimScenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must hold a JSON object")
     unknown = sorted(set(doc) - _SCENARIO_KEYS)
-    if isinstance(doc.get("decoder"), dict):
-        unknown += [f"decoder.{k}" for k in sorted(set(doc["decoder"]) - _DECODER_READERS.keys())]
     if unknown:
         raise ScenarioError(f"scenario file has unknown key {unknown[0]!r}")
-    if "model" in doc and "decoder" in doc:
-        raise ScenarioError("scenario file has both 'model' and 'decoder'; keep one")
     try:
-        graph = RoadGraph.load(os.path.join(base, doc["graph"]))
-        if "model" in doc:
-            entry = lookup_vehicle(doc["model"])
-            if entry is None:
-                raise ScenarioError(f"unknown vehicle model {doc['model']!r}")
-            decoder = entry.decoder
-            wheelbase = _number(doc.get("wheelbase", entry.wheelbase), "wheelbase")
-        else:
-            d = doc["decoder"]
-            decoder = AngleDecoder(
-                id=_hex_integer(d["id"], "decoder.id"),
-                **{k: _DECODER_READERS[k](v, f"decoder.{k}") for k, v in d.items() if k != "id"},
-            )
-            wheelbase = _number(doc["wheelbase"], "wheelbase")
-        vehicle = VehicleSpec(wheelbase=wheelbase)
+        graph = RoadGraph.load(os.path.join(base, _string(doc["graph"], "graph")))
+        decoder_file = doc.get("decoder_file")
+        if decoder_file is not None:
+            decoder_file = os.path.join(base, _string(decoder_file, "decoder_file"))
+        wheelbase = _number(doc["wheelbase"], "wheelbase") if "wheelbase" in doc else None
+        try:
+            entry = resolve_entry(doc.get("model"), decoder_file)
+            vehicle = resolve_spec(entry, wheelbase)
+        except VehicleError as exc:
+            raise ScenarioError(str(exc)) from None
         return SimScenario(
-            name=doc["name"],
+            name=_string(doc["name"], "name"),
             graph=graph,
             route=[_integer(e, "route") for e in _list(doc["route"], "route")],
             speed_profile=[
                 (float(_number(a, "speed_profile")), float(_number(b, "speed_profile")))
                 for a, b in (_list(e, "speed_profile", 2) for e in _list(doc["speed_profile"], "speed_profile"))
             ],
-            decoder=decoder,
+            decoder=entry.decoder,
             vehicle=vehicle,
             **{k: _number(doc[k], k) for k in ("swa_rate", "obd_rate", "start_bearing_error") if k in doc},
         )
@@ -325,34 +317,18 @@ def _number(value, key: str) -> float:
     return value
 
 
-def _integer(value, key: str, hex_text: bool = False) -> int:
-    """A scenario file value that must be a JSON integer or, with hex_text,
-    also a hexadecimal string such as "7FFF"."""
-    if hex_text and isinstance(value, str):
-        try:
-            return int(value, 16)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
+def _integer(value, key: str) -> int:
+    """A scenario file value that must be a JSON integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    expected = "an integer or a hex string" if hex_text else "an integer"
-    raise ScenarioError(f"scenario key {key!r} must be {expected}, got {value!r}")
+    raise ScenarioError(f"scenario key {key!r} must be an integer, got {value!r}")
 
 
-def _hex_integer(value, key: str) -> int:
-    return _integer(value, key, hex_text=True)
-
-
-# How each key of a scenario file's "decoder" is read; a key the file
-# leaves out takes AngleDecoder's default.
-_DECODER_READERS = {
-    "id": _hex_integer,
-    "byte_hi": _integer,
-    "byte_lo": _integer,
-    "offset": _hex_integer,
-    "scale": _number,
-    "mode": lambda value, _key: value,
-}
+def _string(value, key: str) -> str:
+    """A scenario file value that must be a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise ScenarioError(f"scenario key {key!r} must be a string, got {value!r}")
 
 
 def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:
@@ -360,11 +336,7 @@ def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_
         "scenario": scenario.name,
         "log": log_file,
         "truth": truth_file,
-        "start": {
-            "lat": result.start.lat,
-            "lon": result.start.lon,
-            "bearing": result.start.bearing,
-        },
+        "start": [result.start.lat, result.start.lon, result.start.bearing],
         "route_length_m": round(result.route_length_m, 3),
         "swa_id": f"0x{scenario.decoder.id:03X}",
         "wheelbase": scenario.vehicle.wheelbase,

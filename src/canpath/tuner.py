@@ -75,11 +75,16 @@ def _param_tuple(params: InferenceParams) -> tuple:
 
 def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
     """The default grids with `grids` laid over them; an unknown parameter
-    name or an empty value list is a ValueError."""
+    name, or a value that is not a non-empty list of numbers, is a
+    ValueError."""
     grids = grids or {}
     for name, values in grids.items():
         if name not in DEFAULT_GRIDS:
             raise ValueError(f"unknown parameter {name!r}; expected one of {', '.join(_PARAM_ORDER)}")
+        if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"{name!r} must be a list of numbers")
         if len(values) == 0:
             raise ValueError(f"parameter {name!r} has no values")
     return dict(DEFAULT_GRIDS, **grids)

@@ -43,18 +43,19 @@ def test_synth_writes_log_truth_manifest(scenario_dir, capsys):
     assert (scenario_dir / "leftturn_truth.gpx").exists()
     manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
     assert manifest["swa_id"] == "0x0C6"
-    assert set(manifest["start"]) == {"lat", "lon", "bearing"}
+    # the start pose in the form a tune manifest track takes
+    lat, lon, bearing = manifest["start"]
+    assert (lat, lon) == (44.65, 10.92) and isinstance(bearing, float)
 
 
 def test_full_pipeline_synth_infer_compare(scenario_dir, capsys):
     manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
-    start = manifest["start"]
     code, out, err = run(
         capsys,
         "infer",
         scenario_dir / "leftturn.log",
         "--start",
-        f"{start['lat']},{start['lon']},{start['bearing']}",
+        ",".join(str(v) for v in manifest["start"]),
         "--model",
         "renault captur",
         "--matcher",
@@ -275,7 +276,6 @@ def test_rewheel_ceiling(scenario_dir, capsys):
 
 def test_tune_small_grid(scenario_dir, capsys, tmp_path):
     sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
-    start = [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")]
     manifest = {
         "graph": str(scenario_dir / "roads.txt"),
         "tracks": [
@@ -283,7 +283,7 @@ def test_tune_small_grid(scenario_dir, capsys, tmp_path):
                 "name": "leftturn",
                 "log": str(scenario_dir / "leftturn.log"),
                 "truth": str(scenario_dir / "leftturn_truth.gpx"),
-                "start": start,
+                "start": sim_manifest["start"],
                 "model": "renault captur",
             }
         ],
@@ -362,12 +362,11 @@ def test_infer_with_decoder_file_and_wheelbase_override(scenario_dir, capsys, tm
         "my hatchback, 0C6, 0, 1, 7FFF, 0.01, offset\n"  # no wheelbase column
     )
     manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
-    start = manifest["start"]
     args = [
         "infer",
         scenario_dir / "leftturn.log",
         "--start",
-        f"{start['lat']},{start['lon']},{start['bearing']}",
+        ",".join(str(v) for v in manifest["start"]),
         "--decoder-file",
         sheet,
         "--out",
@@ -402,7 +401,7 @@ def _tune_with_track(scenario_dir, capsys, tmp_path, **vehicle):
         "name": "leftturn",
         "log": str(scenario_dir / "leftturn.log"),
         "truth": str(scenario_dir / "leftturn_truth.gpx"),
-        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        "start": sim_manifest["start"],
         **vehicle,
     }
     manifest = {
@@ -476,6 +475,38 @@ def test_tune_manifest_bad_start_is_one_error_line(scenario_dir, capsys, tmp_pat
     assert _one_error_line(err).startswith(f"error: usage: manifest track 'leftturn': {message}")
 
 
+@pytest.mark.parametrize(
+    "track,code,message",
+    [
+        ({"model": "renault captur", "wheelbase": "2.6"}, 1, "error: wheelbase must be a number, got '2.6'"),
+        ({"model": "renault captur", "wheelbase": True}, 1, "error: wheelbase must be a number, got True"),
+        ({"model": 5}, 2, "error: usage: manifest track 'leftturn': model must be a string, got 5"),
+        ({"model": "renault captur", "log": 5}, 2, "error: usage: manifest track: 'log' must be a string, got 5"),
+        ({"model": "renault captur", "name": 5}, 2, "error: usage: manifest track: 'name' must be a string, got 5"),
+        (
+            {"model": "renault captur", "decoder_file": 5}, 2,
+            "error: usage: manifest track 'leftturn': 'decoder_file' must be a string, got 5",
+        ),
+        (
+            {"model": "renault captur", "truth": ["a"]}, 2,
+            "error: usage: manifest track 'leftturn': 'truth' must be a string, got ['a']",
+        ),
+    ],
+    ids=["wheelbase-string", "wheelbase-true", "model-number", "log-number", "name-number", "decoder_file-number",
+         "truth-list"],
+)
+def test_tune_manifest_wrongly_typed_track_value_is_one_error_line(scenario_dir, capsys, tmp_path, track, code, message):
+    assert _tune_with_track(scenario_dir, capsys, tmp_path, **track)[::2] == (code, message + "\n")
+
+
+def test_tune_manifest_graph_number_is_one_error_line(capsys, tmp_path):
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps({"graph": 5, "tracks": []}))
+    code, out, err = run(capsys, "tune", manifest_file)
+    assert code == 2
+    assert err.splitlines() == ["error: usage: manifest: 'graph' must be a string, got 5"]
+
+
 def test_tune_manifest_tracks_object_is_one_error_line(scenario_dir, capsys, tmp_path):
     track = {"log": str(scenario_dir / "leftturn.log"), "truth": str(scenario_dir / "leftturn_truth.gpx")}
     manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": {"leftturn": track}}
@@ -532,21 +563,24 @@ def test_decode_wheelbase_flag_is_usage_error(scenario_dir, capsys):
 
 
 def test_matcher_flag_and_env_resolution(scenario_dir, monkeypatch):
-    from canpath.cli import MATCHER_URL_ENV, UsageError, _make_matcher
+    from canpath.cli import UsageError, _make_matcher
     from canpath.mapmatch import ExternalMatcher, GraphMatcher
 
-    monkeypatch.delenv(MATCHER_URL_ENV, raising=False)
     assert _make_matcher(None) is None
     assert _make_matcher("none") is None
     assert isinstance(_make_matcher(f"internal:{scenario_dir / 'roads.txt'}"), GraphMatcher)
     assert isinstance(_make_matcher("external:http://svc.local/match"), ExternalMatcher)
     with pytest.raises(UsageError):
         _make_matcher("external")
-    monkeypatch.setenv(MATCHER_URL_ENV, "http://svc.local/match")
-    assert isinstance(_make_matcher("external"), ExternalMatcher)
-    assert isinstance(_make_matcher(None), ExternalMatcher)  # env applies by default
     with pytest.raises(UsageError):
         _make_matcher("sideways:xyz")
+    # --matcher is the one way to choose a matcher: the environment variable
+    # that once named a match service neither applies by default nor fills
+    # in a bare "external"
+    monkeypatch.setenv("CANPATH_MATCHER_URL", "http://svc.local/match")
+    assert _make_matcher(None) is None
+    with pytest.raises(UsageError):
+        _make_matcher("external")
 
 
 def test_version(capsys):
@@ -586,7 +620,7 @@ def test_tune_manifest_nan_grid_value_is_one_error_line(scenario_dir, capsys, tm
     track = {
         "log": str(scenario_dir / "leftturn.log"),
         "truth": str(scenario_dir / "leftturn_truth.gpx"),
-        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        "start": sim_manifest["start"],
         "model": "renault captur",
     }
     manifest = {"graph": str(scenario_dir / "roads.txt"), "tracks": [track], "grids": {"t_window": [float("nan")]}}
@@ -603,7 +637,7 @@ def test_tune_manifest_fractional_batch_size_is_one_error_line(scenario_dir, cap
     track = {
         "log": str(scenario_dir / "leftturn.log"),
         "truth": str(scenario_dir / "leftturn_truth.gpx"),
-        "start": [sim_manifest["start"][k] for k in ("lat", "lon", "bearing")],
+        "start": sim_manifest["start"],
         "model": "renault captur",
     }
     grids = {"max_interpolation_points": [batch]}

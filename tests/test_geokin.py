@@ -186,3 +186,10 @@ def test_vehicle_spec_validation():
 def test_vehicle_spec_rejects_non_finite_wheelbase(wheelbase):
     with pytest.raises(ValueError, match="wheelbase must be finite and positive"):
         VehicleSpec(wheelbase=wheelbase)
+
+
+@pytest.mark.parametrize("wheelbase", [True, "2.6", None, [2.6]])
+def test_vehicle_spec_rejects_a_wheelbase_that_is_not_a_number(wheelbase):
+    # a JSON true would otherwise pass as a 1 m wheelbase
+    with pytest.raises(ValueError, match="wheelbase must be a number"):
+        VehicleSpec(wheelbase=wheelbase)

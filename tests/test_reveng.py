@@ -237,3 +237,26 @@ def test_decoder_sheet_with_infinite_scale_is_rejected():
     sheet = "canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, inf, offset\n"
     with pytest.raises(ValueError, match="scale"):
         parse_decoder_sheet(sheet)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("my van, 2F5, 0.5, 1, 7FFF, 0.01, offset", "line 3: byte_hi must be an integer, got '0.5'"),
+        ('my van, 2F5, 0, 1, 7FFF, "0.01", offset', "line 3: scale must be a number, got '\"0.01\"'"),
+        ("my van, 198.5, 0, 1, 7FFF, 0.01, offset", "line 3: id must be a hex integer, got '198.5'"),
+        ("my van, 2F5, 0, 1, 7FFG, 0.01, offset", "line 3: offset must be a hex integer, got '7FFG'"),
+        ("my van, 2F5, 0, x, 7FFF, 0.01, offset", "line 3: byte_lo must be an integer, got 'x'"),
+        ("my van, 2F5, 0, 1, 7FFF, 0.01, signed", "line 3: mode must be offset or twos-complement, got 'signed'"),
+        ("my van, 2F5, 0, 1, 7FFF, 0.01, offset, 2.6m", "line 3: wheelbase must be a number, got '2.6m'"),
+    ],
+    ids=[
+        "byte_hi-float", "scale-string", "id-float", "offset-not-hex", "byte_lo-text", "unknown-mode",
+        "wheelbase-unit",
+    ],
+)
+def test_decoder_sheet_bad_field_names_its_line(row, message):
+    sheet = f"canpath-decoders v1\n# model, id, byte_hi, byte_lo, offset, scale, mode\n{row}\n"
+    with pytest.raises(ValueError) as exc:
+        parse_decoder_sheet(sheet)
+    assert str(exc.value) == message

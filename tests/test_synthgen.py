@@ -220,43 +220,62 @@ def test_scenario_file_roundtrip(tmp_path):
     sim = simulate(loaded)
     manifest = manifest_for(loaded, sim, "a.log", "b.gpx")
     assert manifest["swa_id"] == "0x0C6"
-    assert manifest["start"]["bearing"] == pytest.approx(sim.start.bearing)
+    # the start pose in the form a tune manifest track takes
+    assert manifest["start"] == [sim.start.lat, sim.start.lon, sim.start.bearing]
+
+
+def _write_scenario(tmp_path, **vehicle):
+    sc = turn_left_90()
+    sc.graph.save(str(tmp_path / "roads.txt"))
+    doc = {"name": "x", "graph": "roads.txt", "route": sc.route, "speed_profile": [[0.0, 20.0]], **vehicle}
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc))
+    return str(scenario_file)
 
 
 def test_scenario_file_with_inline_decoder(tmp_path):
-    sc = turn_left_90()
-    graph_file = tmp_path / "roads.txt"
-    sc.graph.save(str(graph_file))
-    doc = {
-        "name": "inline",
-        "graph": "roads.txt",
-        "route": sc.route,
-        "speed_profile": [[0.0, 20.0]],
-        "decoder": {"id": "2F5", "offset": "7FFF", "scale": 0.01},
-        "wheelbase": 2.604,
-    }
-    scenario_file = tmp_path / "scenario.json"
-    scenario_file.write_text(json.dumps(doc))
-    loaded = load_scenario(str(scenario_file))
-    assert loaded.decoder.id == 0x2F5
+    # the vehicle is named by model and decoder file only; an inline decoder,
+    # whatever its JSON type, is an unknown key
+    for decoder in ({"id": "2F5", "offset": "7FFF", "scale": 0.01}, ["2F5"], "0C6"):
+        with pytest.raises(ScenarioError, match="^scenario file has unknown key 'decoder'$"):
+            load_scenario(_write_scenario(tmp_path, decoder=decoder, wheelbase=2.604))
+
+
+def test_scenario_file_with_decoder_file(tmp_path):
+    sheet = "canpath-decoders v1\nmy van, 2F5, 0, 1, 7FFF, 0.01, offset, 3.10\n"
+    (tmp_path / "sheets").mkdir()
+    (tmp_path / "sheets" / "van.txt").write_text(sheet)
+    # relative to the scenario file, like graph; the sheet's only row
+    loaded = load_scenario(_write_scenario(tmp_path, decoder_file="sheets/van.txt"))
+    assert loaded.decoder == AngleDecoder(id=0x2F5)
+    assert loaded.vehicle.wheelbase == 3.10
+    # a model picks its row, and an explicit wheelbase overrides the row's
+    loaded = load_scenario(_write_scenario(tmp_path, decoder_file="sheets/van.txt", model="My  Van", wheelbase=2.604))
+    assert loaded.decoder == AngleDecoder(id=0x2F5)
     assert loaded.vehicle.wheelbase == 2.604
 
 
+@pytest.mark.parametrize(
+    "vehicle,message",
+    [
+        ({"model": "DeLorean DMC-12"}, "unknown model 'DeLorean DMC-12'"),
+        ({"model": 5}, "model must be a string, got 5"),
+        ({"decoder_file": "van.txt", "model": "renault captur"}, "model 'renault captur' not in decoder file"),
+        ({"decoder_file": "van.txt"}, "no wheelbase on record for 'my van'"),
+        ({}, "one of --model or --decoder-file is required"),
+    ],
+    ids=["unknown-model", "model-number", "model-not-in-sheet", "no-wheelbase", "no-vehicle"],
+)
+def test_scenario_file_vehicle_is_resolved_as_a_tune_track_is(tmp_path, vehicle, message):
+    (tmp_path / "van.txt").write_text("canpath-decoders v1\nmy van, 2F5, 0, 1, 7FFF, 0.01, offset\n")
+    with pytest.raises(ScenarioError, match=f"^{message}"):
+        load_scenario(_write_scenario(tmp_path, **vehicle))
+
+
 def test_scenario_file_leaves_defaults_to_the_dataclasses(tmp_path):
-    sc = turn_left_90()
-    sc.graph.save(str(tmp_path / "roads.txt"))
-    doc = {
-        "name": "minimal",
-        "graph": "roads.txt",
-        "route": sc.route,
-        "speed_profile": [[0.0, 20.0]],
-        "decoder": {"id": "2F5"},
-        "wheelbase": 2.604,
-    }
-    scenario_file = tmp_path / "scenario.json"
-    scenario_file.write_text(json.dumps(doc))
-    loaded = load_scenario(str(scenario_file))
+    loaded = load_scenario(_write_scenario(tmp_path, model="opel crossland"))
     assert loaded.decoder == AngleDecoder(id=0x2F5)
+    assert loaded.vehicle.wheelbase == 2.604
     defaults = SimScenario(loaded.name, loaded.graph, loaded.route, loaded.speed_profile, loaded.decoder, loaded.vehicle)
     assert loaded == defaults
 
@@ -273,14 +292,14 @@ def test_scenario_file_missing_key(tmp_path):
     [
         ({"steer_max": 35.0}, "steer_max"),
         ({"swa_rte": 50.0}, "swa_rte"),
-        ({"decoder": {"id": "2F5", "sacle": 0.1}, "wheelbase": 2.6}, "decoder.sacle"),
+        ({"decoder": {"id": "2F5", "sacle": 0.1}, "wheelbase": 2.6}, "decoder"),
     ],
 )
 def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
     sc = turn_left_90()
     sc.graph.save(str(tmp_path / "roads.txt"))
     doc = {"name": "x", "graph": "roads.txt", "route": sc.route, "speed_profile": [[0.0, 20.0]]}
-    doc.update(extra if "decoder" in extra else {"model": "renault captur", **extra})
+    doc.update({"model": "renault captur", **extra})
     scenario_file = tmp_path / "scenario.json"
     scenario_file.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match=f"unknown key '{key}'"):
@@ -290,22 +309,6 @@ def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
 @pytest.mark.parametrize(
     "extra,message",
     [
-        (
-            {"decoder": {"id": "2F5", "byte_hi": 0.5}, "wheelbase": 2.6},
-            "'decoder.byte_hi' must be an integer, got 0.5",
-        ),
-        (
-            {"decoder": {"id": "2F5", "scale": "0.01"}, "wheelbase": 2.6},
-            "'decoder.scale' must be a finite number, got '0.01'",
-        ),
-        (
-            {"decoder": {"id": 198.5}, "wheelbase": 2.6},
-            "'decoder.id' must be an integer or a hex string, got 198.5",
-        ),
-        (
-            {"decoder": {"id": "2F5", "offset": "7FFG"}, "wheelbase": 2.6},
-            "'decoder.offset' must be an integer or a hex string, got '7FFG'",
-        ),
         ({"model": "renault captur", "wheelbase": "2.6"}, "'wheelbase' must be a finite number, got '2.6'"),
         ({"model": "renault captur", "swa_rate": None}, "'swa_rate' must be a finite number, got None"),
         ({"model": "renault captur", "route": 5}, "'route' must be a list, got 5"),
@@ -319,10 +322,13 @@ def test_scenario_file_unknown_key_is_an_error(tmp_path, extra, key):
             {"model": "renault captur", "speed_profile": [[0.0, "20"]]},
             "'speed_profile' must be a finite number, got '20'",
         ),
+        ({"model": "renault captur", "graph": 5}, "'graph' must be a string, got 5"),
+        ({"model": "renault captur", "decoder_file": 5}, "'decoder_file' must be a string, got 5"),
+        ({"model": "renault captur", "name": None}, "'name' must be a string, got None"),
     ],
     ids=[
-        "byte_hi-float", "scale-string", "id-float", "offset-not-hex", "wheelbase-string", "swa_rate-null",
-        "route-number", "route-string-edge", "profile-entry-of-3", "profile-object", "profile-string-speed",
+        "wheelbase-string", "swa_rate-null", "route-number", "route-string-edge", "profile-entry-of-3",
+        "profile-object", "profile-string-speed", "graph-number", "decoder_file-number", "name-null",
     ],
 )
 def test_scenario_file_wrongly_typed_value_is_an_error(tmp_path, extra, message):
@@ -336,17 +342,6 @@ def test_scenario_file_wrongly_typed_value_is_an_error(tmp_path, extra, message)
 
 
 def test_scenario_file_with_model_and_decoder_is_an_error(tmp_path):
-    sc = turn_left_90()
-    sc.graph.save(str(tmp_path / "roads.txt"))
-    doc = {
-        "name": "x",
-        "graph": "roads.txt",
-        "route": sc.route,
-        "speed_profile": [[0.0, 20.0]],
-        "model": "renault captur",
-        "decoder": {"id": "2F5"},
-    }
-    scenario_file = tmp_path / "scenario.json"
-    scenario_file.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match="both 'model' and 'decoder'"):
-        load_scenario(str(scenario_file))
+    scenario_file = _write_scenario(tmp_path, model="renault captur", decoder={"id": "2F5"})
+    with pytest.raises(ScenarioError, match="unknown key 'decoder'"):
+        load_scenario(scenario_file)

@@ -338,7 +338,13 @@ def test_workers_are_bounded(one_track, monkeypatch):
 
 @pytest.mark.parametrize(
     "grids,message",
-    [({"speed_mx": (50.0,)}, "unknown parameter 'speed_mx'"), ({"t_window": ()}, "'t_window' has no values")],
+    [
+        ({"speed_mx": (50.0,)}, "unknown parameter 'speed_mx'"),
+        ({"t_window": ()}, "'t_window' has no values"),
+        ({"t_window": ["a"]}, "'t_window' must be a list of numbers"),
+        ({"speed_max": [50.0, True]}, "'speed_max' must be a list of numbers"),
+        ({"steer_max": 35.0}, "'steer_max' must be a list of numbers"),
+    ],
 )
 def test_bad_grids_are_rejected(one_track, grids, message):
     track, graph = one_track
