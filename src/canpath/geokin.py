@@ -7,6 +7,11 @@ positive heading change is *subtracted* from the compass bearing.
 Polyline measure has its one home here: the simulator's ground truth, the
 road graph's edge offsets and the resampling before track alignment all
 use cumulative_lengths and point_along.
+
+The great-circle distance has one home too: haversine, on points that
+haversine_point has turned into (latitude in radians, its cosine,
+longitude in degrees) once each. geodesic_inverse, geodesic_distance,
+cumulative_lengths and track alignment all take their distance from it.
 """
 
 from __future__ import annotations
@@ -98,33 +103,51 @@ def geodesic_forward(a: LatLon, bearing: float, distance_m: float) -> LatLon:
     return (math.degrees(phi2), lon2)
 
 
+def haversine_point(point: LatLon) -> tuple[float, float, float]:
+    """A point as haversine takes it: latitude in radians, its cosine, and
+    longitude in degrees; worked out once per point, not once per pair."""
+    phi = math.radians(point[0])
+    return (phi, math.cos(phi), point[1])
+
+
+def haversine(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """Great-circle distance in meters between two haversine_point points;
+    exactly 0.0 for coincident points."""
+    phi1, cos1, lon1 = a
+    phi2, cos2, lon2 = b
+    h = math.sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * math.sin(math.radians(lon2 - lon1) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def geodesic_distance(a: LatLon, b: LatLon) -> float:
+    """Great-circle distance in meters a -> b; geodesic_inverse's distance."""
+    return haversine(haversine_point(a), haversine_point(b))
+
+
 def geodesic_inverse(a: LatLon, b: LatLon) -> tuple[float, float]:
     """Great-circle distance in meters and initial bearing a -> b (inverse problem).
 
     Coincident points return (0, 0) by convention.
     """
-    if a == b:
-        return (0.0, 0.0)
-    phi1 = math.radians(a[0])
-    phi2 = math.radians(b[0])
-    dphi = phi2 - phi1
-    dlam = math.radians(b[1] - a[1])
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    distance = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    phi1, cos1, _ = ha = haversine_point(a)
+    phi2, cos2, _ = hb = haversine_point(b)
+    distance = haversine(ha, hb)
     if distance == 0.0:
         return (0.0, 0.0)
+    dlam = math.radians(b[1] - a[1])
     bearing = math.atan2(
-        math.sin(dlam) * math.cos(phi2),
-        math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam),
+        math.sin(dlam) * cos2,
+        cos1 * math.sin(phi2) - math.sin(phi1) * cos2 * math.cos(dlam),
     )
     return (distance, wrap_bearing(math.degrees(bearing)))
 
 
 def cumulative_lengths(points: Sequence[LatLon]) -> list[float]:
     """Great-circle length from the first point to each; [0.0] for < 2 points."""
+    hps = [haversine_point(p) for p in points]
     cum = [0.0]
-    for i in range(len(points) - 1):
-        cum.append(cum[-1] + geodesic_inverse(points[i], points[i + 1])[0])
+    for a, b in zip(hps, hps[1:]):
+        cum.append(cum[-1] + haversine(a, b))
     return cum
 
 

@@ -19,7 +19,7 @@ from http.client import HTTPException
 from json import dumps, loads
 from typing import Sequence
 
-from .geokin import LatLon, geodesic_inverse
+from .geokin import LatLon, geodesic_distance
 from .roadgraph import Candidate, RoadGraph, route_distance
 
 
@@ -91,7 +91,7 @@ def sequence_logweight(
     """
     total = emission_logweight(chosen[0].perp_m, config.emission_sigma)
     for t in range(1, len(points)):
-        gc = geodesic_inverse(points[t - 1], points[t])[0]
+        gc = geodesic_distance(points[t - 1], points[t])
         route = route_distance(graph, chosen[t - 1], chosen[t])
         total += transition_logweight(gc, route, config.transition_beta)
         total += emission_logweight(chosen[t].perp_m, config.emission_sigma)
@@ -125,7 +125,7 @@ def viterbi_match(graph: RoadGraph, points: Sequence[LatLon], config: MatcherCon
     scores = [emission_logweight(c.perp_m, config.emission_sigma) for c in candidates[0]]
     backrefs: list[list[int]] = []
     for t in range(1, len(points)):
-        gc = geodesic_inverse(points[t - 1], points[t])[0]
+        gc = geodesic_distance(points[t - 1], points[t])
         prev_cands = candidates[t - 1]
         order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         new_scores = []

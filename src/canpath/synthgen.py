@@ -36,6 +36,11 @@ from .trackeval import Track
 # probe point sit on the same arc or straight.
 CURVATURE_SPAN_M = 4.0
 
+# Most steering plus OBD steps one simulation may take; each step keeps a
+# frame, so this bounds its memory. No shipped or benchmark drive bounds
+# above 40,000.
+MAX_SIM_STEPS = 2_000_000
+
 
 class ScenarioError(ValueError):
     pass
@@ -168,6 +173,16 @@ def simulate(scenario: SimScenario) -> SimResult:
 
     profile = sorted(scenario.speed_profile)
     breaks = [p[0] for p in profile]
+    # the drive takes at most total / slowest seconds, the slowest speed
+    # being that of the profile entries the route reaches
+    slowest_kmh = min((kmh for dist, kmh in profile if dist < total), default=profile[0][1])
+    drive_s = total / (slowest_kmh / 3.6)
+    steps = drive_s * scenario.swa_rate + 1.0 + (drive_s + 1.0 / scenario.swa_rate) * scenario.obd_rate + 1.0
+    if steps > MAX_SIM_STEPS:
+        raise ScenarioError(
+            f"scenario needs up to {steps:.3g} steering and OBD steps, more than {MAX_SIM_STEPS:,};"
+            " lower swa_rate or obd_rate, or raise the slowest profile speed"
+        )
 
     def speed_kmh_at(s: float) -> float:
         idx = bisect.bisect_right(breaks, s) - 1

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .geokin import EARTH_RADIUS_M, LatLon, cumulative_lengths, geodesic_inverse, point_along, polyline_length
+from .geokin import EARTH_RADIUS_M, LatLon, cumulative_lengths, haversine, haversine_point, point_along, polyline_length
 
 MATCH_SCORE = 1
 MISMATCH_SCORE = -1
@@ -154,7 +154,7 @@ def save_gpx(track: Track, path: str) -> None:
 
 def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
     """For each point of pa, the indices j of pb with
-    ``geodesic_inverse(pa[i], pb[j])[0] <= match_epsilon``.
+    ``geodesic_distance(pa[i], pb[j]) <= match_epsilon``.
 
     The points of pb are hashed into cells one epsilon of latitude high and
     one bound of longitude wide, and each point of pa tests only the pb
@@ -170,8 +170,9 @@ def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
     max_lat = max((abs(p[0]) for p in (*pa, *pb)), default=0.0)
     s = math.sin(half) / math.cos(math.radians(max_lat)) if 0.0 < half < 1.0 else math.inf
     lon_cell = math.degrees(2.0 * math.asin(s)) * _CELL_PAD + 1e-9 if s <= 0.5 else math.inf
+    hb = [haversine_point(q) for q in pb]
     if lon_cell == math.inf or any(abs(p[1]) >= 180.0 - lon_cell for p in (*pa, *pb)):
-        return [{j for j, q in enumerate(pb) if geodesic_inverse(p, q)[0] <= match_epsilon} for p in pa]
+        return [{j for j, q in enumerate(hb) if haversine(p, q) <= match_epsilon} for p in map(haversine_point, pa)]
     lat_cell = math.degrees(2.0 * half) * _CELL_PAD + 1e-9
     cells: dict[tuple[int, int], list[int]] = {}
     for j, (lat, lon) in enumerate(pb):
@@ -179,12 +180,13 @@ def _within_sets(pa, pb, match_epsilon: float) -> list[set[int]]:
     rows = []
     for p in pa:
         ci, cj = int(p[0] // lat_cell), int(p[1] // lon_cell)
+        hp = haversine_point(p)
         rows.append({
             j
             for di in (-1, 0, 1)
             for dj in (-1, 0, 1)
             for j in cells.get((ci + di, cj + dj), ())
-            if geodesic_inverse(p, pb[j])[0] <= match_epsilon
+            if haversine(hp, hb[j]) <= match_epsilon
         })
     return rows
 

@@ -10,11 +10,25 @@ from __future__ import annotations
 import itertools
 import math
 
+from canpath import synthgen
 from canpath.geokin import DEG_M, geodesic_inverse, point_along
 from canpath.mapmatch import MatcherConfig, candidates_for_point, sequence_logweight
 from canpath.roadgraph import RoadGraph
 from canpath.scenarios import ORIGIN, PathBuilder, assemble_graph
 from canpath.trackeval import GAP_SCORE, MATCH_SCORE, MISMATCH_SCORE, Track
+
+# -- simulator --------------------------------------------------------------------
+
+
+def no_sim_frames(monkeypatch) -> None:
+    """Make the simulator's frame encoders fail, so a scenario the step
+    bound lets through fails at once instead of running for hours."""
+    def encode(*args, **kwargs):
+        raise AssertionError("the simulation loop ran")
+
+    monkeypatch.setattr(synthgen, "encode_angle_frame", encode)
+    monkeypatch.setattr(synthgen, "encode_speed_response", encode)
+
 
 # -- tiny graphs ------------------------------------------------------------------
 

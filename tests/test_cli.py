@@ -11,6 +11,8 @@ from canpath.scenarios import straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import Track, load_gpx, save_gpx
 
+from helpers import no_sim_frames
+
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
@@ -46,6 +48,18 @@ def test_synth_writes_log_truth_manifest(scenario_dir, capsys):
     # the start pose in the form a tune manifest track takes
     lat, lon, bearing = manifest["start"]
     assert (lat, lon) == (44.65, 10.92) and isinstance(bearing, float)
+
+
+@pytest.mark.parametrize("rate", ["swa_rate", "obd_rate"])
+def test_synth_beyond_the_step_bound_is_one_error_line(scenario_dir, capsys, monkeypatch, tmp_path, rate):
+    no_sim_frames(monkeypatch)
+    doc = json.loads((scenario_dir / "scenario.json").read_text())
+    doc.update({"graph": str(scenario_dir / "roads.txt"), rate: 1e9})
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "synth", tmp_path / "scenario.json", "--out-dir", tmp_path)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: scenario needs up to "), err
+    assert not (tmp_path / "leftturn.log").exists()
 
 
 def test_full_pipeline_synth_infer_compare(scenario_dir, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,8 +10,11 @@ from canpath.geokin import (
     VehicleSpec,
     angular_speed,
     cumulative_lengths,
+    geodesic_distance,
     geodesic_forward,
     geodesic_inverse,
+    haversine,
+    haversine_point,
     heading_delta,
     point_along,
     polyline_length,
@@ -132,6 +136,105 @@ def test_inverse_degenerate():
 def test_inverse_symmetric_distance():
     a, b = (45.0, 11.0), (45.3, 11.4)
     assert geodesic_inverse(a, b)[0] == pytest.approx(geodesic_inverse(b, a)[0], rel=1e-12)
+
+
+def _reference_inverse(a, b):
+    # geodesic_inverse as it was before the haversine kernel, kept verbatim
+    if a == b:
+        return (0.0, 0.0)
+    phi1 = math.radians(a[0])
+    phi2 = math.radians(b[0])
+    dphi = phi2 - phi1
+    dlam = math.radians(b[1] - a[1])
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    distance = 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    if distance == 0.0:
+        return (0.0, 0.0)
+    bearing = math.atan2(
+        math.sin(dlam) * math.cos(phi2),
+        math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam),
+    )
+    return (distance, wrap_bearing(math.degrees(bearing)))
+
+
+def _reference_cumulative_lengths(points):
+    # cumulative_lengths as it was before the haversine kernel
+    cum = [0.0]
+    for i in range(len(points) - 1):
+        cum.append(cum[-1] + _reference_inverse(points[i], points[i + 1])[0])
+    return cum
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [v.hex() for v in values]
+
+
+def _reference_pairs(rng, n):
+    """n seeded point pairs: random anywhere, coincident, signed zeros,
+    sub-millimetre steps, steps over 1,000 km, near the poles and across
+    the antimeridian."""
+    zeros = (0.0, -0.0)
+    pairs = []
+    while len(pairs) < n:
+        lat, lon = rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)
+        kind = len(pairs) % 7
+        if kind == 0:  # anywhere: most such pairs are over 1,000 km apart
+            b = (rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+        elif kind == 1:  # coincident, or signed zeros in either coordinate
+            lat, lon = rng.choice((lat, *zeros)), rng.choice((lon, *zeros))
+            b = (rng.choice(zeros) if lat == 0.0 else lat, rng.choice(zeros) if lon == 0.0 else lon)
+        elif kind == 2:  # sub-millimetre steps (1e-8 degrees is about 1 mm)
+            lat = max(-89.0, min(89.0, lat))
+            b = (lat + rng.uniform(-1e-8, 1e-8), lon + rng.uniform(-1e-8, 1e-8))
+        elif kind == 3:  # road-scale steps up to about 100 m
+            lat = max(-89.0, min(89.0, lat))
+            b = (lat + rng.uniform(-1e-3, 1e-3), lon + rng.uniform(-1e-3, 1e-3))
+        elif kind == 4:  # near and on the poles
+            lat = rng.choice((1.0, -1.0)) * rng.choice((90.0, 90.0 - rng.uniform(0.0, 0.01)))
+            b = (math.copysign(90.0 - rng.uniform(0.0, 0.01), lat), rng.uniform(-180.0, 180.0))
+        elif kind == 5:  # across the antimeridian
+            lon = rng.choice((180.0, -180.0, 180.0 - rng.uniform(0.0, 1e-3)))
+            b = (lat + rng.uniform(-1e-3, 1e-3), -180.0 + rng.uniform(0.0, 1e-3))
+            b = (max(-90.0, min(90.0, b[0])), b[1])
+        else:  # over 1,000 km along one parallel or meridian
+            b = rng.choice(((lat, rng.uniform(-180.0, 180.0)), (rng.uniform(-90.0, 90.0), lon)))
+        pair = ((lat, lon), b)
+        pairs.append(pair if rng.random() < 0.5 else pair[::-1])
+    return pairs
+
+
+def test_distance_kernel_is_bit_identical_to_the_reference():
+    pairs = _reference_pairs(random.Random(20261019), 42_000)
+    want = [_reference_inverse(a, b) for a, b in pairs]
+    got = [geodesic_inverse(a, b) for a, b in pairs]
+    assert _bits(d for d, _ in got) == _bits(d for d, _ in want)
+    assert _bits(b for _, b in got) == _bits(b for _, b in want)
+    assert _bits(geodesic_distance(a, b) for a, b in pairs) == _bits(d for d, _ in want)
+    assert _bits(haversine(haversine_point(a), haversine_point(b)) for a, b in pairs) == _bits(d for d, _ in want)
+    # the cases the pairs are meant to hold do occur
+    distances = [d for d, _ in want]
+    assert sum(d == 0.0 for d in distances) > 1000
+    assert sum(0.0 < d < 1e-3 for d in distances) > 1000
+    assert sum(d > 1e6 for d in distances) > 5000
+    assert any(a[0] == -0.0 and math.copysign(1.0, a[0]) < 0 for a, _ in pairs)
+
+
+def test_cumulative_lengths_is_bit_identical_to_the_reference():
+    rng = random.Random(20261020)
+    pairs = _reference_pairs(rng, 42_000)
+    # polylines of up to 60 points chained from the pairs, with repeated
+    # vertices, so every kind of step occurs between neighbours
+    points = [p for pair in pairs for p in pair]
+    start = 0
+    while start < len(points):
+        n = rng.randrange(0, 61)
+        line = points[start:start + n]
+        if line and rng.random() < 0.2:
+            line.insert(rng.randrange(len(line)), rng.choice(line))
+        assert _bits(cumulative_lengths(line)) == _bits(_reference_cumulative_lengths(line))
+        assert polyline_length(line).hex() == _reference_cumulative_lengths(line)[-1].hex()
+        start += max(n, 1)
 
 
 def test_straight_steps_conserve_length():

@@ -28,6 +28,8 @@ from canpath.synthgen import (
 )
 from canpath.trackeval import compare_tracks
 
+from helpers import no_sim_frames
+
 
 def _arc_scenario(radius=30.0, kmh=25.0):
     pb = PathBuilder(heading=0.0)
@@ -195,6 +197,29 @@ def test_scenario_validation():
         SimScenario("x", graph, [1], [(10.0, 30.0)], DEFAULT_DECODER, DEFAULT_VEHICLE)
     with pytest.raises(ScenarioError, match="outside"):
         SimScenario("x", graph, [1], [(0.0, 300.0)], DEFAULT_DECODER, DEFAULT_VEHICLE)
+
+
+@pytest.mark.parametrize(
+    "rates", [{"swa_rate": 1e9}, {"obd_rate": 1e9}, {"swa_rate": 1e9, "obd_rate": 1e9}], ids=["swa", "obd", "both"]
+)
+def test_simulation_beyond_the_step_bound_is_refused_at_once(monkeypatch, rates):
+    sc = turn_left_90()
+    no_sim_frames(monkeypatch)
+    with pytest.raises(ScenarioError, match="^scenario needs up to .* steering and OBD steps, more than 2,000,000;"):
+        simulate(SimScenario(sc.name, sc.graph, sc.route, sc.speed_profile, sc.decoder, sc.vehicle, **rates))
+
+
+def test_step_bound_takes_the_slowest_speed_the_route_reaches(monkeypatch):
+    sc = turn_left_90()  # 318.8 m
+    crawl = [(0.0, 20.0), (100.0, 0.001)]  # 0.001 km/h from 100 m: 7.9e7 steps at 100 Hz
+    no_sim_frames(monkeypatch)
+    with pytest.raises(ScenarioError, match="steering and OBD steps"):
+        simulate(SimScenario(sc.name, sc.graph, sc.route, crawl, sc.decoder, sc.vehicle))
+    monkeypatch.undo()
+    # an entry past the route's end is never reached, so it does not count
+    beyond = [(0.0, 20.0), (1e6, 0.001)]
+    sim = simulate(SimScenario(sc.name, sc.graph, sc.route, beyond, sc.decoder, sc.vehicle))
+    assert sim.frames == simulate(sc).frames
 
 
 def test_scenario_file_roundtrip(tmp_path):

@@ -274,19 +274,22 @@ def test_nw_align_equals_full_matrix_across_the_antimeridian():
 
 
 def test_nw_align_distance_calls_grow_linearly(monkeypatch):
+    # counts the haversine evaluations _within_sets makes, through the
+    # name trackeval calls them by
     calls = []
+    haversine = trackeval.haversine
 
-    def counting_inverse(p, q):
+    def counting_haversine(p, q):
         calls.append(1)
-        return geodesic_inverse(p, q)
+        return haversine(p, q)
 
-    monkeypatch.setattr(trackeval, "geodesic_inverse", counting_inverse)
+    monkeypatch.setattr(trackeval, "haversine", counting_haversine)
     # two parallel 1 km tracks, 10 m spacing, 5 m apart
     a = track_from_meters(*range(0, 1001, 10))
     b = Track(points=tuple((lat + 5 * M_LAT, lon) for lat, lon in a.points))
     result = nw_align(a, b)
     assert result.matched_pairs == len(a)
-    assert len(calls) <= 5 * (len(a) + len(b)) < len(a) * len(b) // 10
+    assert 0 < len(calls) <= 5 * (len(a) + len(b)) < len(a) * len(b) // 10
 
 
 def _near_duplicate(rng, track, noise_m=3.0, p_delete=0.0, p_insert=0.0):
