@@ -17,9 +17,10 @@ import sys
 from dataclasses import fields
 
 from . import __version__
-from .canlog import IdFilter, LogParseError, filter_frames, read_log, write_log
+from .canlog import IdFilter, filter_frames, read_log, write_log
 from .geokin import VehiclePose
-from .inference import ANGLE, InferenceError, InferenceParams, decode_signals, infer_path
+from .inference import ANGLE, InferenceParams, decode_signals, infer_path
+from .jsondocs import ManifestError, load_manifest, load_scenario, manifest_for
 from .mapmatch import ExternalMatcher, GraphMatcher, MatchServiceError
 from .obd import OBD_RESPONSE_ID_FIRST
 from .reveng import (
@@ -32,10 +33,10 @@ from .reveng import (
     resolve_entry,
     resolve_spec,
 )
-from .roadgraph import GraphFormatError, RoadGraph
-from .synthgen import ScenarioError, load_scenario, manifest_for, simulate
-from .trackeval import MATCH_EPSILON_M, GpxError, comparison_csv_row, compare_tracks, load_gpx, save_gpx
-from .tuner import TuneTrack, grid_search, marginal_curves, resolve_grids, rows_to_csv
+from .roadgraph import RoadGraph
+from .synthgen import simulate
+from .trackeval import MATCH_EPSILON_M, comparison_csv_row, compare_tracks, load_gpx, save_gpx
+from .tuner import grid_search, marginal_curves, rows_to_csv
 
 class UsageError(Exception):
     pass
@@ -56,22 +57,21 @@ def _read_frames(path: str, strict: bool = False):
     return frames
 
 
-def _parse_start(parts, where: str) -> VehiclePose:
-    """The start pose from three finite numbers, lat, lon and bearing:
-    ``infer --start`` split at its commas, or a manifest track's list."""
-    if not isinstance(parts, list) or len(parts) != 3:
-        raise UsageError(f"{where} expects lat,lon,bearing")
+def _parse_start(text: str) -> VehiclePose:
+    """The start pose from ``infer --start``: lat,lon,bearing, three finite numbers."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise UsageError("--start expects lat,lon,bearing")
     try:
-        # through str, so that a JSON true, null or list is refused like text
-        values = [float(str(p)) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
-        raise UsageError(f"{where} has a non-numeric component in {parts!r}") from None
+        raise UsageError(f"--start has a non-numeric component in {parts!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{where} has a non-finite component in {parts!r}")
+        raise UsageError(f"--start has a non-finite component in {parts!r}")
     try:
         return VehiclePose(*values)
     except ValueError as exc:
-        raise UsageError(f"{where}: {exc}") from None
+        raise UsageError(f"--start: {exc}") from None
 
 
 def _parse_params(text: str | None) -> InferenceParams:
@@ -167,7 +167,7 @@ def _cmd_infer(args) -> int:
     # flag-only validation first, file I/O after
     if args.log == "-" and not args.out:
         raise UsageError("infer reads the log from stdin: pass --out for the GPX")
-    start = _parse_start(args.start.split(","), "--start")
+    start = _parse_start(args.start)
     params = _parse_params(args.params)
     entry = resolve_entry(args.model, args.decoder_file)
     vehicle = resolve_spec(entry, args.wheelbase)
@@ -219,60 +219,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-
-    def required(mapping, key, where):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise UsageError(f"{where} has no {key!r} key")
-        return mapping[key]
-
-    def string(value, key, where):
-        if not isinstance(value, str):
-            raise UsageError(f"{where}: {key!r} must be a string, got {value!r}")
-        return value
-
-    def path(mapping, key, where):
-        """A file named relative to the manifest."""
-        return os.path.join(base, string(required(mapping, key, where), key, where))
-
-    graph_file = path(doc, "graph", "manifest")
-    grids = doc.get("grids", {})
-    if not isinstance(grids, dict):
-        raise UsageError("manifest 'grids' must map parameter names to lists of values")
-    try:
-        grids = resolve_grids(grids)
-    except ValueError as exc:
-        raise UsageError(f"manifest grids: {exc}") from None
-    graph = RoadGraph.load(graph_file)
-    entries = required(doc, "tracks", "manifest")
-    if not isinstance(entries, list):
-        raise UsageError("manifest 'tracks' must be a list of tracks")
-    tracks = []
-    for entry in entries:
-        log = path(entry, "log", "manifest track")
-        name = string(entry.get("name", os.path.basename(log)), "name", "manifest track")
-        where = f"manifest track {name!r}"
-        start = _parse_start(required(entry, "start", where), f"{where}: start")
-        decoder_file = None if entry.get("decoder_file") is None else path(entry, "decoder_file", where)
-        try:
-            row = resolve_entry(entry.get("model"), decoder_file)
-            vehicle = resolve_spec(row, entry.get("wheelbase"))
-        except VehicleError as exc:
-            raise UsageError(f"{where}: {exc}") from None
-        frames, _ = read_log(log, strict=False)
-        truth = load_gpx(path(entry, "truth", where))
-        tracks.append(
-            TuneTrack(
-                name=name,
-                frames=tuple(frames),
-                truth=truth,
-                start=start,
-                decoder=row.decoder,
-                vehicle=vehicle,
-            )
-        )
+    graph, grids, tracks = load_manifest(args.manifest)
     rows = grid_search(tracks, graph, grids=grids, workers=args.workers)
     csv_text = rows_to_csv(rows)
     _write_or_print(csv_text, args.out)
@@ -360,19 +307,10 @@ def main(argv: list[str] | None = None) -> int:
         # downstream consumer (e.g. head) closed the pipe; exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (UsageError, VehicleError) as exc:
+    except (UsageError, VehicleError, ManifestError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except (
-        LogParseError,
-        GraphFormatError,
-        GpxError,
-        InferenceError,
-        ScenarioError,
-        MatchServiceError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (MatchServiceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

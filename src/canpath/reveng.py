@@ -302,11 +302,14 @@ class VehicleError(ValueError):
     """A vehicle named so that no decoder-sheet row, or no wheelbase, fits."""
 
 
-def resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
+# how messages spell the model, the decoder file and the wheelbase, unless a caller says otherwise
+_FLAG_NAMES = ("--model", "--decoder-file", "--wheelbase")
+
+
+def resolve_entry(model: str | None, decoder_file: str | None, names: tuple = _FLAG_NAMES) -> VehicleEntry:
     """The decoder-sheet row that a model name and/or a decoder file name:
     the model's row in the file, the file's only row, or the shipped row."""
-    if model is not None and not isinstance(model, str):
-        raise VehicleError(f"model must be a string, got {model!r}")
+    model_name, file_name, wheelbase_name = names
     if decoder_file:
         sheet = load_decoder_sheet(decoder_file)
         if model:
@@ -315,21 +318,21 @@ def resolve_entry(model: str | None, decoder_file: str | None) -> VehicleEntry:
                 raise VehicleError(f"model {model!r} not in decoder file")
             return entry
         if len(sheet) != 1:
-            raise VehicleError("--decoder-file has several models; pick one with --model")
+            raise VehicleError(f"{file_name} has several models; pick one with {model_name}")
         return next(iter(sheet.values()))
     if model:
         entry = lookup_vehicle(model)
         if entry is None:
-            raise VehicleError(f"unknown model {model!r}: supply --decoder-file and --wheelbase")
+            raise VehicleError(f"unknown model {model!r}: supply {file_name} and {wheelbase_name}")
         return entry
-    raise VehicleError("one of --model or --decoder-file is required")
+    raise VehicleError(f"one of {model_name} or {file_name} is required")
 
 
-def resolve_spec(entry: VehicleEntry, wheelbase: float | None) -> VehicleSpec:
+def resolve_spec(entry: VehicleEntry, wheelbase: float | None, names: tuple = _FLAG_NAMES) -> VehicleSpec:
     """The vehicle spec for a sheet row: an explicit wheelbase overrides the
     row's, and a row without one needs it."""
     if wheelbase is None:
         wheelbase = entry.wheelbase
     if wheelbase is None:
-        raise VehicleError(f"no wheelbase on record for {entry.model!r}: pass --wheelbase")
+        raise VehicleError(f"no wheelbase on record for {entry.model!r}: supply {names[2]}")
     return VehicleSpec(wheelbase=wheelbase)

@@ -10,9 +10,7 @@ curvature: yaw rate omega = v * kappa, hence delta = atan(wheelbase * kappa).
 from __future__ import annotations
 
 import bisect
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 from .canlog import CanFrame
@@ -27,7 +25,7 @@ from .geokin import (
     wrap_bearing,
 )
 from .obd import encode_speed_response
-from .reveng import AngleDecoder, VehicleError, encode_angle_frame, resolve_entry, resolve_spec
+from .reveng import AngleDecoder, encode_angle_frame
 from .roadgraph import RoadGraph
 from .trackeval import Track
 
@@ -57,7 +55,6 @@ class SimScenario:
     swa_rate: float = 100.0  # Hz, steering broadcast
     obd_rate: float = 10.0  # Hz, speed polling
     start_bearing_error: float = 0.0  # degrees added to the start pose
-    interface: str = "can0"
 
     def __post_init__(self):
         if not self.route:
@@ -202,9 +199,7 @@ def simulate(scenario: SimScenario) -> SimResult:
     k = 0
     while s < total:
         delta = _steering_at(points, cum, s, scenario.vehicle.wheelbase)
-        frames.append(
-            encode_angle_frame(scenario.decoder, t, delta, interface=scenario.interface)
-        )
+        frames.append(encode_angle_frame(scenario.decoder, t, delta))
         steering.append((t, delta))
         v = speed_kmh_at(s) / 3.6
         s += v * dt
@@ -226,9 +221,7 @@ def simulate(scenario: SimScenario) -> SimResult:
         if t_obd > t_end:
             break
         byte = int(round(speed_kmh_at(s_at_time(t_obd))))
-        frames.append(
-            encode_speed_response(byte, timestamp=t_obd, interface=scenario.interface)
-        )
+        frames.append(encode_speed_response(byte, timestamp=t_obd))
         j += 1
 
     frames.sort(key=lambda f: f.timestamp)
@@ -259,101 +252,3 @@ def simulate(scenario: SimScenario) -> SimResult:
         route_length_m=total,
         steering_deg=steering,
     )
-
-
-# -- scenario files --------------------------------------------------------------
-
-
-_SCENARIO_KEYS = frozenset({
-    "name", "graph", "route", "speed_profile", "model", "decoder_file", "wheelbase",
-    "swa_rate", "obd_rate", "start_bearing_error",
-})
-
-
-def load_scenario(path: str) -> SimScenario:
-    """Load a scenario description file (JSON).
-
-    Required keys: name, graph (path relative to the file), route,
-    speed_profile ([[from_m, kmh], ...]), and the vehicle, named as a tune
-    manifest track names it: "model" and/or "decoder_file" (a decoder
-    sheet, relative to the file), resolved by ``reveng.resolve_entry``.
-    Optional: wheelbase (overrides the sheet row's), swa_rate, obd_rate,
-    start_bearing_error. The steering limit is not a scenario key: it is
-    the inference parameter ``steer_max``. Any other key is an error rather
-    than being ignored.
-    """
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    base = os.path.dirname(os.path.abspath(path))
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario file must hold a JSON object")
-    unknown = sorted(set(doc) - _SCENARIO_KEYS)
-    if unknown:
-        raise ScenarioError(f"scenario file has unknown key {unknown[0]!r}")
-    try:
-        graph = RoadGraph.load(os.path.join(base, _string(doc["graph"], "graph")))
-        decoder_file = doc.get("decoder_file")
-        if decoder_file is not None:
-            decoder_file = os.path.join(base, _string(decoder_file, "decoder_file"))
-        wheelbase = _number(doc["wheelbase"], "wheelbase") if "wheelbase" in doc else None
-        try:
-            entry = resolve_entry(doc.get("model"), decoder_file)
-            vehicle = resolve_spec(entry, wheelbase)
-        except VehicleError as exc:
-            raise ScenarioError(str(exc)) from None
-        return SimScenario(
-            name=_string(doc["name"], "name"),
-            graph=graph,
-            route=[_integer(e, "route") for e in _list(doc["route"], "route")],
-            speed_profile=[
-                (float(_number(a, "speed_profile")), float(_number(b, "speed_profile")))
-                for a, b in (_list(e, "speed_profile", 2) for e in _list(doc["speed_profile"], "speed_profile"))
-            ],
-            decoder=entry.decoder,
-            vehicle=vehicle,
-            **{k: _number(doc[k], k) for k in ("swa_rate", "obd_rate", "start_bearing_error") if k in doc},
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario file missing key {exc}") from None
-
-
-def _list(value, key: str, length: int | None = None) -> list:
-    """A scenario file value that must be a JSON list, of `length` items if given."""
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        expected = "a list" if length is None else f"a list of {length} items"
-        raise ScenarioError(f"scenario key {key!r} must be {expected}, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """A scenario file value that must be a finite JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ScenarioError(f"scenario key {key!r} must be a finite number, got {value!r}")
-    return value
-
-
-def _integer(value, key: str) -> int:
-    """A scenario file value that must be a JSON integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ScenarioError(f"scenario key {key!r} must be an integer, got {value!r}")
-
-
-def _string(value, key: str) -> str:
-    """A scenario file value that must be a JSON string."""
-    if isinstance(value, str):
-        return value
-    raise ScenarioError(f"scenario key {key!r} must be a string, got {value!r}")
-
-
-def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:
-    return {
-        "scenario": scenario.name,
-        "log": log_file,
-        "truth": truth_file,
-        "start": [result.start.lat, result.start.lon, result.start.bearing],
-        "route_length_m": round(result.route_length_m, 3),
-        "swa_id": f"0x{scenario.decoder.id:03X}",
-        "wheelbase": scenario.vehicle.wheelbase,
-        "frames": len(result.frames),
-    }

@@ -476,12 +476,14 @@ def test_tune_model_is_looked_up_in_the_decoder_file(scenario_dir, capsys, tmp_p
 @pytest.mark.parametrize(
     "start,message",
     [
-        ([44.65, 10.92, "x"], "start has a non-numeric component"),
-        ({"lat": 44.65, "lon": 10.92, "bearing": 90.0}, "start expects lat,lon,bearing"),
-        ([44.65, 10.92], "start expects lat,lon,bearing"),
-        ([44.65, 10.92, float("inf")], "start has a non-finite component"),
+        ([44.65, 10.92, "x"], "'start' must be a finite number, got 'x'"),
+        ({"lat": 44.65, "lon": 10.92, "bearing": 90.0}, "'start' must be a list of 3 items, got {'lat'"),
+        ([44.65, 10.92], "'start' must be a list of 3 items, got [44.65, 10.92]"),
+        ([44.65, 10.92, float("inf")], "'start' must be a finite number, got inf"),
+        (["44.65", "10.92", "90"], "'start' must be a finite number, got '44.65'"),
+        ([91.0, 10.92, 90.0], "'start': latitude 91.0 out of range"),
     ],
-    ids=["non-numeric", "synth-object", "two-values", "infinite"],
+    ids=["non-numeric", "synth-object", "two-values", "infinite", "strings", "latitude"],
 )
 def test_tune_manifest_bad_start_is_one_error_line(scenario_dir, capsys, tmp_path, start, message):
     code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, start=start)
@@ -492,11 +494,17 @@ def test_tune_manifest_bad_start_is_one_error_line(scenario_dir, capsys, tmp_pat
 @pytest.mark.parametrize(
     "track,code,message",
     [
-        ({"model": "renault captur", "wheelbase": "2.6"}, 1, "error: wheelbase must be a number, got '2.6'"),
-        ({"model": "renault captur", "wheelbase": True}, 1, "error: wheelbase must be a number, got True"),
-        ({"model": 5}, 2, "error: usage: manifest track 'leftturn': model must be a string, got 5"),
-        ({"model": "renault captur", "log": 5}, 2, "error: usage: manifest track: 'log' must be a string, got 5"),
-        ({"model": "renault captur", "name": 5}, 2, "error: usage: manifest track: 'name' must be a string, got 5"),
+        (
+            {"model": "renault captur", "wheelbase": "2.6"}, 2,
+            "error: usage: manifest track 'leftturn': 'wheelbase' must be a finite number, got '2.6'",
+        ),
+        (
+            {"model": "renault captur", "wheelbase": True}, 2,
+            "error: usage: manifest track 'leftturn': 'wheelbase' must be a finite number, got True",
+        ),
+        ({"model": 5}, 2, "error: usage: manifest track 'leftturn': 'model' must be a string, got 5"),
+        ({"model": "renault captur", "log": 5}, 2, "error: usage: manifest track 0: 'log' must be a string, got 5"),
+        ({"model": "renault captur", "name": 5}, 2, "error: usage: manifest track 0: 'name' must be a string, got 5"),
         (
             {"model": "renault captur", "decoder_file": 5}, 2,
             "error: usage: manifest track 'leftturn': 'decoder_file' must be a string, got 5",
@@ -528,7 +536,8 @@ def test_tune_manifest_tracks_object_is_one_error_line(scenario_dir, capsys, tmp
     manifest_file.write_text(json.dumps(manifest))
     code, out, err = run(capsys, "tune", manifest_file)
     assert code == 2
-    assert err.splitlines() == ["error: usage: manifest 'tracks' must be a list of tracks"]
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: usage: manifest: 'tracks' must be a list, got {"), err
 
 
 @pytest.mark.parametrize("missing", ["graph", "tracks"])
@@ -539,7 +548,7 @@ def test_tune_manifest_missing_key_is_one_error_line(scenario_dir, capsys, tmp_p
     manifest_file.write_text(json.dumps(manifest))
     code, out, err = run(capsys, "tune", manifest_file)
     assert code == 2
-    assert err.splitlines() == [f"error: usage: manifest has no '{missing}' key"]
+    assert err.splitlines() == [f"error: usage: manifest: missing key '{missing}'"]
 
 
 def test_infer_graph_with_bad_coordinates_is_one_error_line(scenario_dir, capsys, tmp_path):
@@ -617,6 +626,7 @@ def test_tune_workers_below_one_is_usage_error(scenario_dir, capsys, workers):
         ({"speed_mx": [50]}, "manifest grids: unknown parameter 'speed_mx'"),
         ({"t_window": []}, "manifest grids: parameter 't_window' has no values"),
         ({"t_window": 0.1}, "manifest grids: 't_window' must be a list of numbers"),
+        ([0.1], "manifest: 'grids' must be a JSON object, got [0.1]"),
     ],
 )
 def test_tune_manifest_bad_grids_are_one_error_line(scenario_dir, capsys, tmp_path, grids, message):

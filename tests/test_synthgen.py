@@ -18,14 +18,8 @@ from canpath.scenarios import (
     straight_1km,
     turn_left_90,
 )
-from canpath.synthgen import (
-    ScenarioError,
-    SimScenario,
-    load_scenario,
-    manifest_for,
-    route_polyline,
-    simulate,
-)
+from canpath.jsondocs import load_scenario, manifest_for
+from canpath.synthgen import ScenarioError, SimScenario, route_polyline, simulate
 from canpath.trackeval import compare_tracks
 
 from helpers import no_sim_frames
@@ -262,7 +256,7 @@ def test_scenario_file_with_inline_decoder(tmp_path):
     # the vehicle is named by model and decoder file only; an inline decoder,
     # whatever its JSON type, is an unknown key
     for decoder in ({"id": "2F5", "offset": "7FFF", "scale": 0.01}, ["2F5"], "0C6"):
-        with pytest.raises(ScenarioError, match="^scenario file has unknown key 'decoder'$"):
+        with pytest.raises(ScenarioError, match="^scenario file: unknown key 'decoder'$"):
             load_scenario(_write_scenario(tmp_path, decoder=decoder, wheelbase=2.604))
 
 
@@ -284,16 +278,16 @@ def test_scenario_file_with_decoder_file(tmp_path):
     "vehicle,message",
     [
         ({"model": "DeLorean DMC-12"}, "unknown model 'DeLorean DMC-12'"),
-        ({"model": 5}, "model must be a string, got 5"),
+        ({"model": 5}, "'model' must be a string, got 5"),
         ({"decoder_file": "van.txt", "model": "renault captur"}, "model 'renault captur' not in decoder file"),
         ({"decoder_file": "van.txt"}, "no wheelbase on record for 'my van'"),
-        ({}, "one of --model or --decoder-file is required"),
+        ({}, "one of 'model' or 'decoder_file' is required"),
     ],
     ids=["unknown-model", "model-number", "model-not-in-sheet", "no-wheelbase", "no-vehicle"],
 )
 def test_scenario_file_vehicle_is_resolved_as_a_tune_track_is(tmp_path, vehicle, message):
     (tmp_path / "van.txt").write_text("canpath-decoders v1\nmy van, 2F5, 0, 1, 7FFF, 0.01, offset\n")
-    with pytest.raises(ScenarioError, match=f"^{message}"):
+    with pytest.raises(ScenarioError, match=f"^scenario file: {message}"):
         load_scenario(_write_scenario(tmp_path, **vehicle))
 
 
@@ -362,7 +356,7 @@ def test_scenario_file_wrongly_typed_value_is_an_error(tmp_path, extra, message)
     doc = {"name": "x", "graph": "roads.txt", "route": sc.route, "speed_profile": [[0.0, 20.0]], **extra}
     scenario_file = tmp_path / "scenario.json"
     scenario_file.write_text(json.dumps(doc))
-    with pytest.raises(ScenarioError, match=f"^scenario key {message}$"):
+    with pytest.raises(ScenarioError, match=f"^scenario file: {message}$"):
         load_scenario(str(scenario_file))
 
 
