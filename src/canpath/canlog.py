@@ -4,10 +4,15 @@ A log line looks like ``(1684149582.123456) can0 0C6#7DC80000AAAAAAAA``:
 timestamp in seconds since the epoch, interface name, 11-bit identifier in
 hex, and up to 8 data bytes in hex after the ``#``.
 
-Parsing costs little more than the bytes it reads: ``parse_log`` strips
-each line once and hands it to the same private ``_parse`` that
-``parse_line`` uses, and a ``CanFrame`` is a checked 4-tuple, so building
-one costs a tuple allocation plus its three checks.
+Parsing costs little more than the bytes it reads. ``parse_log`` splits
+each line once; a line of exactly three tokens, a ``(stamp)``, an interface
+and ``ID#DATA`` with even-length data of at most 16 hex digits, is read
+with the same ``float``, ``int(_, 16)`` and ``bytes.fromhex`` calls and the
+same finite and range checks as ``_parse``. Those checks are the three that
+``CanFrame.__new__`` makes, so the parser builds the 4-tuple directly. Any
+other line (blank, malformed, or a rare valid spelling such as
+``(1.0)can0 7E8#00``) goes to the private ``_parse`` that ``parse_line``
+uses, the only code that words a parse error.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ class CanFrame(tuple):
     """One timestamped CAN message: the immutable 4-tuple
     ``(timestamp, interface, id, data)`` with those fields by name.
 
-    Every construction checks the identifier, payload length and timestamp.
-    Frames compare and hash as the tuple of their fields (so a frame equals
-    a plain tuple of the same fields); assigning to a field raises
-    AttributeError.
+    Every construction checks the identifier, payload length and timestamp;
+    ``parse_log`` makes those three checks itself on the lines it reads and
+    then builds the tuple directly with ``tuple.__new__``. Frames compare
+    and hash as the tuple of their fields (so a frame equals a plain tuple
+    of the same fields); assigning to a field raises AttributeError.
     """
 
     __slots__ = ()
@@ -153,12 +159,29 @@ def parse_log(
     """
     frames: list[CanFrame] = []
     skipped: list[tuple[int, str]] = []
+    append, new, isfinite = frames.append, tuple.__new__, math.isfinite
     for line_no, line in enumerate(lines, start=1):
+        # the happy path: _parse's checks on a line's three tokens, in locals
+        tokens = line.split()
+        if len(tokens) == 3:
+            stamp, interface, frame_text = tokens
+            id_text, sep, data_text = frame_text.partition("#")
+            if stamp[0] == "(" and stamp[-1] == ")" and sep and len(data_text) <= 16 and not len(data_text) % 2:
+                try:
+                    timestamp = float(stamp[1:-1])
+                    frame_id = int(id_text, 16)
+                    data = bytes.fromhex(data_text)
+                except ValueError:
+                    pass
+                else:
+                    if isfinite(timestamp) and timestamp >= 0 and 0 <= frame_id <= MAX_STD_ID:
+                        append(new(CanFrame, (timestamp, interface, frame_id, data)))
+                        continue
         text = line.strip()
         if not text:
             continue
         try:
-            frames.append(_parse(text, line_no))
+            append(_parse(text, line_no))
         except LogParseError as exc:
             if strict:
                 raise

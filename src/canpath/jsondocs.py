@@ -1,9 +1,12 @@
 """The two JSON inputs, scenario files (``synth``) and tune manifests
 (``tune``), under one set of rules: only known keys; a key that is present
-holds its JSON type (``null`` does not leave it out); files named relative
-to the document; one vehicle block. A broken rule is one error naming the
-document and the key: ``scenario file:`` (``ScenarioError``), ``manifest:``
-or ``manifest track <name, or index until the name is read>:`` (``ManifestError``).
+holds its JSON type (``null`` does not leave it out) and, where the key has
+one, its range (a positive wheelbase or sample rate, a scenario name that
+is a plain file name, grid values that ``InferenceParams`` accepts); files
+named relative to the document; one vehicle block. A broken rule is one
+error naming the document and the key: ``scenario file:``
+(``ScenarioError``), ``manifest:`` or ``manifest track <name, or index
+until the name is read>:`` (``ManifestError``).
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ _KINDS = {
     "a list of 2 items": lambda v: isinstance(v, list) and len(v) == 2,
     "a list of 3 items": lambda v: isinstance(v, list) and len(v) == 3,
     "a JSON object": lambda v: isinstance(v, dict),
+    # the range of a value already read as a string or a finite number; a
+    # scenario's name names its output files, which stay in the output directory
+    "a plain file name": lambda v: v not in ("", ".", "..") and not any(s and s in v for s in ("/", os.sep, os.altsep)),
+    "a positive number": lambda v: v > 0,
 }
 
 
@@ -55,13 +62,20 @@ def load_scenario(path: str) -> SimScenario:
     doc = _document(path, _SCENARIO_KEYS, "scenario file", ScenarioError)
     graph_file = doc.path("graph")
     entry, vehicle = _vehicle(doc)
-    name = doc.get("name", "a string")
+    name = doc.check(doc.get("name", "a string"), "a plain file name", "name")
     route = [doc.check(e, "an integer", "route") for e in doc.get("route", "a list")]
     pairs = [doc.check(e, "a list of 2 items", "speed_profile") for e in doc.get("speed_profile", "a list")]
     speed_profile = [tuple(float(doc.check(v, "a finite number", "speed_profile")) for v in p) for p in pairs]
     rates = ("swa_rate", "obd_rate", "start_bearing_error")
     optional = {k: doc.get(k, "a finite number") for k in rates if k in doc.value}
-    return SimScenario(name, RoadGraph.load(graph_file), route, speed_profile, entry.decoder, vehicle, **optional)
+    for key in ("swa_rate", "obd_rate"):
+        if key in optional:
+            doc.check(optional[key], "a positive number", key)
+    graph = RoadGraph.load(graph_file)
+    try:
+        return SimScenario(name, graph, route, speed_profile, entry.decoder, vehicle, **optional)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{doc.where}: {exc}") from None
 
 
 def load_manifest(path: str) -> tuple[RoadGraph, dict, list[TuneTrack]]:
@@ -155,6 +169,8 @@ def _vehicle(doc: _Object):
     """The decoder-sheet row and vehicle spec that model, decoder_file and wheelbase name."""
     model = doc.get("model", "a string", None)
     wheelbase = doc.get("wheelbase", "a finite number", None)
+    if wheelbase is not None:
+        doc.check(wheelbase, "a positive number", "wheelbase")
     try:
         entry = resolve_entry(model, doc.path("decoder_file", None), _VEHICLE_NAMES)
         return entry, resolve_spec(entry, wheelbase, _VEHICLE_NAMES)

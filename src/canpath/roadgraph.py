@@ -224,33 +224,58 @@ class RoadGraph:
         skipped (see ``nearest_edges``). Segments are tried in the order
         given and a later one wins only when strictly nearer, so ascending
         order keeps the lowest segment on ties.
+
+        This is the one projection kernel (``nearest_edges`` and
+        ``project_to_edge`` both call it), written on locals: each vertex
+        is unpacked once, the segment vector is ``(blon - lon) * kx - ax``
+        (the same float as the far end's local x minus ``ax``), and ``t`` is
+        clamped to [0, 1] by the comparisons that ``max(0.0, min(1.0, t))``
+        makes, so -0.0 becomes 0.0 and NaN becomes 1.0.
         """
         ky = DEG_M
+        hypot = math.hypot
         geometry = edge.geometry
         lat_lo, lat_hi, lon_lo, lon_hi = bounds
         best_dist = math.inf
         best_seg = -1
         best_t = 0.0
         for seg in segs:
-            (alat, alon), (blat, blon) = geometry[seg], geometry[seg + 1]
-            if (
-                (alat > lat_hi and blat > lat_hi)
-                or (alat < lat_lo and blat < lat_lo)
-                or (alon > lon_hi and blon > lon_hi)
-                or (alon < lon_lo and blon < lon_lo)
-            ):
-                continue
-            ax, ay = (alon - lon) * kx, (alat - lat) * ky
-            bx, by = (blon - lon) * kx, (blat - lat) * ky
-            dx, dy = bx - ax, by - ay
+            alat, alon = geometry[seg]
+            blat, blon = geometry[seg + 1]
+            if alat > lat_hi:
+                if blat > lat_hi:
+                    continue
+            if alat < lat_lo:
+                if blat < lat_lo:
+                    continue
+            if alon > lon_hi:
+                if blon > lon_hi:
+                    continue
+            if alon < lon_lo:
+                if blon < lon_lo:
+                    continue
+            ax = (alon - lon) * kx
+            ay = (alat - lat) * ky
+            dx = (blon - lon) * kx - ax
+            dy = (blat - lat) * ky - ay
             seg_len2 = dx * dx + dy * dy
-            t = 0.0 if seg_len2 == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
-            dist = math.hypot(ax + t * dx, ay + t * dy)
+            if seg_len2 == 0:
+                t = 0.0
+            else:
+                t = -(ax * dx + ay * dy) / seg_len2
+                if not t < 1.0:
+                    t = 1.0
+                elif not t > 0.0:
+                    t = 0.0
+            dist = hypot(ax + t * dx, ay + t * dy)
             if dist < best_dist or best_seg < 0:
-                best_dist, best_seg, best_t = dist, seg, t
+                best_dist = dist
+                best_seg = seg
+                best_t = t
         if best_seg < 0 or best_dist > radius_m:
             return None
-        (alat, alon), (blat, blon) = geometry[best_seg], geometry[best_seg + 1]
+        alat, alon = geometry[best_seg]
+        blat, blon = geometry[best_seg + 1]
         t, cum = best_t, edge.cum_m
         offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
         return Candidate(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon), best_dist)

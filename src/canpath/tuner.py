@@ -75,8 +75,8 @@ def _param_tuple(params: InferenceParams) -> tuple:
 
 def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
     """The default grids with `grids` laid over them; an unknown parameter
-    name, or a value that is not a non-empty list of numbers, is a
-    ValueError."""
+    name, a value that is not a non-empty list of numbers, or a number
+    that ``InferenceParams`` rejects for its parameter, is a ValueError."""
     grids = grids or {}
     for name, values in grids.items():
         if name not in DEFAULT_GRIDS:
@@ -87,6 +87,11 @@ def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
             raise ValueError(f"{name!r} must be a list of numbers")
         if len(values) == 0:
             raise ValueError(f"parameter {name!r} has no values")
+        for value in values:
+            try:
+                InferenceParams(**{name: value})
+            except ValueError as exc:
+                raise ValueError(f"{name!r}: {exc}") from None
     return dict(DEFAULT_GRIDS, **grids)
 
 

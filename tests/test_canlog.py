@@ -4,7 +4,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from canpath.canlog import (
     CanFrame,
@@ -294,6 +294,11 @@ def _well_formed(draw):
     return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", "\n", " \r\n", "\t"]))
 
 
+# \x0b, \x1c, \u00a0 and \u3000 are whitespace to str.split and str.strip,
+# \ufeff is not; "0x" is a prefix that int(_, 16) accepts
+_MUTATIONS = [*"()#.-+_ \tx0123456789abcdefABCDEFnNiIzZ", "\x0b", "\x1c", "\u00a0", "\u3000", "\r", "\ufeff", "0x"]
+
+
 @st.composite
 def _log_line(draw):
     line = draw(_well_formed())
@@ -303,7 +308,7 @@ def _log_line(draw):
     elif kind == "mutated":
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
             at = draw(st.integers(min_value=0, max_value=len(line)))
-            char = draw(st.sampled_from(list("()#.-+_ \tx0123456789abcdefABCDEFnNiIzZ")))
+            char = draw(st.sampled_from(_MUTATIONS))
             cut = draw(st.integers(min_value=0, max_value=1))
             line = line[:at] + char + line[at + cut :]
     elif kind == "blank":
@@ -311,6 +316,37 @@ def _log_line(draw):
     return line
 
 
+# lines that take each exit of parse_log's three-token path, and spellings
+# that only the per-line parser reads
+_EDGE_LINES = [
+    "(1.0) can0 0C6#" + "AA" * 9,
+    "(1.0) can0 0C6#" + "A" * 15,
+    "(1.0) can0 -1#00",
+    "(1.0) can0 +7FF#00",
+    "(1.0) can0 0x7E8#00",
+    "(1.0) can0 800#00",
+    "(1.0) can0 7E8#0G",
+    "(1.0) can0 7E8",
+    "(nan) can0 0C6#00",
+    "(inf) can0 0C6#00",
+    "(-1.0) can0 0C6#00",
+    "(-0.0) can0 0C6#00",
+    "(1e400) can0 0C6#00",
+    "(1_0.5) can0 0C6#00",
+    "((1.0)) can0 7E8#00",
+    "1.0) can0 7E8#00",
+    "(1.0 can0 7E8#00",
+    "(1.0)can0 7E8#00",
+    "( 1.0) can0 7E8#00",
+    "(1.0 ) can0 7E8#00",
+    "(1.0) can0 7E8#00 extra",
+    "\ufeff(1.0) can0 7E8#00",
+    "(1.0)\u3000can0\x0b7E8#00\u00a0",
+    "\x1c \r",
+]
+
+
+@example(_EDGE_LINES)
 @given(st.lists(_log_line(), max_size=20))
 def test_parse_log_equals_the_per_line_reference(lines):
     frames, skipped = parse_log(lines, strict=False)

@@ -62,6 +62,41 @@ def test_synth_beyond_the_step_bound_is_one_error_line(scenario_dir, capsys, mon
     assert not (tmp_path / "leftturn.log").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "..", ".", "", "a/b", os.sep + "escaped"])
+def test_synth_name_that_is_not_a_plain_file_name_is_one_error_line(scenario_dir, capsys, tmp_path, name):
+    # the name names the three output files, which must stay in --out-dir
+    doc = json.loads((scenario_dir / "scenario.json").read_text())
+    doc.update({"graph": str(scenario_dir / "roads.txt"), "name": name})
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "sub" / "out"
+    code, out, err = run(capsys, "synth", tmp_path / "scenario.json", "--out-dir", out_dir)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: scenario file: 'name' must be a plain file name, got {name!r}"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ({"wheelbase": 0}, "'wheelbase' must be a positive number, got 0"),
+        ({"wheelbase": -2.6}, "'wheelbase' must be a positive number, got -2.6"),
+        ({"swa_rate": 0}, "'swa_rate' must be a positive number, got 0"),
+        ({"obd_rate": -10.0}, "'obd_rate' must be a positive number, got -10.0"),
+        ({"route": []}, "route must list at least one edge"),
+        ({"speed_profile": [[5.0, 20.0]]}, "speed profile must start at distance 0"),
+    ],
+    ids=["wheelbase-zero", "wheelbase-negative", "swa_rate-zero", "obd_rate-negative", "route-empty", "profile-start"],
+)
+def test_synth_out_of_range_value_names_the_scenario_file(scenario_dir, capsys, tmp_path, value, message):
+    doc = json.loads((scenario_dir / "scenario.json").read_text())
+    doc.update({"graph": str(scenario_dir / "roads.txt"), **value})
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "synth", tmp_path / "scenario.json", "--out-dir", tmp_path / "out")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: scenario file: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_full_pipeline_synth_infer_compare(scenario_dir, capsys):
     manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
     code, out, err = run(
@@ -521,6 +556,15 @@ def test_tune_manifest_wrongly_typed_track_value_is_one_error_line(scenario_dir,
     assert _tune_with_track(scenario_dir, capsys, tmp_path, **track)[::2] == (code, message + "\n")
 
 
+@pytest.mark.parametrize("wheelbase", [0, -2.6])
+def test_tune_manifest_out_of_range_wheelbase_is_one_error_line(scenario_dir, capsys, tmp_path, wheelbase):
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur", wheelbase=wheelbase)
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: usage: manifest track 'leftturn': 'wheelbase' must be a positive number, got {wheelbase}"
+    ]
+
+
 def test_tune_manifest_graph_number_is_one_error_line(capsys, tmp_path):
     manifest_file = tmp_path / "tune.json"
     manifest_file.write_text(json.dumps({"graph": 5, "tracks": []}))
@@ -640,9 +684,10 @@ def test_tune_manifest_bad_grids_are_one_error_line(scenario_dir, capsys, tmp_pa
 
 
 def test_tune_manifest_nan_grid_value_is_one_error_line(scenario_dir, capsys, tmp_path):
+    # the grids are checked before any log is read: this one does not exist
     sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
     track = {
-        "log": str(scenario_dir / "leftturn.log"),
+        "log": str(tmp_path / "no-such.log"),
         "truth": str(scenario_dir / "leftturn_truth.gpx"),
         "start": sim_manifest["start"],
         "model": "renault captur",
@@ -651,8 +696,8 @@ def test_tune_manifest_nan_grid_value_is_one_error_line(scenario_dir, capsys, tm
     manifest_file = tmp_path / "tune.json"
     manifest_file.write_text(json.dumps(manifest))
     code, out, err = run(capsys, "tune", manifest_file)
-    assert code == 1
-    assert err.splitlines() == ["error: t_window must be finite, got nan"]
+    assert code == 2
+    assert err.splitlines() == ["error: usage: manifest grids: 't_window': t_window must be finite, got nan"]
 
 
 @pytest.mark.parametrize("batch", [2.5, 30.0])
@@ -669,8 +714,11 @@ def test_tune_manifest_fractional_batch_size_is_one_error_line(scenario_dir, cap
     manifest_file = tmp_path / "tune.json"
     manifest_file.write_text(json.dumps(manifest))
     code, out, err = run(capsys, "tune", manifest_file)
-    assert code == 1
-    assert err.splitlines() == [f"error: max_interpolation_points must be an integer, got {batch}"]
+    assert code == 2
+    assert err.splitlines() == [
+        "error: usage: manifest grids: 'max_interpolation_points': "
+        f"max_interpolation_points must be an integer, got {batch}"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,95 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
     assert got[0].lat == lat0  # segment 0, not segment 2
 
 
+def _reference_project(edge, segs, lat, lon, kx, radius_m=math.inf, bounds=roadgraph._UNBOUNDED):
+    """RoadGraph._project as it was before it was written on locals: tuple
+    unpacking, one boolean box test, ``bx - ax`` and ``max``/``min`` clamping."""
+    ky = DEG_M
+    geometry = edge.geometry
+    lat_lo, lat_hi, lon_lo, lon_hi = bounds
+    best_dist = math.inf
+    best_seg = -1
+    best_t = 0.0
+    for seg in segs:
+        (alat, alon), (blat, blon) = geometry[seg], geometry[seg + 1]
+        if (
+            (alat > lat_hi and blat > lat_hi)
+            or (alat < lat_lo and blat < lat_lo)
+            or (alon > lon_hi and blon > lon_hi)
+            or (alon < lon_lo and blon < lon_lo)
+        ):
+            continue
+        ax, ay = (alon - lon) * kx, (alat - lat) * ky
+        bx, by = (blon - lon) * kx, (blat - lat) * ky
+        dx, dy = bx - ax, by - ay
+        seg_len2 = dx * dx + dy * dy
+        t = 0.0 if seg_len2 == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
+        dist = math.hypot(ax + t * dx, ay + t * dy)
+        if dist < best_dist or best_seg < 0:
+            best_dist, best_seg, best_t = dist, seg, t
+    if best_seg < 0 or best_dist > radius_m:
+        return None
+    (alat, alon), (blat, blon) = geometry[best_seg], geometry[best_seg + 1]
+    t, cum = best_t, edge.cum_m
+    offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
+    return Candidate(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon), best_dist)
+
+
+def _repeated_vertex_graph():
+    """One edge whose first and third segments have zero length."""
+    return RoadGraph.from_text(
+        "node 1 44.65 10.92\nnode 2 44.65 10.921\n"
+        "edge 1 1 2 1 44.65 10.92 44.6503 10.9205 44.6503 10.9205\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: RoadGraph.from_text(grid_text(44.65, 10.92)),
+        _arc_graph,
+        lambda: RoadGraph.from_text(grid_text(70.0, 25.0)),
+        _repeated_vertex_graph,
+    ],
+    ids=["grid", "dense-arc", "latitude-70", "repeated-vertex"],
+)
+def test_project_kernel_equals_the_reference(make_graph):
+    graph = make_graph()
+    rng = random.Random(20261019)
+    vertices = [v for edge in graph.edges.values() for v in edge.geometry]
+    points = _random_points(graph, rng, 100, margin_deg=0.0008)
+    # on a vertex (t is -0.0 or 1.0 before clamping); level with one, so a
+    # street along the other axis projects to t exactly 0 or 1
+    points += rng.sample(vertices, min(40, len(vertices)))
+    points += [(lat, rng.choice(vertices)[1]) for lat, _ in points[:40]]
+    points += [(rng.choice(vertices)[0], lon) for _, lon in points[:40]]
+    compared = 0
+    for lat, lon in points:
+        kx = DEG_M * math.cos(math.radians(lat))
+        for edge in rng.sample(list(graph.edges.values()), min(6, len(graph.edges))):
+            every = range(len(edge.geometry) - 1)
+            for segs in (every, sorted(rng.sample(every, max(1, len(every) // 3)))):
+                for radius in (0.0, 3.0, 20.0, 50.0, 150.0, math.inf):
+                    dlat, dlon = radius / DEG_M + _PAD_DEG, radius / abs(kx) + _PAD_DEG
+                    for bounds in ((lat - dlat, lat + dlat, lon - dlon, lon + dlon), roadgraph._UNBOUNDED):
+                        got = graph._project(edge, segs, lat, lon, kx, radius, bounds)
+                        want = _reference_project(edge, segs, lat, lon, kx, radius, bounds)
+                        # repr tells -0.0 from 0.0, which == does not
+                        assert got == want and repr(got) == repr(want), (lat, lon, edge.id, radius)
+                        compared += want is not None
+    assert compared > len(points)
+
+
+def test_project_kernel_equals_the_reference_on_non_finite_queries():
+    graph = RoadGraph.from_text(grid_text(44.65, 10.92))
+    for lat, lon in ((math.nan, 10.92), (44.6505, math.nan), (44.6505, math.inf), (44.6505, -math.inf)):
+        kx = DEG_M * math.cos(math.radians(lat))
+        for edge in graph.edges.values():
+            every = range(len(edge.geometry) - 1)
+            got, want = graph._project(edge, every, lat, lon, kx), _reference_project(edge, every, lat, lon, kx)
+            assert repr(got) == repr(want), (lat, lon, edge.id)
+
+
 def test_nearest_edges_equals_brute_force_on_repeated_boxes():
     # several points a few centimetres apart in each of three cells, taken in
     # turn, so a box's second query comes after other boxes' first ones
