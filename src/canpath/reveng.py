@@ -267,9 +267,10 @@ _SHEET_FIELDS = (
 def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
     """Parse a decoder sheet file back into entries keyed by normalized model.
 
-    A row with the wrong field count, or a field that does not read as its
-    kind (a hex id, an integer byte index, ...), is a ValueError naming its
-    line."""
+    A row with the wrong field count, a field that does not read as its
+    kind (a hex id, an integer byte index, ...), or a value that
+    ``AngleDecoder`` or ``VehicleSpec`` rejects (a byte index past 7, a zero
+    scale or wheelbase, ...) is a ValueError naming its line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != SHEET_HEADER:
         raise ValueError(f"decoder sheet must start with {SHEET_HEADER!r}")
@@ -289,7 +290,13 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
             except ValueError:
                 raise ValueError(f"line {line_no}: {name} must be {kind}, got {part!r}") from None
         wheelbase = values.pop("wheelbase", None)
-        entries[model] = VehicleEntry(model=model, decoder=AngleDecoder(**values), wheelbase=wheelbase)
+        try:
+            decoder = AngleDecoder(**values)
+            if wheelbase is not None:
+                VehicleSpec(wheelbase=wheelbase)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        entries[model] = VehicleEntry(model=model, decoder=decoder, wheelbase=wheelbase)
     return entries
 
 

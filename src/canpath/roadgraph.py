@@ -11,15 +11,19 @@ positions are prepended/appended automatically. Coordinates must be finite,
 with |lat| <= 90 and |lon| <= 180.
 
 Nearest-edge lookup goes through a grid of segment cells built at load
-time. The segments a query box covers, grouped by edge, are gathered on the
-box's first query and kept, so the many queries that fall in one box share
-that work. Distances between nodes come from Dijkstra searches that are run
-on demand, one paused search per source node, only as far as each query's
-target, so a query's cost depends on how far apart its nodes are, not on
-the size of the graph. Each node carries a weak-component label, so a target
-in another component is answered inf without a search. The node legs between
-two edges are looked up once per edge pair and kept in a table, which
-``route_distance`` reads.
+time. A cell holds runs of an edge's segments: one entry for each maximal
+run of consecutive segments whose two ends lie in that cell, and one entry
+for each segment that crosses a cell boundary in every cell of its bounding
+box, so loading costs about one entry per cell a road crosses, not one per
+segment. The segments a query box covers, grouped by edge, are gathered on
+the box's first query and kept, so the many queries that fall in one box
+share that work. Distances between nodes come from Dijkstra searches that
+are run on demand, one paused search per source node, only as far as each
+query's target, so a query's cost depends on how far apart its nodes are,
+not on the size of the graph. Each node carries a weak-component label, so
+a target in another component is answered inf without a search. The node
+legs between two edges are looked up once per edge pair and kept in a
+table, which ``route_distance`` reads.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .geokin import DEG_M, LatLon, cumulative_lengths
 # Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
 # default 50 m candidate radius, so a query box spans only a few cells.
 _CELL_DEG = 0.0005
-# A segment is indexed in every cell of its bounding box; one whose box
-# covers more cells than this (a box of about 56 by 39 km at latitude 45)
-# is rejected, not indexed.
+# A segment whose ends lie in different cells is indexed in every cell of
+# its bounding box; one whose box covers more cells than this (a box of
+# about 56 by 39 km at latitude 45) is rejected, not indexed.
 _MAX_SEGMENT_CELLS = 1_000_000
 # Query boxes are widened by 0.1 mm so rounding in the projection arithmetic
 # can never leave a segment within the radius outside the box.
@@ -83,7 +87,8 @@ class RoadGraph:
         self.nodes = dict(nodes)
         self.edges: dict[int, Edge] = {}
         self._adjacency: dict[int, list[tuple[int, float]]] = {n: [] for n in self.nodes}
-        self._cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # per cell: (edge id, first, end) entries for the segments range(first, end)
+        self._cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         # per query box (i0, i1, j0, j1): each edge with its ascending segments
         self._boxes: dict[tuple[int, int, int, int], list[tuple[Edge, tuple[int, ...]]]] = {}
         # union-find forest of weak components; a root is its own parent
@@ -164,8 +169,13 @@ class RoadGraph:
 
     @classmethod
     def load(cls, path: str) -> "RoadGraph":
-        with open(path, "r", encoding="utf-8") as fp:
-            return cls.from_text(fp.read())
+        """A graph file, read with ``from_text``; a format error, or text
+        that is not UTF-8, names the file."""
+        try:
+            with open(path, "r", encoding="utf-8") as fp:
+                return cls.from_text(fp.read())
+        except (GraphFormatError, UnicodeDecodeError) as exc:
+            raise GraphFormatError(f"{path}: {exc}") from None
 
     def to_text(self) -> str:
         lines = []
@@ -186,10 +196,25 @@ class RoadGraph:
     # -- spatial lookup --------------------------------------------------------
 
     def _index_edge(self, edge: Edge) -> None:
-        """Adds (edge, segment) to every cell of each segment's bounding box."""
+        """Adds ``(edge id, first, end)`` entries, each standing for the
+        segments ``range(first, end)``: one per maximal run of consecutive
+        segments whose two ends lie in one cell, in that cell, and one per
+        other segment in every cell of its bounding box.
+
+        Expanded, each cell holds the same (edge, segment) pairs in the same
+        order as entering every segment in every cell of its box would give:
+        a run's segments touch only its cell, and no other entry can come
+        between them there."""
+        index = self._cells
+        edge_id = edge.id
         cells = [(int(lat // _CELL_DEG), int(lon // _CELL_DEG)) for lat, lon in edge.geometry]
+        first = 0
         for seg in range(len(cells) - 1):
-            (i0, j0), (i1, j1) = cells[seg], cells[seg + 1]
+            a = cells[seg]
+            b = cells[seg + 1]
+            if a == b:
+                continue
+            (i0, j0), (i1, j1) = a, b
             if i0 > i1:
                 i0, i1 = i1, i0
             if j0 > j1:
@@ -197,12 +222,19 @@ class RoadGraph:
             n_cells = (i1 - i0 + 1) * (j1 - j0 + 1)
             if n_cells > _MAX_SEGMENT_CELLS:
                 raise GraphFormatError(
-                    f"edge {edge.id} segment {seg} spans {n_cells} index cells "
+                    f"edge {edge_id} segment {seg} spans {n_cells} index cells "
                     f"(at most {_MAX_SEGMENT_CELLS}); add intermediate points"
                 )
+            if first < seg:
+                index.setdefault(a, []).append((edge_id, first, seg))
+            entry = (edge_id, seg, seg + 1)
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
-                    self._cells.setdefault((i, j), []).append((edge.id, seg))
+                    index.setdefault((i, j), []).append(entry)
+            first = seg + 1
+        end = len(cells) - 1
+        if first < end:
+            index.setdefault(cells[first], []).append((edge_id, first, end))
 
     def _project(
         self,
@@ -290,7 +322,8 @@ class RoadGraph:
 
         Exact: the same list as projecting onto every edge with
         ``project_to_edge``, keeping hits with ``perp_m <= radius_m``. Every
-        segment is indexed in every cell of its bounding box, and the nearest
+        segment is indexed in every cell of its bounding box (a run of
+        segments inside one cell shares one entry there), and the nearest
         point of any segment within ``radius_m`` lies inside the query box
         (the local metric is the one ``_project`` uses, padded for rounding),
         so each edge's nearest segment within the radius is among the indexed
@@ -335,8 +368,8 @@ class RoadGraph:
             cells = [(i, j) for i, j in self._cells if i0 <= i <= i1 and j0 <= j <= j1]
         segs_by_edge: dict[int, set[int]] = {}
         for cell in cells:
-            for edge_id, seg in self._cells.get(cell, ()):
-                segs_by_edge.setdefault(edge_id, set()).add(seg)
+            for edge_id, first, end in self._cells.get(cell, ()):
+                segs_by_edge.setdefault(edge_id, set()).update(range(first, end))
         return [(self.edges[edge_id], tuple(sorted(segs))) for edge_id, segs in segs_by_edge.items()]
 
     # -- shortest paths --------------------------------------------------------

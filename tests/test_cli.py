@@ -305,8 +305,16 @@ def test_decoder_sheet_with_infinite_scale_is_one_error_line(scenario_dir, capsy
     for command in (["decode"], ["infer", "--start", "44.65,10.92,0", "--matcher", "none", "--out", tmp_path / "out.gpx"]):
         code, out, err = run(capsys, command[0], scenario_dir / "leftturn.log", *command[1:], "--decoder-file", sheet)
         assert code == 1 and out == ""
-        assert err.splitlines() == ["error: scale must be finite and positive, got inf"]
+        assert err.splitlines() == ["error: line 2: scale must be finite and positive, got inf"]
     assert not (tmp_path / "out.gpx").exists()
+
+
+def test_decoder_sheet_with_zero_wheelbase_is_one_error_line(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "mycar.txt"
+    sheet.write_text("canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, 0.01, offset, 0\n")
+    code, out, err = run(capsys, "decode", scenario_dir / "leftturn.log", "--decoder-file", sheet)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: line 2: wheelbase must be finite and positive, got 0.0"]
 
 
 def test_rewheel_ceiling(scenario_dir, capsys):
@@ -610,7 +618,31 @@ def test_infer_graph_with_bad_coordinates_is_one_error_line(scenario_dir, capsys
         f"internal:{roads}",
     )
     assert code == 1
-    assert err.splitlines() == ["error: line 2: coordinate nan 10.92 is not finite"]
+    assert err.splitlines() == [f"error: {roads}: line 2: coordinate nan 10.92 is not finite"]
+
+
+def test_infer_graph_with_a_malformed_number_names_the_file(scenario_dir, capsys, tmp_path):
+    roads = tmp_path / "bad.graph"
+    roads.write_text("node 1 44.65 10.92\nnode 2 44.66 10.92\nedge 1 1 2 1 foo 10.92\n")
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0", "--model", "renault captur",
+        "--matcher", f"internal:{roads}", "--out", tmp_path / "out.gpx",
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {roads}: line 3: could not convert string to float: 'foo'"]
+    assert not (tmp_path / "out.gpx").exists()
+
+
+def test_infer_graph_that_is_not_utf8_names_the_file(scenario_dir, capsys, tmp_path):
+    roads = tmp_path / "latin1.graph"
+    roads.write_bytes(b"node 1 44.65 10.92\nnode 2 44.66 10.92 # Stra\xdfe\n")
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0", "--model", "renault captur",
+        "--matcher", f"internal:{roads}",
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {roads}: 'utf-8' codec can't decode byte 0xdf"), err
 
 
 def test_compare_directory_is_one_error_line(capsys, tmp_path):
@@ -756,4 +788,4 @@ def test_infer_graph_with_a_long_segment_is_one_error_line(scenario_dir, capsys,
     )
     assert code == 1
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: line 3: edge 1 segment 0 spans"), err
+    assert len(lines) == 1 and lines[0].startswith(f"error: {roads}: line 3: edge 1 segment 0 spans"), err

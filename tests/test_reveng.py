@@ -260,3 +260,25 @@ def test_decoder_sheet_bad_field_names_its_line(row, message):
     with pytest.raises(ValueError) as exc:
         parse_decoder_sheet(sheet)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("my van, 800, 0, 1, 7FFF, 0.01, offset", "line 3: identifier 0x800 out of 11-bit range"),
+        ("my van, 2F5, 8, 1, 7FFF, 0.01, offset", "line 3: byte indices must be 0-7"),
+        ("my van, 2F5, 1, 1, 7FFF, 0.01, offset", "line 3: byte_hi and byte_lo must differ"),
+        ("my van, 2F5, 0, 1, 10000, 0.01, offset", "line 3: offset must fit 16 bits"),
+        ("my van, 2F5, 0, 1, 7FFF, 0, offset", "line 3: scale must be finite and positive, got 0.0"),
+        ("my van, 2F5, 0, 1, 7FFF, 0.01, offset, 0", "line 3: wheelbase must be finite and positive, got 0.0"),
+        ("my van, 2F5, 0, 1, 7FFF, 0.01, offset, nan", "line 3: wheelbase must be finite and positive, got nan"),
+        ("my van, 2F5, 0, 1, 7FFF, 0.01, offset, -2.6", "line 3: wheelbase must be finite and positive, got -2.6"),
+    ],
+    ids=["id-range", "byte-index", "same-bytes", "offset-range", "scale-zero", "wheelbase-zero", "wheelbase-nan",
+         "wheelbase-negative"],
+)
+def test_decoder_sheet_bad_value_names_its_line(row, message):
+    sheet = f"canpath-decoders v1\n# model, id, byte_hi, byte_lo, offset, scale, mode\n{row}\n"
+    with pytest.raises(ValueError) as exc:
+        parse_decoder_sheet(sheet)
+    assert str(exc.value) == message

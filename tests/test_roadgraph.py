@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from canpath.geokin import DEG_M, geodesic_inverse
 from canpath import mapmatch, roadgraph
@@ -405,7 +406,97 @@ def test_index_equals_the_per_segment_rule(make_graph):
     graph = make_graph()
     expected = per_segment_cells(graph)
     assert len(expected) > 10
-    assert list(graph._cells.items()) == list(expected.items())
+    assert list(expanded_cells(graph).items()) == list(expected.items())
+    _assert_runs_are_maximal(graph)
+
+
+def expanded_cells(graph):
+    """The index with each (edge id, first, end) entry expanded, in order,
+    to its (edge id, segment) pairs."""
+    return {
+        cell: [(edge_id, seg) for edge_id, first, end in entries for seg in range(first, end)]
+        for cell, entries in graph._cells.items()
+    }
+
+
+def _assert_runs_are_maximal(graph):
+    """Every entry is one segment whose ends lie in different cells, or a run
+    of segments whose ends all lie in the entry's cell and that no such
+    segment before or after extends."""
+    for cell, entries in graph._cells.items():
+        for edge_id, first, end in entries:
+            assert first < end, (cell, edge_id, first, end)
+            ends = [_cell_of(p) for p in graph.edges[edge_id].geometry]
+            if end - first == 1 and ends[first] != ends[end]:
+                continue
+            assert ends[first:end + 1] == [cell] * (end - first + 1), (cell, edge_id, first, end)
+            assert first == 0 or ends[first - 1] != cell, (cell, edge_id, first, end)
+            assert end == len(ends) - 1 or ends[end + 1] != cell, (cell, edge_id, first, end)
+
+
+def _cell_of(point):
+    return int(point[0] // _CELL_DEG), int(point[1] // _CELL_DEG)
+
+
+def _polyline_graph(points):
+    """One two-way edge along the given points, at least two of them."""
+    return RoadGraph({1: points[0], 2: points[-1]}, [(1, 1, 2, True, points[1:-1])])
+
+
+def _cell_point(i, j, fi=0.5, fj=0.5):
+    """A point at fractions (fi, fj) of cell (i, j)."""
+    return (i + fi) * _CELL_DEG, (j + fj) * _CELL_DEG
+
+
+def test_index_of_a_polyline_that_leaves_a_cell_and_comes_back():
+    a, b = (89300, 21840), (89300, 21841)
+    points = [_cell_point(*a, 0.2, 0.2), _cell_point(*a, 0.4, 0.3), _cell_point(*b, 0.5, 0.5),
+              _cell_point(*a, 0.6, 0.7), _cell_point(*a, 0.8, 0.6), _cell_point(*a, 0.3, 0.8)]
+    graph = _polyline_graph(points)
+    assert graph._cells == {a: [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 5)], b: [(1, 1, 2), (1, 2, 3)]}
+    assert expanded_cells(graph) == per_segment_cells(graph)
+    rng = random.Random(5)
+    _assert_same_as_brute_force(graph, [_cell_point(*rng.choice((a, b)), rng.random(), rng.random()) for _ in range(20)])
+
+
+def test_index_of_a_repeated_vertex_inside_a_run():
+    cell = (89300, 21840)
+    p, q, r = _cell_point(*cell, 0.2, 0.2), _cell_point(*cell, 0.5, 0.6), _cell_point(*cell, 0.8, 0.3)
+    graph = _polyline_graph([p, q, q, r, _cell_point(cell[0] + 1, cell[1], 0.5, 0.3)])
+    assert graph._cells == {cell: [(1, 0, 3), (1, 3, 4)], (cell[0] + 1, cell[1]): [(1, 3, 4)]}
+    assert expanded_cells(graph) == per_segment_cells(graph)
+    _assert_same_as_brute_force(graph, [q, _cell_point(*cell, 0.5, 0.9), _cell_point(*cell, 0.9, 0.1)])
+
+
+def test_over_limit_segment_after_a_run_is_named(monkeypatch):
+    monkeypatch.setattr(roadgraph, "_MAX_SEGMENT_CELLS", 6)
+    i, j = 89300, 21840
+    points = [_cell_point(i, j, 0.2, 0.2), _cell_point(i, j, 0.4, 0.7), _cell_point(i, j, 0.8, 0.4),
+              _cell_point(i + 2, j + 2)]
+    with pytest.raises(GraphFormatError, match=r"^edge 1 segment 2 spans 9 index cells \(at most 6\)"):
+        _polyline_graph(points)
+    # the same run before a segment of 2 x 3 cells is indexed
+    graph = _polyline_graph(points[:-1] + [_cell_point(i + 1, j + 2)])
+    assert graph._cells[i, j] == [(1, 0, 2), (1, 2, 3)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    base=st.sampled_from([(89300, 21840), (-66900, -141320), (0, -1)]),
+    steps=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=25),
+)
+def test_index_of_random_polylines_expands_to_the_per_segment_rule(base, steps):
+    # vertices on a quarter-cell lattice, so they repeat, share cells, sit
+    # on cell boundaries and cross several cells at once
+    i, j = base
+    points = [_cell_point(i, j, 0.0, 0.0)]
+    for di, dj in steps:
+        lat, lon = points[-1]
+        points.append((lat + di * _CELL_DEG / 4, lon + dj * _CELL_DEG / 4))
+    assume(len(set(points)) > 1)
+    graph = _polyline_graph(points)
+    assert list(expanded_cells(graph).items()) == list(per_segment_cells(graph).items())
+    _assert_runs_are_maximal(graph)
 
 
 def test_route_distance_same_point():
