@@ -301,8 +301,13 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
 
 
 def load_decoder_sheet(path: str) -> dict[str, VehicleEntry]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_decoder_sheet(fp.read())
+    """A decoder sheet file, read with ``parse_decoder_sheet``; a format
+    error, or text that is not UTF-8, names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return parse_decoder_sheet(fp.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class VehicleError(ValueError):

@@ -17,10 +17,16 @@ for each segment that crosses a cell boundary in every cell of its bounding
 box, so loading costs about one entry per cell a road crosses, not one per
 segment. The segments a query box covers, grouped by edge, are gathered on
 the box's first query and kept, so the many queries that fall in one box
-share that work. Distances between nodes come from Dijkstra searches that
-are run on demand, one paused search per source node, only as far as each
-query's target, so a query's cost depends on how far apart its nodes are,
-not on the size of the graph. Each node carries a weak-component label, so
+share that work. Each query also keeps its hits, and the next query
+projects an edge that was a hit only onto the segments in a smaller box,
+as wide as the last hit's distance plus the hop between the two points
+(with the metric's stretch): that edge's nearest point cannot lie
+farther, so the answer is exact whatever was queried before.
+
+Distances between nodes come from Dijkstra searches that are run on
+demand, one paused search per source node, only as far as each query's
+target, so a query's cost depends on how far apart its nodes are, not on
+the size of the graph. Each node carries a weak-component label, so
 a target in another component is answered inf without a search. The node
 legs between two edges are looked up once per edge pair and kept in a
 table, which ``route_distance`` reads.
@@ -91,6 +97,8 @@ class RoadGraph:
         self._cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         # per query box (i0, i1, j0, j1): each edge with its ascending segments
         self._boxes: dict[tuple[int, int, int, int], list[tuple[Edge, tuple[int, ...]]]] = {}
+        # (lat, lon, kx, returned hits) of the last nearest_edges query
+        self._last: tuple[float, float, float, list[Candidate]] | None = None
         # union-find forest of weak components; a root is its own parent
         self._parent: dict[int, int] = {n: n for n in self.nodes}
         # per source: (settled, tentative, heap) of a paused Dijkstra search
@@ -339,6 +347,23 @@ class RoadGraph:
         metric by the ``_PAD_DEG`` pad, so it is never a hit, never an
         edge's nearest segment within the radius and never part of a tie.
         A ``Candidate`` is built only for a hit.
+
+        An edge that was among the last query's returned hits gets a box of
+        half-width B instead, with d that hit's ``perp_m``, hop the distance
+        between the two query points in this query's metric, and
+        B = (d * max(1, |kx| / |kx_prev|) + hop) * (1 + 1e-9) + 1e-6 m,
+        when hop < ``radius_m`` and B < ``radius_m`` (else the radius box).
+        The last hit's snapped point lies on the edge within d of the last
+        point in that point's metric; only the longitude term changes
+        between the two metrics, by |kx| / |kx_prev|, so it lies within
+        d * max(1, |kx| / |kx_prev|) of the last point in this one, and
+        within B of this point (the margins cover rounding). So the edge's
+        nearest segment lies within B < ``radius_m``, among the box's
+        segments and not wholly beyond a side of the B box, and a segment
+        wholly beyond one side of that box is farther than B by the pad
+        argument above: under the ascending, strictly-nearer rule it can
+        neither win nor tie. The answer is the same whatever was queried
+        before.
         """
         kx = DEG_M * math.cos(math.radians(lat))
         dlat = radius_m / DEG_M + _PAD_DEG
@@ -351,13 +376,27 @@ class RoadGraph:
         groups = self._boxes.get(box)
         if groups is None:
             groups = self._boxes[box] = self._box_groups(*box)
+        near: dict[int, tuple[float, float, float, float]] = {}
+        if self._last is not None:
+            plat, plon, pkx, phits = self._last
+            hop = math.hypot((lon - plon) * kx, (lat - plat) * DEG_M)
+            if hop < radius_m and pkx != 0:
+                stretch = max(1.0, abs(kx) / abs(pkx))
+                for prev in phits:
+                    bound = (prev.perp_m * stretch + hop) * (1 + 1e-9) + 1e-6
+                    if bound < radius_m:
+                        dlat = bound / DEG_M + _PAD_DEG
+                        dlon = bound / abs(kx) + _PAD_DEG
+                        near[prev.edge_id] = (lat - dlat, lat + dlat, lon - dlon, lon + dlon)
         hits = []
         for edge, segs in groups:
-            hit = self._project(edge, segs, lat, lon, kx, radius_m, bounds)
+            hit = self._project(edge, segs, lat, lon, kx, radius_m, near.get(edge.id, bounds))
             if hit is not None:
                 hits.append(hit)
         hits.sort(key=lambda h: (h.perp_m, h.edge_id))
-        return hits[:max_results]
+        hits = hits[:max_results]
+        self._last = (lat, lon, kx, hits)
+        return hits
 
     def _box_groups(self, i0: int, i1: int, j0: int, j1: int) -> list[tuple[Edge, tuple[int, ...]]]:
         """Each edge indexed in the cells of a box, with its segments there

@@ -12,8 +12,8 @@ import math
 
 from canpath import synthgen
 from canpath.geokin import DEG_M, geodesic_inverse, point_along
-from canpath.mapmatch import MatcherConfig, candidates_for_point, sequence_logweight
-from canpath.roadgraph import RoadGraph
+from canpath.mapmatch import MatcherConfig, sequence_logweight
+from canpath.roadgraph import Candidate, RoadGraph
 from canpath.scenarios import ORIGIN, PathBuilder, assemble_graph
 from canpath.trackeval import GAP_SCORE, MATCH_SCORE, MISMATCH_SCORE, Track
 
@@ -119,9 +119,24 @@ def offset_point(graph: RoadGraph, edge_id: int, offset_m: float, east_m: float 
 # -- brute-force oracles ------------------------------------------------------------
 
 
+def brute_force_nearest(graph: RoadGraph, lat: float, lon: float, radius_m: float, max_results: int) -> list[Candidate]:
+    """Reference lookup: project onto every edge, keep hits within radius."""
+    hits = [graph.project_to_edge(edge_id, lat, lon) for edge_id in graph.edges]
+    hits = [h for h in hits if h.perp_m <= radius_m]
+    hits.sort(key=lambda h: (h.perp_m, h.edge_id))
+    return hits[:max_results]
+
+
+def brute_force_candidates(graph: RoadGraph, lat: float, lon: float, config: MatcherConfig) -> list[Candidate]:
+    """A point's matcher candidates from the brute-force lookup, in edge-id
+    order, so an oracle never reads the graph's nearest-edge search state."""
+    hits = brute_force_nearest(graph, lat, lon, config.candidate_radius, config.max_candidates)
+    return sorted(hits, key=lambda h: h.edge_id)
+
+
 def brute_force_best_match_score(graph: RoadGraph, points, config: MatcherConfig) -> float:
     """Best HMM log-weight over ALL candidate assignments, by enumeration."""
-    candidate_lists = [candidates_for_point(graph, lat, lon, config) for lat, lon in points]
+    candidate_lists = [brute_force_candidates(graph, lat, lon, config) for lat, lon in points]
     assert all(candidate_lists), "oracle fixture must have candidates everywhere"
     best = -math.inf
     for chosen in itertools.product(*candidate_lists):
@@ -133,7 +148,7 @@ def match_score_of_result(graph: RoadGraph, points, result, config: MatcherConfi
     """Log-weight of a matcher's returned edge sequence, rebuilt from candidates."""
     chosen = []
     for (lat, lon), edge_id in zip(points, result.edge_ids):
-        cands = [c for c in candidates_for_point(graph, lat, lon, config) if c.edge_id == edge_id]
+        cands = [c for c in brute_force_candidates(graph, lat, lon, config) if c.edge_id == edge_id]
         assert len(cands) == 1
         chosen.append(cands[0])
     return sequence_logweight(graph, points, chosen, config)

@@ -305,7 +305,7 @@ def test_decoder_sheet_with_infinite_scale_is_one_error_line(scenario_dir, capsy
     for command in (["decode"], ["infer", "--start", "44.65,10.92,0", "--matcher", "none", "--out", tmp_path / "out.gpx"]):
         code, out, err = run(capsys, command[0], scenario_dir / "leftturn.log", *command[1:], "--decoder-file", sheet)
         assert code == 1 and out == ""
-        assert err.splitlines() == ["error: line 2: scale must be finite and positive, got inf"]
+        assert err.splitlines() == [f"error: {sheet}: line 2: scale must be finite and positive, got inf"]
     assert not (tmp_path / "out.gpx").exists()
 
 
@@ -314,7 +314,16 @@ def test_decoder_sheet_with_zero_wheelbase_is_one_error_line(scenario_dir, capsy
     sheet.write_text("canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, 0.01, offset, 0\n")
     code, out, err = run(capsys, "decode", scenario_dir / "leftturn.log", "--decoder-file", sheet)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: line 2: wheelbase must be finite and positive, got 0.0"]
+    assert err.splitlines() == [f"error: {sheet}: line 2: wheelbase must be finite and positive, got 0.0"]
+
+
+def test_decoder_sheet_that_is_not_utf8_is_one_error_line(scenario_dir, capsys, tmp_path):
+    sheet = tmp_path / "mycar.txt"
+    sheet.write_bytes(b"canpath-decoders v1\nmy hatchback\xe9, 0C6, 0, 1, 7FFF, 0.01, offset, 2.60\n")
+    code, out, err = run(capsys, "decode", scenario_dir / "leftturn.log", "--decoder-file", sheet)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sheet}: 'utf-8' codec can't decode byte 0xe9"), err
 
 
 def test_rewheel_ceiling(scenario_dir, capsys):

@@ -254,3 +254,13 @@ def test_manifest_vehicle_messages_name_keys_not_flags(work, vehicle, message):
     code, err = _run(["tune", _unresolved(base, manifest, ("tracks", 0), vehicle)])
     assert (code, err) == (2, f"error: usage: manifest track 'leftturn': {message}\n")
     assert "--" not in err
+
+
+@pytest.mark.parametrize("command,where", [("synth", ()), ("tune", ("tracks", 0))], ids=["scenario", "manifest"])
+def test_a_bad_sheet_row_names_the_sheet_in_both_documents(work, command, where):
+    base, scenario, manifest = work
+    (base / "bad.txt").write_text("canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, 0, offset, 2.60\n")
+    doc = json.loads(json.dumps(scenario if command == "synth" else manifest))
+    _get(doc, where)["decoder_file"] = "bad.txt"
+    result = _run([command, _write(base, "bad-sheet.json", doc)])
+    assert result == (1, f"error: {base / 'bad.txt'}: line 2: scale must be finite and positive, got 0.0\n")

@@ -29,6 +29,7 @@ from canpath.roadgraph import RoadGraph, route_distance
 from helpers import (
     arc_graph,
     brute_force_best_match_score,
+    brute_force_candidates,
     grid3,
     grid_text,
     match_score_of_result,
@@ -165,10 +166,11 @@ def test_tie_break_prefers_smaller_edge_id():
 
 def reference_viterbi_match(graph, points, config):
     """Reference: the Viterbi loop as it was before score-ordered pruning,
-    every previous candidate scored for every candidate, in index order."""
+    every previous candidate scored for every candidate, in index order,
+    with candidates from the brute-force lookup."""
     candidates = []
     for i, (lat, lon) in enumerate(points):
-        cands = candidates_for_point(graph, lat, lon, config)
+        cands = brute_force_candidates(graph, lat, lon, config)
         if not cands:
             raise UnmatchedGapError(i)
         candidates.append(cands)
@@ -217,15 +219,15 @@ def reference_viterbi_match(graph, points, config):
 GRID = grid_text(44.65, 10.92)  # two-way rows, one-way (northbound) columns
 
 
-def _grid_walk(graph, rng, steps, noise_m):
-    """A random legal drive over the grid: each point 5-25 m further along
-    the road than the last, with up to ``noise_m`` of noise; it ends early
-    at a node with no way out."""
+def _grid_walk(graph, rng, steps, noise_m, hops=(5.0, 25.0)):
+    """A random legal drive over the grid: each point ``hops`` metres (5-25
+    by default) further along the road than the last, with up to
+    ``noise_m`` of noise; it ends early at a node with no way out."""
     edge = graph.edges[rng.choice(sorted(graph.edges))]
     forward, along = True, rng.uniform(0, edge.length_m)
     points = []
     for _ in range(steps):
-        along += rng.uniform(5.0, 25.0)
+        along += rng.uniform(*hops)
         if along > edge.length_m:
             node = edge.node_to if forward else edge.node_from
             ways = [(e, True) for e in graph.edges.values() if e.node_from == node and e is not edge]
@@ -264,6 +266,16 @@ def test_viterbi_equals_the_reference_on_random_grid_drives(config):
     rng = random.Random(23)
     gaps = [_assert_same_as_reference(_grid_walk(graph, rng, 25, 8.0), config) for _ in range(12)]
     assert gaps.count(None) >= 10  # most drives match end to end
+    # dense drives, 0-4 m hops with one point in four repeated (a stopped
+    # car), so most lookups run in the boxes the last query's hits bound
+    gaps = []
+    for _ in range(6):
+        points = []
+        for point in _grid_walk(graph, rng, 60, 1.0, hops=(0.0, 4.0)):
+            points += [point] * (2 if rng.random() < 0.25 else 1)
+        gaps.append(_assert_same_as_reference(points, config))
+    # with 3 candidates a node may leave out the road driven on
+    assert gaps.count(None) >= 2
     # unrelated points: transitions that one-way columns may make infeasible
     lats = [lat for lat, _lon in graph.nodes.values()]
     lons = [lon for _lat, lon in graph.nodes.values()]

@@ -11,7 +11,15 @@ from canpath.mapmatch import GraphMatcher
 from canpath.roadgraph import _CELL_DEG, _PAD_DEG, Candidate, GraphFormatError, RoadGraph, route_distance
 from canpath.scenarios import PathBuilder, assemble_graph
 
-from helpers import all_simple_path_distances, grid_text, offset_point, straight_graph, triangle_graph, y_junction
+from helpers import (
+    all_simple_path_distances,
+    brute_force_nearest,
+    grid_text,
+    offset_point,
+    straight_graph,
+    triangle_graph,
+    y_junction,
+)
 
 GRAPH_TEXT = """\
 # two nodes, one edge with an intermediate point
@@ -110,14 +118,6 @@ def test_nearest_edges_radius_excludes():
     edge = graph.edges[1]
     far_lat = edge.geometry[0][0] + 200 / 111194.9
     assert graph.nearest_edges(far_lat, edge.geometry[0][1], radius_m=50, max_results=5) == []
-
-
-def brute_force_nearest(graph, lat, lon, radius_m, max_results):
-    """Reference lookup: project onto every edge, keep hits within radius."""
-    hits = [graph.project_to_edge(edge_id, lat, lon) for edge_id in graph.edges]
-    hits = [h for h in hits if h.perp_m <= radius_m]
-    hits.sort(key=lambda h: (h.perp_m, h.edge_id))
-    return hits[:max_results]
 
 
 def _arc_graph():
@@ -251,6 +251,87 @@ def test_nearest_edges_keeps_the_lowest_segment_on_a_tie():
     got = graph.nearest_edges(lat, lon, radius_m=50.0, max_results=5)
     assert got == brute_force_nearest(graph, lat, lon, 50.0, 5)
     assert got[0].lat == lat0  # segment 0, not segment 2
+
+
+def _near_pole_graph():
+    """Four 111 m north-south edges 30 degrees of longitude apart (58 m at
+    latitude 89.999), where a metre south widens a degree of longitude by
+    0.9 %, so a hit's distance grows with the metric, not only the hop."""
+    nodes, edges = {}, []
+    for k in range(4):
+        nodes[2 * k], nodes[2 * k + 1] = (89.9985, 30.0 * k), (89.9995, 30.0 * k)
+        edges.append((k + 1, 2 * k, 2 * k + 1, True, []))
+    return RoadGraph(nodes, edges)
+
+
+_WALK_GRAPHS = {
+    "grid": lambda: RoadGraph.from_text(grid_text(44.65, 10.92)),
+    "dense-arc": _arc_graph,
+    "latitude-70": lambda: RoadGraph.from_text(grid_text(70.0, 25.0)),
+    "cell-boundaries": lambda: RoadGraph.from_text(grid_text(44.65, 10.92)),
+    "near-pole": _near_pole_graph,
+    # across latitude and longitude 0, where coordinates are spaced finer
+    # than the box arithmetic rounds, so a box side can fall short of a
+    # segment at exactly the bound unless the box is padded
+    "zero-crossing": lambda: RoadGraph.from_text(grid_text(-0.0007, -0.0007)),
+}
+
+
+def _on_cell_boundary(x, side):
+    """The cell boundary nearest x, or the float either side of it."""
+    x = round(x / _CELL_DEG) * _CELL_DEG
+    return x if side == 0 else math.nextafter(x, side * math.inf)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),  # the start, hop lengths and bearings
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["stop", "crawl", "drive", "jump"]),
+            st.sampled_from([3.0, 20.0, 50.0, 150.0]),  # radius
+            st.sampled_from([1, 3, 50]),  # max_results
+            st.sampled_from([-1, 0, 1]),  # on, above or below a cell boundary
+        ),
+        min_size=1,
+        max_size=15,
+    ),
+)
+@pytest.mark.parametrize("kind", sorted(_WALK_GRAPHS))
+def test_nearest_edges_does_not_depend_on_call_history(kind, seed, steps):
+    # a walk of stops, 0.5-4 m crawls, 20-60 m drives and jumps beyond the
+    # radius, with the radius and result count changing between calls;
+    # each answer equals a fresh graph's and the brute-force lookup's
+    graph = _WALK_GRAPHS[kind]()
+    rng = random.Random(seed)
+    lats = [p[0] for p in graph.nodes.values()]
+    lons = [p[1] for p in graph.nodes.values()]
+    lat_lo, lat_hi = min(lats) - 0.0005, min(max(lats) + 0.0005, 89.9999)
+    lon_lo, lon_hi = min(lons) - 0.0005, max(lons) + 0.0005
+    lat, lon = rng.uniform(lat_lo, lat_hi), rng.uniform(lon_lo, lon_hi)
+    for hop_kind, radius, k, side in steps:
+        u, bearing = rng.random(), rng.uniform(0.0, 360.0)
+        hop = {"stop": 0.0, "crawl": 0.5 + 3.5 * u, "drive": 20.0 + 40.0 * u, "jump": radius * (1.0 + 2.0 * u)}[hop_kind]
+        if kind in ("latitude-70", "near-pole"):
+            bearing = 0.0 if bearing < 180.0 else 180.0  # north-south, so the metric changes
+        elif kind == "cell-boundaries":
+            bearing = 90.0 if bearing < 180.0 else 270.0  # along a boundary of latitude
+        for direction in (bearing, bearing + 180.0):  # turn back at the walk's edge
+            b = math.radians(direction)
+            new_lat = lat + hop * math.cos(b) / DEG_M
+            new_lon = lon + hop * math.sin(b) / (DEG_M * math.cos(math.radians(lat)))
+            if lat_lo <= new_lat <= lat_hi and lon_lo <= new_lon <= lon_hi:
+                break
+        else:
+            new_lat, new_lon = lat, lon
+        lat, lon = new_lat, new_lon
+        if kind == "cell-boundaries":
+            lat = _on_cell_boundary(lat, side)
+        got = graph.nearest_edges(lat, lon, radius, k)
+        fresh = _WALK_GRAPHS[kind]().nearest_edges(lat, lon, radius, k)
+        want = brute_force_nearest(graph, lat, lon, radius, k)
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(got) == repr(fresh) == repr(want), (lat, lon, radius, k)
 
 
 def _reference_project(edge, segs, lat, lon, kx, radius_m=math.inf, bounds=roadgraph._UNBOUNDED):
