@@ -47,13 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_frames(path: str, strict: bool = False):
-    source = sys.stdin if path == "-" else path
-    frames, skipped = read_log(source, strict=strict)
+def _warn_skipped(skipped: list[tuple[int, str]], where: str = "") -> None:
+    """One warning line naming the log lines that ``read_log`` skipped, if any."""
     if skipped:
         shown = ", ".join(str(line_no) for line_no, _ in skipped[:5])
         more = "" if len(skipped) <= 5 else f" (+{len(skipped) - 5} more)"
-        print(f"warning: skipped {len(skipped)} unparseable lines: {shown}{more}", file=sys.stderr)
+        print(f"warning: {where}skipped {len(skipped)} unparseable lines: {shown}{more}", file=sys.stderr)
+
+
+def _read_frames(path: str, strict: bool = False):
+    source = sys.stdin if path == "-" else path
+    frames, skipped = read_log(source, strict=strict)
+    _warn_skipped(skipped)
     return frames
 
 
@@ -95,16 +100,6 @@ def _parse_params(text: str | None) -> InferenceParams:
         return InferenceParams(**values)
     except ValueError as exc:
         raise UsageError(f"--params: {exc}") from None
-
-
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _make_matcher(spec: str | None):
@@ -219,8 +214,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    graph, grids, tracks = load_manifest(args.manifest)
-    rows = grid_search(tracks, graph, grids=grids, workers=args.workers)
+    graph, grids, tracks, skipped = load_manifest(args.manifest)
+    for track, lines in zip(tracks, skipped):
+        _warn_skipped(lines, f"manifest track {track.name!r}: ")
+    rows = grid_search(tracks, graph, grids=grids)
     csv_text = rows_to_csv(rows)
     _write_or_print(csv_text, args.out)
     best = rows[0]
@@ -291,7 +288,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="grid-search inference parameters over logged tracks")
     p.add_argument("manifest")
-    p.add_argument("--workers", type=_worker_count, default=1, help="processes (default 1)")
     p.add_argument("--out", help="write the grid CSV to a file")
     p.add_argument("--marginals", help="write per-parameter curves to a file")
     p.set_defaults(func=_cmd_tune)

@@ -78,11 +78,12 @@ def load_scenario(path: str) -> SimScenario:
         raise ScenarioError(f"{doc.where}: {exc}") from None
 
 
-def load_manifest(path: str) -> tuple[RoadGraph, dict, list[TuneTrack]]:
+def load_manifest(path: str) -> tuple[RoadGraph, dict, list[TuneTrack], list[list[tuple[int, str]]]]:
     """Load a tune manifest: the road graph, the grids laid over the
-    defaults, and a ``TuneTrack`` per entry of ``tracks``, each with log,
+    defaults, a ``TuneTrack`` per entry of ``tracks``, each with log,
     truth, start ([lat, lon, bearing]), the vehicle block and optionally a
-    name (by default the log's file name)."""
+    name (by default the log's file name), and per track the log lines
+    that ``read_log`` skipped."""
     doc = _document(path, _MANIFEST_KEYS, "manifest", ManifestError)
     graph_file = doc.path("graph")
     grids = doc.get("grids", "a JSON object", {})
@@ -92,10 +93,11 @@ def load_manifest(path: str) -> tuple[RoadGraph, dict, list[TuneTrack]]:
         raise ManifestError(f"manifest grids: {exc}") from None
     entries = doc.get("tracks", "a list")
     graph = RoadGraph.load(graph_file)
-    return graph, grids, [_track(entry, index, doc.base) for index, entry in enumerate(entries)]
+    loaded = [_track(entry, index, doc.base) for index, entry in enumerate(entries)]
+    return graph, grids, [track for track, _ in loaded], [skipped for _, skipped in loaded]
 
 
-def _track(entry, index: int, base: str) -> TuneTrack:
+def _track(entry, index: int, base: str) -> tuple[TuneTrack, list[tuple[int, str]]]:
     doc = _Object(entry, _TRACK_KEYS, f"manifest track {index}", base, ManifestError)
     log = doc.path("log")
     name = doc.get("name", "a string", os.path.basename(log))
@@ -107,8 +109,8 @@ def _track(entry, index: int, base: str) -> TuneTrack:
         raise ManifestError(f"{doc.where}: 'start': {exc}") from None
     row, vehicle = _vehicle(doc)
     truth = doc.path("truth")
-    frames, _ = read_log(log, strict=False)
-    return TuneTrack(name, tuple(frames), load_gpx(truth), start, row.decoder, vehicle)
+    frames, skipped = read_log(log, strict=False)
+    return TuneTrack(name, tuple(frames), load_gpx(truth), start, row.decoder, vehicle), skipped
 
 
 def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:

@@ -12,14 +12,11 @@ reckoning consumes: ``(t_window, max_interpolation_points,
 tuple(window_controls(windows, params)))``. The pipeline runs once per
 distinct (track, key) and that score is shared by every cell with the
 key, so the rows, and the CSV, are those of running every cell.
-``workers`` processes share the distinct runs, never more processes than
-there are runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -95,37 +92,37 @@ def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
     return dict(DEFAULT_GRIDS, **grids)
 
 
-def _first_same_run(track: TuneTrack, combos: Sequence[InferenceParams]) -> list[int]:
-    """Per combination, the first combination whose run on `track` is the
-    same run.
+def _run_key(track: TuneTrack, t_windows: Sequence[float]):
+    """The key of a run of `track`, as a function of its parameters.
 
     A run reads its parameters only as the window length, the batch size
-    and the window controls; combinations equal in all three make the same
+    and the window controls; parameters equal in all three make the same
     run, to the byte. A track that ``decode_log`` rejects fails the same
-    way in every run, before any parameter is read, so every combination
-    shares the first one's run. A combination whose key cannot be computed
-    (the computation raised) is its own first.
+    way in every run, before any parameter is read, so all its runs share
+    one key. A key that cannot be computed (the computation raised) is a
+    new object, equal to no other key. The track is cut into windows once
+    per length in `t_windows`, and its samples are not kept: the search
+    runs the pipeline holding only the windows.
     """
     try:
         samples, t0, t_end = decode_log(track.frames, track.decoder)
     except Exception:
-        return [0] * len(combos)
+        return lambda params: None
     windows_by_length: dict[float, list] = {}
-    first_by_key: dict[tuple, int] = {}
-    firsts = []
-    for c, params in enumerate(combos):
+    for t_window in set(t_windows):
         try:
-            windows = windows_by_length.get(params.t_window)
-            if windows is None:
-                windows = window_aggregates(samples, t0, t_end, params.t_window)
-                windows_by_length[params.t_window] = windows
-            controls = tuple(window_controls(windows, params))
-            key = (params.t_window, params.max_interpolation_points, controls)
+            windows_by_length[t_window] = window_aggregates(samples, t0, t_end, t_window)
         except Exception:
-            firsts.append(c)
-            continue
-        firsts.append(first_by_key.setdefault(key, c))
-    return firsts
+            pass  # the KeyError below gives each of its cells a key of its own
+
+    def key(params: InferenceParams):
+        try:
+            controls = tuple(window_controls(windows_by_length[params.t_window], params))
+            return params.t_window, params.max_interpolation_points, controls
+        except Exception:
+            return object()
+
+    return key
 
 
 def grid_search(
@@ -137,43 +134,28 @@ def grid_search(
     """Evaluate every grid combination on every track.
 
     Returns one row per combination sorted by descending mean accuracy
-    (ties by parameter values); the result is independent of evaluation
-    order, so parallel runs reproduce the serial table. Cells that repeat
-    a run share its score (see the module docstring).
+    (ties by parameter values). A cell that repeats a run shares its
+    score (see the module docstring).
     """
     if not tracks:
         raise ValueError("at least one track is required")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    # perfbench/run.py still passes workers=1; the parameter goes when it stops
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     grids = resolve_grids(grids)
-    combos = [
-        InferenceParams(**dict(zip(_PARAM_ORDER, values)))
-        for values in itertools.product(*(grids[k] for k in _PARAM_ORDER))
-    ]
-    firsts = [_first_same_run(track, combos) for track in tracks]
-    # one job per distinct (track, run), indexed by (track, first combination)
-    job_index: dict[tuple[int, int], int] = {}
-    jobs: list[tuple[TuneTrack, InferenceParams]] = []
-    for c, params in enumerate(combos):
-        for t, track in enumerate(tracks):
-            if firsts[t][c] == c:
-                job_index[t, c] = len(jobs)
-                jobs.append((track, params))
-
-    n = min(workers, len(jobs))
-    if n > 1:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            scores = list(pool.map(
-                evaluate_track, [t for t, _p in jobs], [p for _t, p in jobs], itertools.repeat(graph),
-                chunksize=max(1, len(jobs) // (n * 4)),
-            ))
-    else:
-        scores = [evaluate_track(t, p, graph) for t, p in jobs]
-
+    run_keys = [_run_key(track, grids["t_window"]) for track in tracks]
+    scores: dict[tuple, float] = {}  # by (track index, run key)
     rows = []
-    for c, params in enumerate(combos):
-        per_track = tuple(scores[job_index[t, firsts[t][c]]] for t in range(len(tracks)))
-        rows.append(GridRow(params=params, mean_accuracy=sum(per_track) / len(per_track), per_track=per_track))
+    for values in itertools.product(*(grids[k] for k in _PARAM_ORDER)):
+        params = InferenceParams(**dict(zip(_PARAM_ORDER, values)))
+        per_track = []
+        for t, track in enumerate(tracks):
+            run = t, run_keys[t](params)
+            score = scores.get(run)
+            if score is None:
+                score = scores[run] = evaluate_track(track, params, graph)
+            per_track.append(score)
+        rows.append(GridRow(params=params, mean_accuracy=sum(per_track) / len(per_track), per_track=tuple(per_track)))
     rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))
     return rows
 

@@ -16,7 +16,9 @@ from helpers import no_sim_frames
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    """A scenario file + graph + simulated log laid out like a working dir."""
+    """A scenario file + graph + simulated log laid out like a working dir:
+    ``synth`` has written leftturn.log, leftturn_truth.gpx and
+    leftturn_manifest.json beside the scenario file."""
     base = tmp_path_factory.mktemp("work")
     sc = turn_left_90()
     sc.graph.save(str(base / "roads.txt"))
@@ -29,6 +31,7 @@ def scenario_dir(tmp_path_factory):
         "wheelbase": 2.6,
     }
     (base / "scenario.json").write_text(json.dumps(doc))
+    assert main(["synth", str(base / "scenario.json")]) == 0
     return base
 
 
@@ -38,12 +41,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_synth_writes_log_truth_manifest(scenario_dir, capsys):
-    code, out, err = run(capsys, "synth", scenario_dir / "scenario.json")
+def test_synth_writes_log_truth_manifest(scenario_dir, capsys, tmp_path):
+    code, out, err = run(capsys, "synth", scenario_dir / "scenario.json", "--out-dir", tmp_path)
     assert code == 0
-    assert (scenario_dir / "leftturn.log").exists()
-    assert (scenario_dir / "leftturn_truth.gpx").exists()
-    manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
+    assert (tmp_path / "leftturn.log").exists()
+    assert (tmp_path / "leftturn_truth.gpx").exists()
+    manifest = json.loads((tmp_path / "leftturn_manifest.json").read_text())
     assert manifest["swa_id"] == "0x0C6"
     # the start pose in the form a tune manifest track takes
     lat, lon, bearing = manifest["start"]
@@ -461,14 +464,14 @@ def test_decode_needs_no_wheelbase(scenario_dir, capsys, tmp_path):
     assert "angle_deg" in out
 
 
-def _tune_with_track(scenario_dir, capsys, tmp_path, **vehicle):
+def _tune_with_track(scenario_dir, capsys, tmp_path, **track_keys):
     sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
     track = {
         "name": "leftturn",
         "log": str(scenario_dir / "leftturn.log"),
         "truth": str(scenario_dir / "leftturn_truth.gpx"),
         "start": sim_manifest["start"],
-        **vehicle,
+        **track_keys,
     }
     manifest = {
         "graph": str(scenario_dir / "roads.txt"),
@@ -489,6 +492,24 @@ def _one_error_line(err: str) -> str:
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: usage: manifest track 'leftturn':"), err
     return lines[0]
+
+
+def test_tune_warns_once_per_track_of_skipped_lines(scenario_dir, capsys, tmp_path):
+    clean = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur")
+    csv_bytes = (tmp_path / "grid.csv").read_bytes()
+    lines = (scenario_dir / "leftturn.log").read_text().splitlines(keepends=True)
+    garbled = tmp_path / "garbled.log"
+    garbled.write_text("".join(lines[:1] + ["not a frame\n"] + lines[1:]))
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur", log=str(garbled))
+    assert code == 0, err
+    warning = "warning: manifest track 'leftturn': skipped 1 unparseable lines: 2"
+    assert err.splitlines() == [warning] + clean[2].splitlines()
+    assert (tmp_path / "grid.csv").read_bytes() == csv_bytes
+    # infer builds the same line, without a track to name
+    code, out, err = run(
+        capsys, "infer", garbled, "--start", "44.65,10.92,0", "--model", "renault captur", "--out", tmp_path / "out.gpx"
+    )
+    assert code == 0 and err.splitlines() == ["warning: skipped 1 unparseable lines: 2"]
 
 
 def test_tune_decoder_file_without_wheelbase_is_usage_error(scenario_dir, capsys, tmp_path):
@@ -697,12 +718,13 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "two"])
-def test_tune_workers_below_one_is_usage_error(scenario_dir, capsys, workers):
-    code, out, err = run(capsys, "tune", scenario_dir / "no-such-manifest.json", "--workers", workers)
-    assert code == 2
+def test_tune_workers_flag_is_usage_error(scenario_dir, capsys, tmp_path):
+    # tune runs in one process: it takes no process count
+    assert _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur")[0] == 0
+    code, out, err = run(capsys, "tune", tmp_path / "tune.json", "--workers", "2")
+    assert code == 2 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: usage: argument --workers:"), err
+    assert len(lines) == 1 and lines[0].startswith("error: usage: "), err
 
 
 @pytest.mark.parametrize(
