@@ -718,13 +718,15 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-def test_tune_workers_flag_is_usage_error(scenario_dir, capsys, tmp_path):
-    # tune runs in one process: it takes no process count
+@pytest.mark.parametrize("workers", ["0", "-3", "two", "2"])
+def test_tune_workers_below_one_is_usage_error(scenario_dir, capsys, tmp_path, workers):
+    # tune runs in one process: it takes no process count, below one or not
     assert _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur")[0] == 0
-    code, out, err = run(capsys, "tune", tmp_path / "tune.json", "--workers", "2")
+    code, out, err = run(capsys, "tune", tmp_path / "tune.json", "--workers", workers)
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: usage: "), err
+    assert lines[0].endswith("--workers " + workers), err
 
 
 @pytest.mark.parametrize(
