@@ -14,6 +14,11 @@ geodesic forward step, on plain floats. Each batch is snapped to the road
 network, and the length difference between the snapped and dead-reckoned
 polylines is carried into the next batch's first window so the track does
 not fall behind. A batch the matcher cannot snap keeps its raw points.
+
+infer_path also takes a CutLog in place of the frames: a log already
+decoded and cut, holding its windows by window length and no samples.
+Runs of one log that differ in their parameters then share one decode;
+everything after the cut is the same, so the GPX bytes are too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .canlog import CanFrame
 from .geokin import (
@@ -204,6 +209,21 @@ def window_aggregates(
     return windows
 
 
+@dataclass(frozen=True)
+class CutLog:
+    """A decoded log's windows (see window_aggregates), by window length."""
+
+    windows: Mapping[float, Sequence[Window]]
+
+    def at(self, t_window: float) -> Sequence[Window]:
+        """The windows of ``t_window`` seconds; ValueError if the log was
+        not cut at that length."""
+        try:
+            return self.windows[t_window]
+        except KeyError:
+            raise ValueError(f"log was not cut into {t_window!r} s windows") from None
+
+
 def window_controls(windows: Sequence[Window], params: InferenceParams) -> list[Control]:
     """Per window, all that dead reckoning reads of it: the steering angle
     clamped to ``steer_max``, the speed in m/s, and whether the car may
@@ -255,7 +275,7 @@ def dead_reckon(
 
 
 def infer_path(
-    frames: Sequence[CanFrame],
+    frames: Sequence[CanFrame] | CutLog,
     decoder: AngleDecoder,
     vehicle: VehicleSpec,
     start: VehiclePose,
@@ -275,11 +295,15 @@ def infer_path(
     with a MatchServiceError, later batches are not sent and keep their raw
     points in the same span. A MatchServiceError before any batch has
     matched ends the run, so an unreachable service is an error, not a raw
-    track; any other matcher error ends it too.
+    track; any other matcher error ends it too. ``frames`` may be a
+    CutLog of the log, which is then neither decoded nor cut again.
     """
     params = params or InferenceParams()
-    samples, t0, t_end = decode_log(frames, decoder)
-    controls = window_controls(window_aggregates(samples, t0, t_end, params.t_window), params)
+    if isinstance(frames, CutLog):
+        controls = window_controls(frames.at(params.t_window), params)
+    else:
+        samples, t0, t_end = decode_log(frames, decoder)
+        controls = window_controls(window_aggregates(samples, t0, t_end, params.t_window), params)
 
     pose, prev_start, carry = start, None, 0.0
     inferred: list[LatLon] = []

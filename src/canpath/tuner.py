@@ -7,11 +7,12 @@ comparing against its ground truth; a failed run scores 0 for that cell
 Most cells repeat another cell's run: where a clamp never binds, a
 different ``speed_max`` or ``steer_max`` gives the same GPX bytes. Each
 track is decoded once per search (inference.decode_log) and cut into
-windows once per ``t_window``, and a cell is keyed by exactly what dead
-reckoning consumes: ``(t_window, max_interpolation_points,
-tuple(window_controls(windows, params)))``. The pipeline runs once per
-distinct (track, key) and that score is shared by every cell with the
-key, so the rows, and the CSV, are those of running every cell.
+windows once per ``t_window`` (an inference.CutLog), and a cell is keyed
+by exactly what dead reckoning consumes: ``(t_window,
+max_interpolation_points, tuple(window_controls(windows, params)))``.
+The pipeline runs once per distinct (track, key), on those same cut
+windows, and that score is shared by every cell with the key, so the
+rows, and the CSV, are those of running every cell.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from .canlog import CanFrame
 from .geokin import VehiclePose, VehicleSpec
-from .inference import InferenceParams, decode_log, infer_path, window_aggregates, window_controls
+from .inference import CutLog, InferenceParams, decode_log, infer_path, window_aggregates, window_controls
 from .mapmatch import GraphMatcher
 from .reveng import AngleDecoder
 from .roadgraph import RoadGraph
@@ -57,10 +58,15 @@ class GridRow:
 
 def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph) -> float:
     """Accuracy of one track under one parameter set; 0.0 on any failure."""
+    return _evaluate(track, track.frames, params, graph)
+
+
+def _evaluate(
+    track: TuneTrack, log: Sequence[CanFrame] | CutLog, params: InferenceParams, graph: RoadGraph
+) -> float:
+    """evaluate_track, running the pipeline on `log`: the track's frames or its CutLog."""
     try:
-        result = infer_path(
-            list(track.frames), track.decoder, track.vehicle, track.start, params, GraphMatcher(graph)
-        )
+        result = infer_path(log, track.decoder, track.vehicle, track.start, params, GraphMatcher(graph))
         return compare_tracks(result.track, track.truth).accuracy
     except Exception:
         return 0.0
@@ -93,34 +99,37 @@ def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
 
 
 def _run_key(track: TuneTrack, t_windows: Sequence[float]):
-    """The key of a run of `track`, as a function of its parameters.
+    """What a run of `track` is given, and its key, as a function of its
+    parameters.
 
     A run reads its parameters only as the window length, the batch size
     and the window controls; parameters equal in all three make the same
-    run, to the byte. A track that ``decode_log`` rejects fails the same
-    way in every run, before any parameter is read, so all its runs share
-    one key. A key that cannot be computed (the computation raised) is a
-    new object, equal to no other key. The track is cut into windows once
-    per length in `t_windows`, and its samples are not kept: the search
-    runs the pipeline holding only the windows.
+    run, to the byte. The track is decoded once and cut into windows once
+    per length in `t_windows` (a CutLog, which keeps no samples), and a
+    run is given that CutLog. A track that ``decode_log`` rejects fails
+    the same way in every run, before any parameter is read, so all its
+    runs share one key, None. A key that cannot be computed (its cut or
+    its controls raised) is a new object, equal to no other key. Both are
+    given the frames, so the run raises what ``infer_path`` raises on them.
     """
     try:
         samples, t0, t_end = decode_log(track.frames, track.decoder)
     except Exception:
-        return lambda params: None
+        return lambda params: (track.frames, None)
     windows_by_length: dict[float, list] = {}
     for t_window in set(t_windows):
         try:
             windows_by_length[t_window] = window_aggregates(samples, t0, t_end, t_window)
         except Exception:
-            pass  # the KeyError below gives each of its cells a key of its own
+            pass  # the ValueError below gives each of its cells a key of its own
+    log = CutLog(windows_by_length)
 
     def key(params: InferenceParams):
         try:
-            controls = tuple(window_controls(windows_by_length[params.t_window], params))
-            return params.t_window, params.max_interpolation_points, controls
+            controls = tuple(window_controls(log.at(params.t_window), params))
+            return log, (params.t_window, params.max_interpolation_points, controls)
         except Exception:
-            return object()
+            return track.frames, object()
 
     return key
 
@@ -135,7 +144,10 @@ def grid_search(
 
     Returns one row per combination sorted by descending mean accuracy
     (ties by parameter values). A cell that repeats a run shares its
-    score (see the module docstring).
+    score (see the module docstring). Every run key but None holds its
+    ``t_window`` or is a key of its own, and ``t_window`` is the outermost
+    axis, so those keys are dropped when it changes; a grid that repeats
+    a length re-runs its cells, to the same scores.
     """
     if not tracks:
         raise ValueError("at least one track is required")
@@ -146,14 +158,19 @@ def grid_search(
     run_keys = [_run_key(track, grids["t_window"]) for track in tracks]
     scores: dict[tuple, float] = {}  # by (track index, run key)
     rows = []
+    t_window = None
     for values in itertools.product(*(grids[k] for k in _PARAM_ORDER)):
         params = InferenceParams(**dict(zip(_PARAM_ORDER, values)))
+        if params.t_window != t_window:
+            t_window = params.t_window
+            scores = {run: score for run, score in scores.items() if run[1] is None}
         per_track = []
         for t, track in enumerate(tracks):
-            run = t, run_keys[t](params)
+            log, key = run_keys[t](params)
+            run = t, key
             score = scores.get(run)
             if score is None:
-                score = scores[run] = evaluate_track(track, params, graph)
+                score = scores[run] = _evaluate(track, log, params, graph)
             per_track.append(score)
         rows.append(GridRow(params=params, mean_accuracy=sum(per_track) / len(per_track), per_track=tuple(per_track)))
     rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))

@@ -4,9 +4,17 @@ from dataclasses import fields, replace
 
 import pytest
 
-from canpath import tuner
+from canpath import inference, tuner
 from canpath.geokin import VehiclePose
-from canpath.inference import MAX_LOG_SPAN_S, InferenceError, InferenceParams, infer_path
+from canpath.inference import (
+    MAX_LOG_SPAN_S,
+    CutLog,
+    InferenceError,
+    InferenceParams,
+    decode_log,
+    infer_path,
+    window_aggregates,
+)
 from canpath.mapmatch import GraphMatcher
 from canpath.reveng import encode_angle_frame
 from canpath.scenarios import (
@@ -233,6 +241,65 @@ def test_shared_runs_equal_the_every_cell_oracle(clamp_suite):
     oracle = _evaluate_every_cell(tracks, graph, CLAMP_GRIDS)
     assert len(oracle) == 16
     assert grid_search(tracks, graph, grids=CLAMP_GRIDS) == oracle
+
+
+def test_a_repeated_window_length_equals_the_every_cell_oracle(clamp_suite):
+    tracks, graph = clamp_suite
+    left = tracks[0]
+    steerless = replace(left, name="steerless", frames=tuple(f for f in left.frames if f.id != left.decoder.id))
+    tracks = tracks + [steerless]
+    # the search drops its run keys when t_window changes; coming back to
+    # 0.1 runs its cells again, to the same scores
+    grids = dict(CLAMP_GRIDS, t_window=(0.1, 0.5, 0.1))
+    oracle = _evaluate_every_cell(tracks, graph, grids)
+    assert len(oracle) == 24
+    assert grid_search(tracks, graph, grids=grids) == oracle
+
+
+def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
+    tracks, graph = clamp_suite
+    decoded = []
+    decode_signals = inference.decode_signals
+
+    def counting_decode_signals(frames, decoder):
+        decoded.append(len(frames))
+        return decode_signals(frames, decoder)
+
+    monkeypatch.setattr(inference, "decode_signals", counting_decode_signals)
+    grid_search(tracks, graph, grids=CLAMP_GRIDS)
+    assert sorted(decoded) == sorted(len(track.frames) for track in tracks)
+
+
+def _cut(track, t_windows):
+    samples, t0, t_end = decode_log(track.frames, track.decoder)
+    return CutLog({t_window: window_aggregates(samples, t0, t_end, t_window) for t_window in t_windows})
+
+
+def test_a_cut_log_infers_the_same_bytes_as_its_frames(clamp_suite):
+    tracks, graph = clamp_suite
+    for track in tracks:
+        log = _cut(track, CLAMP_GRIDS["t_window"])
+        for t_window in CLAMP_GRIDS["t_window"]:
+            gpx = []
+            # both clamps binding on the binding track, and neither
+            for speed_max, steer_max in [(40.0, 20.0), (70.0, 40.0)]:
+                params = InferenceParams(t_window=t_window, speed_max=speed_max, steer_max=steer_max)
+                run = [
+                    infer_path(source, track.decoder, track.vehicle, track.start, params, GraphMatcher(graph)).gpx
+                    for source in (log, track.frames)
+                ]
+                assert run[0] == run[1], (track.name, params)
+                gpx.append(run[0])
+            if track is tracks[-1]:
+                assert gpx[0] != gpx[1]
+
+
+def test_a_cut_log_without_the_window_length_is_a_value_error(clamp_suite):
+    tracks, graph = clamp_suite
+    track = tracks[0]
+    log = _cut(track, [0.1])
+    with pytest.raises(ValueError, match=r"not cut into 0\.5 s windows"):
+        infer_path(log, track.decoder, track.vehicle, track.start, InferenceParams(t_window=0.5), GraphMatcher(graph))
 
 
 def test_low_clamps_change_the_binding_track(clamp_suite):
