@@ -16,9 +16,9 @@ polylines is carried into the next batch's first window so the track does
 not fall behind. A batch the matcher cannot snap keeps its raw points.
 
 infer_path also takes a CutLog in place of the frames: a log already
-decoded and cut, holding its windows by window length and no samples.
-Runs of one log that differ in their parameters then share one decode;
-everything after the cut is the same, so the GPX bytes are too.
+decoded and cut into windows of one length, holding no samples. Runs of
+one log that differ in their other parameters then share one decode and
+one cut; everything after the cut is the same, so the GPX bytes are too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .canlog import CanFrame
 from .geokin import (
@@ -55,6 +55,11 @@ class InferenceError(ValueError):
 # stray timestamp (one frame stamped 0 in an epoch-stamped log would ask
 # for about 1.7e10 windows) or several captures run together.
 MAX_LOG_SPAN_S = 24 * 3600.0
+
+# Most windows one log may be cut into. A day-long log in the tuner's
+# shortest default windows (0.05 s) is 1,728,001 windows; a minute in
+# 1e-7 s windows would be 600,000,001, more than memory holds.
+MAX_WINDOWS = 2_000_000
 
 # Consecutive batches the match service may fail on (MatchServiceError)
 # before the rest of the drive is no longer sent: each failure can wait out
@@ -114,8 +119,12 @@ class Diagnostics:
 @dataclass
 class InferenceResult:
     track: Track
-    gpx: str
     diagnostics: Diagnostics
+
+    @property
+    def gpx(self) -> str:
+        """The track as GPX text, serialized on each read (see write_gpx)."""
+        return write_gpx(self.track)
 
 
 # (timestamp, ANGLE or SPEED, value): degrees for ANGLE, integer km/h for SPEED
@@ -185,8 +194,12 @@ def window_aggregates(
     holds the previous window's value (0.0 before the first) instead of
     zeroing out. The windows depend on nothing but the samples and the
     window length, so runs that differ only in their other parameters share
-    them.
+    them. More than MAX_WINDOWS windows is an InferenceError.
     """
+    if (t_end - t0) / t_window >= MAX_WINDOWS:
+        raise InferenceError(
+            f"{t_window!r} s windows cut this {t_end - t0:.2f} s log into more than {MAX_WINDOWS:,} windows"
+        )
     n_windows = int((t_end - t0) / t_window) + 1
     times = [t for t, _signal, _v in samples]
     windows: list[Window] = []
@@ -211,17 +224,10 @@ def window_aggregates(
 
 @dataclass(frozen=True)
 class CutLog:
-    """A decoded log's windows (see window_aggregates), by window length."""
+    """A decoded log's windows of ``t_window`` seconds (see window_aggregates)."""
 
-    windows: Mapping[float, Sequence[Window]]
-
-    def at(self, t_window: float) -> Sequence[Window]:
-        """The windows of ``t_window`` seconds; ValueError if the log was
-        not cut at that length."""
-        try:
-            return self.windows[t_window]
-        except KeyError:
-            raise ValueError(f"log was not cut into {t_window!r} s windows") from None
+    t_window: float
+    windows: Sequence[Window]
 
 
 def window_controls(windows: Sequence[Window], params: InferenceParams) -> list[Control]:
@@ -296,11 +302,14 @@ def infer_path(
     points in the same span. A MatchServiceError before any batch has
     matched ends the run, so an unreachable service is an error, not a raw
     track; any other matcher error ends it too. ``frames`` may be a
-    CutLog of the log, which is then neither decoded nor cut again.
+    CutLog of the log, which is then neither decoded nor cut again; it must
+    be cut at ``params.t_window`` (a ValueError otherwise).
     """
     params = params or InferenceParams()
     if isinstance(frames, CutLog):
-        controls = window_controls(frames.at(params.t_window), params)
+        if frames.t_window != params.t_window:
+            raise ValueError(f"log was not cut into {params.t_window!r} s windows")
+        controls = window_controls(frames.windows, params)
     else:
         samples, t0, t_end = decode_log(frames, decoder)
         controls = window_controls(window_aggregates(samples, t0, t_end, params.t_window), params)
@@ -345,4 +354,4 @@ def infer_path(
         prev_start = matched[-2] if len(matched) >= 2 else None
 
     track = Track(points=tuple(inferred))
-    return InferenceResult(track=track, gpx=write_gpx(track), diagnostics=diag)
+    return InferenceResult(track=track, diagnostics=diag)

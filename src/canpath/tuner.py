@@ -5,20 +5,22 @@ comparing against its ground truth; a failed run scores 0 for that cell
 (extreme parameters legitimately break inference, and that is signal).
 
 Most cells repeat another cell's run: where a clamp never binds, a
-different ``speed_max`` or ``steer_max`` gives the same GPX bytes. Each
-track is decoded once per search (inference.decode_log) and cut into
-windows once per ``t_window`` (an inference.CutLog), and a cell is keyed
-by exactly what dead reckoning consumes: ``(t_window,
-max_interpolation_points, tuple(window_controls(windows, params)))``.
-The pipeline runs once per distinct (track, key), on those same cut
-windows, and that score is shared by every cell with the key, so the
-rows, and the CSV, are those of running every cell.
+different ``speed_max`` or ``steer_max`` gives the same GPX bytes. The
+search goes one track at a time. Each track is decoded once per search
+(inference.decode_log) and cut into windows (an inference.CutLog) once
+per run of cells with the same ``t_window``. Among those cells, a cell is
+keyed by the rest of what dead reckoning consumes:
+``(max_interpolation_points, tuple(window_controls(windows, params)))``.
+The pipeline runs once per distinct key, on those cut windows, and that
+score is shared by every cell with the key, so the rows, and the CSV, are
+those of running every cell.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 from .canlog import CanFrame
@@ -56,17 +58,13 @@ class GridRow:
     per_track: tuple[float, ...]
 
 
-def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph) -> float:
-    """Accuracy of one track under one parameter set; 0.0 on any failure."""
-    return _evaluate(track, track.frames, params, graph)
-
-
-def _evaluate(
-    track: TuneTrack, log: Sequence[CanFrame] | CutLog, params: InferenceParams, graph: RoadGraph
-) -> float:
-    """evaluate_track, running the pipeline on `log`: the track's frames or its CutLog."""
+def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph, log: CutLog | None = None) -> float:
+    """Accuracy of one track under one parameter set, run on `log` (the
+    track's CutLog at ``params.t_window``) if given, else on its frames;
+    0.0 on any failure."""
+    source = track.frames if log is None else log
     try:
-        result = infer_path(log, track.decoder, track.vehicle, track.start, params, GraphMatcher(graph))
+        result = infer_path(source, track.decoder, track.vehicle, track.start, params, GraphMatcher(graph))
         return compare_tracks(result.track, track.truth).accuracy
     except Exception:
         return 0.0
@@ -98,40 +96,32 @@ def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
     return dict(DEFAULT_GRIDS, **grids)
 
 
-def _run_key(track: TuneTrack, t_windows: Sequence[float]):
-    """What a run of `track` is given, and its key, as a function of its
-    parameters.
-
-    A run reads its parameters only as the window length, the batch size
-    and the window controls; parameters equal in all three make the same
-    run, to the byte. The track is decoded once and cut into windows once
-    per length in `t_windows` (a CutLog, which keeps no samples), and a
-    run is given that CutLog. A track that ``decode_log`` rejects fails
-    the same way in every run, before any parameter is read, so all its
-    runs share one key, None. A key that cannot be computed (its cut or
-    its controls raised) is a new object, equal to no other key. Both are
-    given the frames, so the run raises what ``infer_path`` raises on them.
+def _track_scores(track: TuneTrack, graph: RoadGraph, cells: Sequence[InferenceParams]) -> list[float]:
+    """The track's score in each of `cells`, running the pipeline once per
+    distinct run (see the module docstring). A log that ``decode_log``
+    rejects, or a cut that raises, fails every cell it covers the same way,
+    before any other parameter is read: those cells share one run on the
+    frames, which raises what ``infer_path`` raises.
     """
     try:
         samples, t0, t_end = decode_log(track.frames, track.decoder)
     except Exception:
-        return lambda params: (track.frames, None)
-    windows_by_length: dict[float, list] = {}
-    for t_window in set(t_windows):
+        return [evaluate_track(track, cells[0], graph)] * len(cells)
+    scores = []
+    for t_window, same_length in itertools.groupby(cells, key=attrgetter("t_window")):
+        same_length = list(same_length)
         try:
-            windows_by_length[t_window] = window_aggregates(samples, t0, t_end, t_window)
+            log = CutLog(t_window, window_aggregates(samples, t0, t_end, t_window))
         except Exception:
-            pass  # the ValueError below gives each of its cells a key of its own
-    log = CutLog(windows_by_length)
-
-    def key(params: InferenceParams):
-        try:
-            controls = tuple(window_controls(log.at(params.t_window), params))
-            return log, (params.t_window, params.max_interpolation_points, controls)
-        except Exception:
-            return track.frames, object()
-
-    return key
+            scores += [evaluate_track(track, same_length[0], graph)] * len(same_length)
+            continue
+        runs: dict[tuple, float] = {}
+        for params in same_length:
+            key = params.max_interpolation_points, tuple(window_controls(log.windows, params))
+            if key not in runs:
+                runs[key] = evaluate_track(track, params, graph, log)
+            scores.append(runs[key])
+    return scores
 
 
 def grid_search(
@@ -143,11 +133,8 @@ def grid_search(
     """Evaluate every grid combination on every track.
 
     Returns one row per combination sorted by descending mean accuracy
-    (ties by parameter values). A cell that repeats a run shares its
-    score (see the module docstring). Every run key but None holds its
-    ``t_window`` or is a key of its own, and ``t_window`` is the outermost
-    axis, so those keys are dropped when it changes; a grid that repeats
-    a length re-runs its cells, to the same scores.
+    (ties by parameter values). A cell that repeats a run of its track
+    shares its score (see the module docstring).
     """
     if not tracks:
         raise ValueError("at least one track is required")
@@ -155,24 +142,9 @@ def grid_search(
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers}")
     grids = resolve_grids(grids)
-    run_keys = [_run_key(track, grids["t_window"]) for track in tracks]
-    scores: dict[tuple, float] = {}  # by (track index, run key)
-    rows = []
-    t_window = None
-    for values in itertools.product(*(grids[k] for k in _PARAM_ORDER)):
-        params = InferenceParams(**dict(zip(_PARAM_ORDER, values)))
-        if params.t_window != t_window:
-            t_window = params.t_window
-            scores = {run: score for run, score in scores.items() if run[1] is None}
-        per_track = []
-        for t, track in enumerate(tracks):
-            log, key = run_keys[t](params)
-            run = t, key
-            score = scores.get(run)
-            if score is None:
-                score = scores[run] = _evaluate(track, log, params, graph)
-            per_track.append(score)
-        rows.append(GridRow(params=params, mean_accuracy=sum(per_track) / len(per_track), per_track=tuple(per_track)))
+    cells = [InferenceParams(*values) for values in itertools.product(*(grids[k] for k in _PARAM_ORDER))]
+    by_track = [_track_scores(track, graph, cells) for track in tracks]
+    rows = [GridRow(params, sum(scores) / len(scores), scores) for params, scores in zip(cells, zip(*by_track))]
     rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))
     return rows
 

@@ -222,6 +222,17 @@ def test_infer_log_spanning_more_than_a_day_is_one_error_line(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: log spans 0.0 s to 86401.0 s"), err
 
 
+def test_infer_more_windows_than_the_limit_is_one_error_line(scenario_dir, capsys, tmp_path):
+    code, out, err = run(
+        capsys, "infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0", "--model", "renault captur",
+        "--matcher", "none", "--params", "t_window=1e-7", "--out", tmp_path / "out.gpx",
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: 1e-07 s windows cut this "), err
+    assert not (tmp_path / "out.gpx").exists()
+
+
 def test_rewheel_ranks_swa_id(scenario_dir, capsys):
     code, out, err = run(capsys, "rewheel", scenario_dir / "leftturn.log")
     assert code == 0

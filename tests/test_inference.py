@@ -23,6 +23,7 @@ from canpath.inference import (
     SPEED,
     MAX_LOG_SPAN_S,
     MAX_SERVICE_FAILURES,
+    MAX_WINDOWS,
     InferenceError,
     InferenceParams,
     dead_reckon,
@@ -38,6 +39,7 @@ from canpath.reveng import OFFSET_MODE, TWOS_COMPLEMENT_MODE, AngleDecoder, enco
 from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
+from canpath.tuner import DEFAULT_GRIDS
 
 DECODER = AngleDecoder(id=0x0C6)
 
@@ -388,6 +390,19 @@ def test_log_spanning_more_than_a_day_is_an_error():
     with pytest.raises(InferenceError) as exc:
         infer_path(frames, DECODER, DEFAULT_VEHICLE, VehiclePose(44.65, 10.92, 0.0), InferenceParams(t_window=60.0))
     assert "0.0 s" in str(exc.value) and f"{last!r} s" in str(exc.value)
+
+
+@pytest.mark.parametrize("t_window", [1e-7, 5e-324])
+def test_more_windows_than_the_limit_is_an_error(t_window):
+    # a minute at 1e-7 s is 600,000,001 windows; at 5e-324 s the count
+    # overflows a float
+    samples = decode_signals([angle_frame(0.0, 0.0), angle_frame(60.0, 0.0)], DECODER)
+    with pytest.raises(InferenceError, match="more than 2,000,000 windows"):
+        window_aggregates(samples, 0.0, 60.0, t_window)
+
+
+def test_a_day_at_the_shortest_default_window_is_within_the_limit():
+    assert int(MAX_LOG_SPAN_S / min(DEFAULT_GRIDS["t_window"])) + 1 <= MAX_WINDOWS
 
 
 def test_log_spanning_exactly_a_day_is_windowed():

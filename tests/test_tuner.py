@@ -248,12 +248,33 @@ def test_a_repeated_window_length_equals_the_every_cell_oracle(clamp_suite):
     left = tracks[0]
     steerless = replace(left, name="steerless", frames=tuple(f for f in left.frames if f.id != left.decoder.id))
     tracks = tracks + [steerless]
-    # the search drops its run keys when t_window changes; coming back to
-    # 0.1 runs its cells again, to the same scores
+    # each run of cells with one t_window is cut and keyed on its own;
+    # coming back to 0.1 cuts and runs its cells again, to the same scores
     grids = dict(CLAMP_GRIDS, t_window=(0.1, 0.5, 0.1))
     oracle = _evaluate_every_cell(tracks, graph, grids)
     assert len(oracle) == 24
     assert grid_search(tracks, graph, grids=grids) == oracle
+
+
+def test_a_refused_window_length_equals_the_every_cell_oracle(clamp_suite, monkeypatch):
+    tracks, graph = clamp_suite
+    # 1e-7 s windows of any of these logs are more than MAX_WINDOWS, so
+    # each track's cut at that length raises
+    grids = dict(CLAMP_GRIDS, t_window=(1e-7, 0.1))
+    oracle = _evaluate_every_cell(tracks, graph, grids)
+    refused = []
+
+    def counting_infer_path(frames, decoder, vehicle, start, params, *args, **kwargs):
+        if params.t_window == 1e-7:
+            refused.append(start)
+        return infer_path(frames, decoder, vehicle, start, params, *args, **kwargs)
+
+    monkeypatch.setattr(tuner, "infer_path", counting_infer_path)
+    rows = grid_search(tracks, graph, grids=grids)
+    assert rows == oracle
+    # every cell of the refused length shares one run per track, which fails
+    assert refused == [track.start for track in tracks]
+    assert all(row.per_track == (0.0,) * len(tracks) for row in rows if row.params.t_window == 1e-7)
 
 
 def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
@@ -270,16 +291,16 @@ def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
     assert sorted(decoded) == sorted(len(track.frames) for track in tracks)
 
 
-def _cut(track, t_windows):
+def _cut(track, t_window):
     samples, t0, t_end = decode_log(track.frames, track.decoder)
-    return CutLog({t_window: window_aggregates(samples, t0, t_end, t_window) for t_window in t_windows})
+    return CutLog(t_window, window_aggregates(samples, t0, t_end, t_window))
 
 
 def test_a_cut_log_infers_the_same_bytes_as_its_frames(clamp_suite):
     tracks, graph = clamp_suite
     for track in tracks:
-        log = _cut(track, CLAMP_GRIDS["t_window"])
         for t_window in CLAMP_GRIDS["t_window"]:
+            log = _cut(track, t_window)
             gpx = []
             # both clamps binding on the binding track, and neither
             for speed_max, steer_max in [(40.0, 20.0), (70.0, 40.0)]:
@@ -297,7 +318,7 @@ def test_a_cut_log_infers_the_same_bytes_as_its_frames(clamp_suite):
 def test_a_cut_log_without_the_window_length_is_a_value_error(clamp_suite):
     tracks, graph = clamp_suite
     track = tracks[0]
-    log = _cut(track, [0.1])
+    log = _cut(track, 0.1)
     with pytest.raises(ValueError, match=r"not cut into 0\.5 s windows"):
         infer_path(log, track.decoder, track.vehicle, track.start, InferenceParams(t_window=0.5), GraphMatcher(graph))
 
