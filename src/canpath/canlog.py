@@ -12,12 +12,15 @@ same finite and range checks as ``_parse``. Those checks are the three that
 ``CanFrame.__new__`` makes, so the parser builds the 4-tuple directly. Any
 other line (blank, malformed, or a rare valid spelling such as
 ``(1.0)can0 7E8#00``) goes to the private ``_parse`` that ``parse_line``
-uses, the only code that words a parse error.
+uses, the only code that words a parse error. Both parsers intern the
+interface name, so the frames of one capture share one ``can0`` string
+instead of holding a copy each (about 53 bytes a frame).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
@@ -135,7 +138,7 @@ def _parse(text: str, line_no: int | None) -> CanFrame:
     except ValueError:
         raise LogParseError(f"data {data_text!r} is not hex", line_no) from None
 
-    return CanFrame(timestamp, interface, frame_id, data)
+    return CanFrame(timestamp, sys.intern(interface), frame_id, data)
 
 
 def format_line(frame: CanFrame) -> str:
@@ -159,7 +162,7 @@ def parse_log(
     """
     frames: list[CanFrame] = []
     skipped: list[tuple[int, str]] = []
-    append, new, isfinite = frames.append, tuple.__new__, math.isfinite
+    append, new, isfinite, intern = frames.append, tuple.__new__, math.isfinite, sys.intern
     for line_no, line in enumerate(lines, start=1):
         # the happy path: _parse's checks on a line's three tokens, in locals
         tokens = line.split()
@@ -175,7 +178,7 @@ def parse_log(
                     pass
                 else:
                     if isfinite(timestamp) and timestamp >= 0 and 0 <= frame_id <= MAX_STD_ID:
-                        append(new(CanFrame, (timestamp, interface, frame_id, data)))
+                        append(new(CanFrame, (timestamp, intern(interface), frame_id, data)))
                         continue
         text = line.strip()
         if not text:

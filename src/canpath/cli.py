@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 
 from . import __version__
@@ -220,6 +221,10 @@ def _cmd_tune(args) -> int:
     rows = grid_search(tracks, graph, grids=grids)
     csv_text = rows_to_csv(rows)
     _write_or_print(csv_text, args.out)
+    failed = Counter(error.__name__ for row in rows for error in row.errors if error is not None)
+    cells = len(rows) * len(tracks)
+    for name, count in sorted(failed.items()):
+        print(f"warning: {count} of {cells} cells (combination x track) scored 0 on {name}", file=sys.stderr)
     best = rows[0]
     chosen = " ".join(f"{f.name}={getattr(best.params, f.name)}" for f in fields(InferenceParams))
     print(f"best: {chosen} mean_accuracy={best.mean_accuracy:.4f}", file=sys.stderr)

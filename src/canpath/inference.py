@@ -1,12 +1,14 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
-infer_path runs stages that pass plain data. decode_log sorts the frames,
-rejects a log whose first and last frames lie more than a day apart, and
-decodes them once into (timestamp, signal, value) samples of steering
-angle and OBD speed, building no object per frame; window_aggregates cuts
-them into fixed windows anchored at the first frame, each an (angle, speed)
-tuple of its samples' means (holding the previous value when a category
-has none);
+infer_path runs stages that pass plain data. decode_log rejects a log
+whose first and last frames lie more than a day apart, then decodes the
+frames once, in frame order, into four float columns: the times and values
+of the steering angles and of the OBD speeds, each column stably sorted by
+time only when it is out of order. It builds no object per frame and keeps
+no frame list: the decoded log is 16 bytes a sample. window_aggregates
+cuts the columns into fixed windows anchored at the first frame, each an
+(angle, speed) tuple of its samples' means (holding the previous value
+when a category has none);
 window_controls clamps each window's angle to steer_max and says whether
 it may turn (at most speed_max), the only code that reads those two;
 dead_reckon advances a batch of windows with the bicycle model plus a
@@ -24,10 +26,12 @@ one cut; everything after the cut is the same, so the GPX bytes are too.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
-from typing import Sequence
+from itertools import islice
+from operator import itemgetter, le
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .canlog import CanFrame
 from .geokin import (
@@ -137,16 +141,29 @@ Window = tuple[float, float]
 Control = tuple[float, float, bool]
 
 
-def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sample]:
+class Signals(NamedTuple):
+    """A decoded log (see decode_log): the times and values of its steering
+    angles (degrees) and of its OBD speeds (km/h), four columns in time
+    order, and the times of its first and last frame."""
+
+    angle_times: array
+    angles: array
+    speed_times: array
+    speeds: array
+    t0: float
+    t_end: float
+
+
+def decode_signals(frames: Iterable[CanFrame], decoder: AngleDecoder) -> Iterator[Sample]:
     """Every decodable steering angle and OBD-II speed, in frame order.
 
     Frames with the decoder's ID are angles (too-short ones are skipped);
     any other frame counts only if it is a speed response. This is the one
     decode pass of the pipeline: inference and ``canpath decode`` share it.
     Payloads go straight to reveng.payload_angle and obd.response_speed_kmh,
-    so no object is built per frame but the sample tuple.
+    and each sample is yielded as it is decoded, so no object outlives its
+    frame's turn.
     """
-    samples: list[Sample] = []
     angle_id = decoder.id
     for timestamp, _interface, frame_id, data in frames:
         if frame_id == angle_id:
@@ -156,68 +173,80 @@ def decode_signals(frames: Sequence[CanFrame], decoder: AngleDecoder) -> list[Sa
             value = response_speed_kmh(frame_id, data)
             signal = SPEED
         if value is not None:
-            samples.append((timestamp, signal, value))
-    return samples
+            yield timestamp, signal, value
 
 
-def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> tuple[list[Sample], float, float]:
-    """The frames' samples in time order (see decode_signals) and the times
-    of the first and last frame; InferenceError for an empty log, one
-    without a decodable steering angle, or one whose first and last frames
-    lie more than MAX_LOG_SPAN_S apart."""
+def _time_ordered(times: array, values: array) -> tuple[array, array]:
+    """The two columns stably sorted by time, or as they are when already in
+    order. A signal's samples then stand as they would after a stable sort
+    of the frames by time, so no sorted frame list is built."""
+    if all(map(le, times, islice(times, 1, None))):
+        return times, values
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return array("d", map(times.__getitem__, order)), array("d", map(values.__getitem__, order))
+
+
+def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> Signals:
+    """The frames' samples (see decode_signals) as time-ordered columns,
+    with the times of the first and last frame; InferenceError for an
+    empty log, one whose first and last frames lie more than MAX_LOG_SPAN_S
+    apart, or one without a decodable steering angle."""
     if not frames:
         raise InferenceError("empty log: nothing to infer")
-    frames = sorted(frames, key=itemgetter(0))
-    t0, t_end = frames[0].timestamp, frames[-1].timestamp
+    t0, t_end = min(map(itemgetter(0), frames)), max(map(itemgetter(0), frames))
     if t_end - t0 > MAX_LOG_SPAN_S:
         raise InferenceError(
             f"log spans {t0!r} s to {t_end!r} s, more than {MAX_LOG_SPAN_S:.0f} s: "
             "a stray timestamp or mixed captures"
         )
-    samples = decode_signals(frames, decoder)
-    if not any(signal == ANGLE for _t, signal, _v in samples):
+    angle_times, angles, speed_times, speeds = array("d"), array("d"), array("d"), array("d")
+    for t, signal, value in decode_signals(frames, decoder):
+        if signal == ANGLE:
+            angle_times.append(t)
+            angles.append(value)
+        else:
+            speed_times.append(t)
+            speeds.append(value)
+    if not angle_times:
         raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
-    return samples, t0, t_end
+    return Signals(*_time_ordered(angle_times, angles), *_time_ordered(speed_times, speeds), t0, t_end)
 
 
-def window_aggregates(
-    samples: Sequence[Sample], t0: float, t_end: float, t_window: float
-) -> list[Window]:
+def window_aggregates(signals: Signals, t_window: float) -> list[Window]:
     """The (mean angle in degrees, mean speed in m/s) of each window of
-    ``t_window`` seconds, from ``t0`` (the first frame) to ``t_end`` (the
-    last), in time order.
+    ``t_window`` seconds of a decoded log, from its first frame to its
+    last, in time order.
 
     Window k holds the samples stamped in [t0 + k*t_window, t0 + (k+1)*t_window);
     the last window also holds the final frame, which sits exactly on its
-    closing edge. ``samples`` must be in time order. OBD responses arrive
+    closing edge. Each column has its own cursor. OBD responses arrive
     slower than angle broadcasts, so a category with no samples in a window
     holds the previous window's value (0.0 before the first) instead of
     zeroing out. The windows depend on nothing but the samples and the
     window length, so runs that differ only in their other parameters share
     them. More than MAX_WINDOWS windows is an InferenceError.
     """
+    angle_times, angles, speed_times, speeds, t0, t_end = signals
     if (t_end - t0) / t_window >= MAX_WINDOWS:
         raise InferenceError(
             f"{t_window!r} s windows cut this {t_end - t0:.2f} s log into more than {MAX_WINDOWS:,} windows"
         )
     n_windows = int((t_end - t0) / t_window) + 1
-    times = [t for t, _signal, _v in samples]
     windows: list[Window] = []
     angle = speed = 0.0
-    sample_idx = 0
+    angle_idx = speed_idx = 0
     for k in range(n_windows):
-        first = sample_idx
+        first_angle, first_speed = angle_idx, speed_idx
         if k == n_windows - 1:
-            sample_idx = len(samples)
+            angle_idx, speed_idx = len(angles), len(speeds)
         else:
-            sample_idx = bisect_left(times, t0 + (k + 1) * t_window, sample_idx)
-        window = samples[first:sample_idx]
-        angles = [value for _t, signal, value in window if signal == ANGLE]
-        speeds = [value for _t, signal, value in window if signal == SPEED]
-        if angles:
-            angle = sum(angles) / len(angles)
-        if speeds:
-            speed = (sum(speeds) / len(speeds)) / 3.6
+            edge = t0 + (k + 1) * t_window
+            angle_idx = bisect_left(angle_times, edge, angle_idx)
+            speed_idx = bisect_left(speed_times, edge, speed_idx)
+        if angle_idx > first_angle:
+            angle = sum(angles[first_angle:angle_idx]) / (angle_idx - first_angle)
+        if speed_idx > first_speed:
+            speed = (sum(speeds[first_speed:speed_idx]) / (speed_idx - first_speed)) / 3.6
         windows.append((angle, speed))
     return windows
 
@@ -311,8 +340,7 @@ def infer_path(
             raise ValueError(f"log was not cut into {params.t_window!r} s windows")
         controls = window_controls(frames.windows, params)
     else:
-        samples, t0, t_end = decode_log(frames, decoder)
-        controls = window_controls(window_aggregates(samples, t0, t_end, params.t_window), params)
+        controls = window_controls(window_aggregates(decode_log(frames, decoder), params.t_window), params)
 
     pose, prev_start, carry = start, None, 0.0
     inferred: list[LatLon] = []

@@ -3,6 +3,8 @@
 Every combination is scored by running the full pipeline on each track and
 comparing against its ground truth; a failed run scores 0 for that cell
 (extreme parameters legitimately break inference, and that is signal).
+Each row keeps, beside a failed run's 0, the type of the exception that
+ended it, so a regression that raises is not read as a poor score.
 
 Most cells repeat another cell's run: where a clamp never binds, a
 different ``speed_max`` or ``steer_max`` gives the same GPX bytes. The
@@ -56,18 +58,24 @@ class GridRow:
     params: InferenceParams
     mean_accuracy: float
     per_track: tuple[float, ...]
+    # per track, the type of the exception behind a 0.0 score, or None for a run that finished
+    errors: tuple[type[Exception] | None, ...]
 
 
-def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph, log: CutLog | None = None) -> float:
-    """Accuracy of one track under one parameter set, run on `log` (the
+# (accuracy, None) of a run that finished; (0.0, the exception's type) of one that raised
+Score = tuple[float, type[Exception] | None]
+
+
+def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph, log: CutLog | None = None) -> Score:
+    """The Score of one track under one parameter set, run on `log` (the
     track's CutLog at ``params.t_window``) if given, else on its frames;
-    0.0 on any failure."""
+    any failure scores 0.0."""
     source = track.frames if log is None else log
     try:
         result = infer_path(source, track.decoder, track.vehicle, track.start, params, GraphMatcher(graph))
-        return compare_tracks(result.track, track.truth).accuracy
-    except Exception:
-        return 0.0
+        return compare_tracks(result.track, track.truth).accuracy, None
+    except Exception as exc:
+        return 0.0, type(exc)
 
 
 def _param_tuple(params: InferenceParams) -> tuple:
@@ -96,7 +104,7 @@ def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
     return dict(DEFAULT_GRIDS, **grids)
 
 
-def _track_scores(track: TuneTrack, graph: RoadGraph, cells: Sequence[InferenceParams]) -> list[float]:
+def _track_scores(track: TuneTrack, graph: RoadGraph, cells: Sequence[InferenceParams]) -> list[Score]:
     """The track's score in each of `cells`, running the pipeline once per
     distinct run (see the module docstring). A log that ``decode_log``
     rejects, or a cut that raises, fails every cell it covers the same way,
@@ -104,18 +112,18 @@ def _track_scores(track: TuneTrack, graph: RoadGraph, cells: Sequence[InferenceP
     frames, which raises what ``infer_path`` raises.
     """
     try:
-        samples, t0, t_end = decode_log(track.frames, track.decoder)
+        signals = decode_log(track.frames, track.decoder)
     except Exception:
         return [evaluate_track(track, cells[0], graph)] * len(cells)
     scores = []
     for t_window, same_length in itertools.groupby(cells, key=attrgetter("t_window")):
         same_length = list(same_length)
         try:
-            log = CutLog(t_window, window_aggregates(samples, t0, t_end, t_window))
+            log = CutLog(t_window, window_aggregates(signals, t_window))
         except Exception:
             scores += [evaluate_track(track, same_length[0], graph)] * len(same_length)
             continue
-        runs: dict[tuple, float] = {}
+        runs: dict[tuple, Score] = {}
         for params in same_length:
             key = params.max_interpolation_points, tuple(window_controls(log.windows, params))
             if key not in runs:
@@ -134,7 +142,8 @@ def grid_search(
 
     Returns one row per combination sorted by descending mean accuracy
     (ties by parameter values). A cell that repeats a run of its track
-    shares its score (see the module docstring).
+    shares its score, and the type of the exception behind a failed run
+    (see the module docstring).
     """
     if not tracks:
         raise ValueError("at least one track is required")
@@ -144,7 +153,10 @@ def grid_search(
     grids = resolve_grids(grids)
     cells = [InferenceParams(*values) for values in itertools.product(*(grids[k] for k in _PARAM_ORDER))]
     by_track = [_track_scores(track, graph, cells) for track in tracks]
-    rows = [GridRow(params, sum(scores) / len(scores), scores) for params, scores in zip(cells, zip(*by_track))]
+    rows = []
+    for params, results in zip(cells, zip(*by_track)):
+        scores, errors = zip(*results)
+        rows.append(GridRow(params, sum(scores) / len(scores), scores, errors))
     rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))
     return rows
 

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 from canpath import synthgen
 from canpath.geokin import DEG_M, geodesic_inverse, point_along
 from canpath.mapmatch import MatcherConfig, sequence_logweight
+from canpath.obd import encode_speed_request, encode_speed_response
+from canpath.reveng import AngleDecoder, encode_angle_frame
 from canpath.roadgraph import Candidate, RoadGraph
 from canpath.scenarios import ORIGIN, PathBuilder, assemble_graph
 from canpath.trackeval import GAP_SCORE, MATCH_SCORE, MISMATCH_SCORE, Track
@@ -28,6 +31,36 @@ def no_sim_frames(monkeypatch) -> None:
 
     monkeypatch.setattr(synthgen, "encode_angle_frame", encode)
     monkeypatch.setattr(synthgen, "encode_speed_response", encode)
+
+
+# -- long captures ----------------------------------------------------------------
+
+
+def long_capture(n_frames: int, decoder: AngleDecoder) -> list:
+    """The first n_frames of an epoch-stamped capture in time order: a
+    steering frame every 10 ms, sweeping between -10 and 10 degrees, and
+    every 0.1 s an OBD speed request and its response (30-79 km/h). Eleven
+    frames in twelve decode."""
+    frames = []
+    k = 0
+    while len(frames) < n_frames:
+        t = 1.7e9 + k * 0.01
+        frames.append(encode_angle_frame(decoder, t, 10.0 * (k % 700 / 350 - 1)))
+        if k % 10 == 0:
+            frames.append(encode_speed_request(t + 0.002))
+            frames.append(encode_speed_response(30 + k % 50, timestamp=t + 0.004))
+        k += 1
+    return frames[:n_frames]
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the most bytes it held at once of what it allocated
+    (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- tiny graphs ------------------------------------------------------------------

@@ -523,6 +523,45 @@ def test_tune_warns_once_per_track_of_skipped_lines(scenario_dir, capsys, tmp_pa
     assert code == 0 and err.splitlines() == ["warning: skipped 1 unparseable lines: 2"]
 
 
+def test_tune_names_the_exception_behind_each_zero(scenario_dir, capsys, tmp_path, monkeypatch):
+    from canpath import tuner
+
+    infer_path = tuner.infer_path
+
+    def failing_at_half_a_second(frames, decoder, vehicle, start, params, matcher):
+        if params.t_window == 0.5:
+            raise ZeroDivisionError("scripted")
+        return infer_path(frames, decoder, vehicle, start, params, matcher)
+
+    monkeypatch.setattr(tuner, "infer_path", failing_at_half_a_second)
+    sim_manifest = json.loads((scenario_dir / "leftturn_manifest.json").read_text())
+    manifest = {
+        "graph": str(scenario_dir / "roads.txt"),
+        "tracks": [
+            {
+                "log": str(scenario_dir / "leftturn.log"),
+                "truth": str(scenario_dir / "leftturn_truth.gpx"),
+                "start": sim_manifest["start"],
+                "model": "renault captur",
+            }
+        ],
+        # 1e-7 s windows are more than a log may be cut into: an InferenceError
+        "grids": {"t_window": [1e-7, 0.1, 0.5, 1.0], "speed_max": [50], "steer_max": [35, 40]},
+    }
+    manifest_file = tmp_path / "tune.json"
+    manifest_file.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "tune", manifest_file, "--out", tmp_path / "grid.csv")
+    assert code == 0, err
+    *warnings, best = err.splitlines()
+    assert warnings == [
+        "warning: 10 of 40 cells (combination x track) scored 0 on InferenceError",
+        "warning: 10 of 40 cells (combination x track) scored 0 on ZeroDivisionError",
+    ]
+    assert best.startswith("best: t_window=")
+    rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+    assert sum(row.startswith(("1e-07,", "0.5,")) and row.endswith(",0.0000") for row in rows) == 20
+
+
 def test_tune_decoder_file_without_wheelbase_is_usage_error(scenario_dir, capsys, tmp_path):
     sheet = tmp_path / "sheet.txt"
     sheet.write_text(SHEET_NO_WHEELBASE)

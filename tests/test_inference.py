@@ -1,8 +1,10 @@
 import hashlib
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,12 +36,13 @@ from canpath.inference import (
     window_controls,
 )
 from canpath.mapmatch import ExternalMatcher, GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
-from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, encode_speed_response
+from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, encode_speed_request, encode_speed_response
 from canpath.reveng import OFFSET_MODE, TWOS_COMPLEMENT_MODE, AngleDecoder, encode_angle_frame
 from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
 from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
 from canpath.tuner import DEFAULT_GRIDS
+from helpers import long_capture, traced_peak
 
 DECODER = AngleDecoder(id=0x0C6)
 
@@ -63,7 +66,7 @@ def test_decode_signals_skips_malformed_and_unrelated_frames():
     broken = CanFrame(0.0, "can0", DECODER.id, b"\x7f")  # one byte only
     unrelated = CanFrame(0.02, "can0", 0x123, b"\x03\x41\x0d\x21")  # not an OBD responder
     frames = [broken, angle_frame(0.01, 1.5), unrelated, speed_frame(0.03, 33)]
-    samples = decode_signals(frames, DECODER)
+    samples = list(decode_signals(frames, DECODER))
     assert [(t, signal) for t, signal, _v in samples] == [(0.01, ANGLE), (0.03, SPEED)]
     assert samples[0][2] == pytest.approx(1.5)
     assert samples[1][2] == 33
@@ -142,7 +145,7 @@ def _frames(decoder):
 @given(_decoders(), st.data())
 def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
     frames = data.draw(st.lists(_frames(decoder), max_size=30))
-    samples = decode_signals(frames, decoder)
+    samples = list(decode_signals(frames, decoder))
     want = _reference_decode_signals(frames, decoder)
     assert samples == want
     assert [type(v) for _t, _s, v in samples] == [type(v) for _t, _s, v in want]
@@ -150,7 +153,7 @@ def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
 
 def test_window_aggregate_means_and_unit_conversion():
     frames = [angle_frame(0.00, -5.67), speed_frame(0.02, 33), angle_frame(0.05, -5.67)]
-    ((angle, speed),) = window_aggregates(decode_signals(frames, DECODER), 0.0, 0.05, 0.1)
+    ((angle, speed),) = window_aggregates(decode_log(frames, DECODER), 0.1)
     assert angle == pytest.approx(-5.67)
     assert speed == pytest.approx(33 / 3.6)
     assert speed == pytest.approx(9.1667, abs=5e-5)
@@ -158,22 +161,22 @@ def test_window_aggregate_means_and_unit_conversion():
 
 def test_window_aggregate_holds_last_speed():
     frames = [angle_frame(0.0, 1.0), speed_frame(0.02, 33), angle_frame(0.1, 2.0)]
-    first, second = window_aggregates(decode_signals(frames, DECODER), 0.0, 0.1, 0.1)
+    first, second = window_aggregates(decode_log(frames, DECODER), 0.1)
     assert second[1] == first[1]
     assert second[0] == pytest.approx(2.0)
 
 
 def test_window_aggregate_empty_window_keeps_previous():
-    samples = decode_signals([angle_frame(0.0, 1.0), speed_frame(0.02, 33)], DECODER)
-    first, second = window_aggregates(samples, 0.0, 0.15, 0.1)
+    # the log ends at 0.15 s on a frame that decodes to nothing
+    last = CanFrame(0.15, "can0", 0x123, b"\x03\x41\x0d\x21")
+    first, second = window_aggregates(decode_log([angle_frame(0.0, 1.0), speed_frame(0.02, 33), last], DECODER), 0.1)
     assert second[0] == first[0]
     assert second[1] == first[1]
 
 
 def test_window_aggregate_skips_malformed_angle_frames():
     broken = CanFrame(0.0, "can0", DECODER.id, b"\x7f")  # one byte only
-    samples = decode_signals([broken, angle_frame(0.01, 1.5)], DECODER)
-    ((angle, _speed),) = window_aggregates(samples, 0.0, 0.01, 0.1)
+    ((angle, _speed),) = window_aggregates(decode_log([broken, angle_frame(0.01, 1.5)], DECODER), 0.1)
     assert angle == pytest.approx(1.5)
 
 
@@ -205,32 +208,44 @@ def reference_window_aggregates(samples, t0, t_end, t_window):
     return aggregates
 
 
-def _random_sample_stream(rng, t_window):
-    """A time-ordered sample stream from t0 to t_end, with quiet stretches
-    and runs of one category only. Half the streams end with a sample
-    stamped exactly on a window edge."""
+def _random_log(rng, t_window):
+    """A shuffled log of angle and speed frames, at least one an angle,
+    with quiet stretches, runs of one signal only, and equal timestamps
+    within a signal and across the two. Its first and last frames decode to
+    nothing: a steering frame too short to hold an angle, and a speed
+    request. Half the logs end exactly on a window edge."""
     t0 = rng.choice([0.0, 12.345, 1.7e9 + rng.random()])
-    t = t0
-    samples = [(t0, ANGLE, rng.uniform(-40.0, 40.0))]
+    t = t0 + rng.choice([0.0, rng.uniform(0.0, 2.5 * t_window)])
+    frames = [CanFrame(t0, "can0", DECODER.id, b"\x7f"), angle_frame(t, rng.uniform(-40.0, 40.0))]
     for _ in range(rng.randrange(120)):
-        t += rng.choice([0.0, 0.003, 0.01, rng.uniform(0.0, 2.5 * t_window)])
+        t += rng.choice([0.0, 0.0, 0.003, 0.01, rng.uniform(0.0, 2.5 * t_window)])
         if rng.random() < 0.5:
-            samples.append((t, ANGLE, rng.uniform(-540.0, 540.0)))
+            frames.append(angle_frame(t, rng.uniform(-320.0, 320.0)))
         else:
-            samples.append((t, SPEED, rng.randrange(256)))
+            frames.append(speed_frame(t, rng.randrange(256)))
     if rng.random() < 0.5:
         t = t0 + (int((t - t0) / t_window) + rng.randrange(1, 3)) * t_window
-        samples.append((t, SPEED, rng.randrange(256)))
-    return samples, t0, t
+    else:
+        t += rng.uniform(0.0, t_window)
+    frames.append(encode_speed_request(t))
+    rng.shuffle(frames)
+    return frames
 
 
 def test_window_aggregates_equal_the_per_window_code():
+    # the reference sorts the frames stably by time, decodes them into
+    # sample tuples and cuts those with the per-window code
     rng = random.Random(14)
-    seen = {"empty": 0, "angle only": 0, "speed only": 0, "last on closing edge": 0}
+    seen = dict.fromkeys(
+        ["empty", "angle only", "speed only", "last on closing edge", "tie in a signal", "tie across signals"], 0
+    )
     for t_window in (0.01, 0.05, 0.1, 0.3, 1.0):
         for _ in range(120):
-            samples, t0, t_end = _random_sample_stream(rng, t_window)
-            got = window_aggregates(samples, t0, t_end, t_window)
+            frames = _random_log(rng, t_window)
+            ordered = sorted(frames, key=itemgetter(0))
+            t0, t_end = ordered[0].timestamp, ordered[-1].timestamp
+            samples = list(decode_signals(ordered, DECODER))
+            got = window_aggregates(decode_log(frames, DECODER), t_window)
             assert got == reference_window_aggregates(samples, t0, t_end, t_window)
             # which signals each window holds, to show that every case occurs
             edges = [t0 + k * t_window for k in range(1, len(got) + 1)]
@@ -241,7 +256,30 @@ def test_window_aggregates_equal_the_per_window_code():
             seen["angle only"] += signals.count({ANGLE})
             seen["speed only"] += signals.count({SPEED})
             seen["last on closing edge"] += t_end >= edges[-1]
+            stamps = [(t, signal) for t, signal, _v in samples]
+            seen["tie in a signal"] += len(set(stamps)) < len(stamps)
+            seen["tie across signals"] += len({t for t, _s in stamps}) < len(set(stamps))
     assert all(seen.values()), seen
+
+
+def _decode_and_cut(frames):
+    signals = decode_log(frames, DECODER)
+    return signals, window_aggregates(signals, 0.1)
+
+
+@pytest.mark.parametrize("order,bound", [("in time order", 40), ("reversed", 100)])
+def test_decoding_a_long_log_holds_the_samples_not_the_log(order, bound):
+    # 100,000 frames are 91,666 samples and 8,334 windows of 0.1 s. The
+    # columns take 16 bytes a sample and the windows about 11; sorting
+    # reversed columns holds some 60 more for a moment. A sample tuple, and
+    # the sorted frame list, took 113 bytes a sample with or without a sort.
+    frames = long_capture(100_000, DECODER)
+    if order == "reversed":
+        frames.reverse()
+    (signals, windows), peak = traced_peak(_decode_and_cut, frames)
+    samples = len(signals.angles) + len(signals.speeds)
+    assert (samples, len(windows)) == (91_666, 8_334)
+    assert peak / samples < bound
 
 
 # -- clamping and straightening ----------------------------------------------------
@@ -396,9 +434,9 @@ def test_log_spanning_more_than_a_day_is_an_error():
 def test_more_windows_than_the_limit_is_an_error(t_window):
     # a minute at 1e-7 s is 600,000,001 windows; at 5e-324 s the count
     # overflows a float
-    samples = decode_signals([angle_frame(0.0, 0.0), angle_frame(60.0, 0.0)], DECODER)
+    signals = decode_log([angle_frame(0.0, 0.0), angle_frame(60.0, 0.0)], DECODER)
     with pytest.raises(InferenceError, match="more than 2,000,000 windows"):
-        window_aggregates(samples, 0.0, 60.0, t_window)
+        window_aggregates(signals, t_window)
 
 
 def test_a_day_at_the_shortest_default_window_is_within_the_limit():
@@ -407,8 +445,9 @@ def test_a_day_at_the_shortest_default_window_is_within_the_limit():
 
 def test_log_spanning_exactly_a_day_is_windowed():
     frames = [angle_frame(0.0, 0.0), speed_frame(0.5, 30), angle_frame(MAX_LOG_SPAN_S, 0.0)]
-    samples, t0, t_end = decode_log(frames, DECODER)
-    assert (t0, t_end, len(samples)) == (0.0, MAX_LOG_SPAN_S, 3)
+    signals = decode_log(frames, DECODER)
+    want = (array("d", [0.0, MAX_LOG_SPAN_S]), array("d", [0.0, 0.0]), array("d", [0.5]), array("d", [30]))
+    assert signals == want + (0.0, MAX_LOG_SPAN_S)
     start = VehiclePose(44.65, 10.92, 0.0)
     result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(t_window=60.0))
     assert result.diagnostics.windows == 1441
@@ -608,10 +647,15 @@ def test_deterministic_gpx_output():
 
 
 def test_unsorted_log_is_normalized():
-    frames = list(reversed(_straight_log(n_windows=20)))
+    # a gentle left turn, so that the GPX bytes depend on each angle's window
+    frames = [
+        angle_frame(f.timestamp, 5.0 + f.timestamp) if f.id == DECODER.id else f for f in _straight_log(n_windows=20)
+    ]
+    assert len({f.timestamp for f in frames}) == len(frames)
     start = VehiclePose(44.65, 10.92, 90.0)
-    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start)
+    result = infer_path(list(reversed(frames)), DECODER, DEFAULT_VEHICLE, start)
     assert result.diagnostics.windows == 20
+    assert result.gpx == infer_path(frames, DECODER, DEFAULT_VEHICLE, start).gpx
 
 
 def test_params_validation():

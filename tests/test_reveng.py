@@ -152,7 +152,7 @@ def test_decode_short_payload_fails():
 def test_decode_id_mismatch_fails():
     # another ID's payload is never read as an angle, however well it decodes
     frames = [CanFrame(0.0, "can0", 0x2F5, bytes([0x7D, 0xC8])), CanFrame(0.1, "can0", 0x0C6, bytes([0x7D, 0xC8]))]
-    assert decode_signals(frames, DECODER) == [(0.1, ANGLE, -5.67)]
+    assert list(decode_signals(frames, DECODER)) == [(0.1, ANGLE, -5.67)]
 
 
 def test_encode_known_angle():

@@ -124,6 +124,7 @@ def test_failed_track_scores_zero(one_track):
     assert rows[0].per_track[1] == 0.0
     assert rows[0].per_track[0] > 0.9
     assert rows[0].mean_accuracy == pytest.approx(rows[0].per_track[0] / 2)
+    assert rows[0].errors == (None, InferenceError)
 
 
 def test_track_with_a_stray_timestamp_scores_zero_once(one_track, monkeypatch):
@@ -146,6 +147,7 @@ def test_track_with_a_stray_timestamp_scores_zero_once(one_track, monkeypatch):
     rows = grid_search([track, stray], graph, grids=grids)
     assert raised == [InferenceError]
     assert [row.per_track[1] for row in rows] == [0.0, 0.0]
+    assert [row.errors for row in rows] == [(None, InferenceError)] * 2
 
 
 def test_find_row_and_marginals(one_track):
@@ -226,8 +228,8 @@ def _evaluate_every_cell(tracks, graph, grids):
     rows = []
     for values in itertools.product(*(grids[name] for name in names)):
         params = InferenceParams(**dict(zip(names, values)))
-        scores = tuple(evaluate_track(track, params, graph) for track in tracks)
-        rows.append(GridRow(params=params, mean_accuracy=sum(scores) / len(scores), per_track=scores))
+        scores, errors = zip(*(evaluate_track(track, params, graph) for track in tracks))
+        rows.append(GridRow(params=params, mean_accuracy=sum(scores) / len(scores), per_track=scores, errors=errors))
     rows.sort(key=lambda r: (-r.mean_accuracy, tuple(getattr(r.params, name) for name in names)))
     return rows
 
@@ -275,6 +277,7 @@ def test_a_refused_window_length_equals_the_every_cell_oracle(clamp_suite, monke
     # every cell of the refused length shares one run per track, which fails
     assert refused == [track.start for track in tracks]
     assert all(row.per_track == (0.0,) * len(tracks) for row in rows if row.params.t_window == 1e-7)
+    assert all(row.errors == (InferenceError,) * len(tracks) for row in rows if row.params.t_window == 1e-7)
 
 
 def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
@@ -292,8 +295,7 @@ def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
 
 
 def _cut(track, t_window):
-    samples, t0, t_end = decode_log(track.frames, track.decoder)
-    return CutLog(t_window, window_aggregates(samples, t0, t_end, t_window))
+    return CutLog(t_window, window_aggregates(decode_log(track.frames, track.decoder), t_window))
 
 
 def test_a_cut_log_infers_the_same_bytes_as_its_frames(clamp_suite):
@@ -366,7 +368,7 @@ def test_one_run_per_distinct_key(clamp_suite, monkeypatch):
     # a track that decode_log rejects (no frames) fails the same way in
     # every cell, so it runs once
     assert calls.count(empty.start) == 1
-    assert all(row.per_track[-1] == 0.0 for row in rows)
+    assert all(row.per_track[-1] == 0.0 and row.errors[-1] is InferenceError for row in rows)
 
 
 @pytest.mark.parametrize("workers", [0, 2, 8])
