@@ -211,15 +211,23 @@ def test_infer_missing_log_is_runtime_error(scenario_dir, capsys):
 
 def test_infer_log_spanning_more_than_a_day_is_one_error_line(capsys, tmp_path):
     log = tmp_path / "stray.log"
-    # a second past the limit, at 60 s windows: cheap to build even without the check
-    log.write_text("(0.000000) can0 0C6#7FFF\n(86401.000000) can0 0C6#7FFF\n")
-    code, out, err = run(
-        capsys, "infer", log, "--start", "44.65,10.92,0", "--model", "renault captur",
-        "--matcher", "none", "--params", "t_window=60",
-    )
-    assert code == 1 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: log spans 0.0 s to 86401.0 s"), err
+    for text, span in [
+        # a second past the limit, at 60 s windows: cheap to build even without the check
+        ("(0.000000) can0 0C6#7FFF\n(86401.000000) can0 0C6#7FFF\n", "0.0 s to 86401.0 s"),
+        # an epoch log with one frame stamped 0 in its middle
+        (
+            "(1700000000.000000) can0 0C6#7FFF\n(0.000000) can0 0C6#7FFF\n(1700000060.000000) can0 0C6#7FFF\n",
+            "0.0 s to 1700000060.0 s",
+        ),
+    ]:
+        log.write_text(text)
+        code, out, err = run(
+            capsys, "infer", log, "--start", "44.65,10.92,0", "--model", "renault captur",
+            "--matcher", "none", "--params", "t_window=60",
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: log spans {span}"), err
 
 
 def test_infer_more_windows_than_the_limit_is_one_error_line(scenario_dir, capsys, tmp_path):

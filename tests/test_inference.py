@@ -213,7 +213,8 @@ def _random_log(rng, t_window):
     with quiet stretches, runs of one signal only, and equal timestamps
     within a signal and across the two. Its first and last frames decode to
     nothing: a steering frame too short to hold an angle, and a speed
-    request. Half the logs end exactly on a window edge."""
+    request. Half the logs end exactly on a window edge, with an angle or a
+    speed sample there beside the request."""
     t0 = rng.choice([0.0, 12.345, 1.7e9 + rng.random()])
     t = t0 + rng.choice([0.0, rng.uniform(0.0, 2.5 * t_window)])
     frames = [CanFrame(t0, "can0", DECODER.id, b"\x7f"), angle_frame(t, rng.uniform(-40.0, 40.0))]
@@ -225,6 +226,7 @@ def _random_log(rng, t_window):
             frames.append(speed_frame(t, rng.randrange(256)))
     if rng.random() < 0.5:
         t = t0 + (int((t - t0) / t_window) + rng.randrange(1, 3)) * t_window
+        frames.append(rng.choice([angle_frame(t, rng.uniform(-40.0, 40.0)), speed_frame(t, rng.randrange(256))]))
     else:
         t += rng.uniform(0.0, t_window)
     frames.append(encode_speed_request(t))
@@ -255,7 +257,7 @@ def test_window_aggregates_equal_the_per_window_code():
             seen["empty"] += sum(not s for s in signals)
             seen["angle only"] += signals.count({ANGLE})
             seen["speed only"] += signals.count({SPEED})
-            seen["last on closing edge"] += t_end >= edges[-1]
+            seen["last on closing edge"] += samples[-1][0] >= edges[-1]
             stamps = [(t, signal) for t, signal, _v in samples]
             seen["tie in a signal"] += len(set(stamps)) < len(stamps)
             seen["tie across signals"] += len({t for t, _s in stamps}) < len(set(stamps))
@@ -271,7 +273,7 @@ def _decode_and_cut(frames):
 def test_decoding_a_long_log_holds_the_samples_not_the_log(order, bound):
     # 100,000 frames are 91,666 samples and 8,334 windows of 0.1 s. The
     # columns take 16 bytes a sample and the windows about 11; sorting
-    # reversed columns holds some 60 more for a moment. A sample tuple, and
+    # reversed columns holds some 55 more for a moment. A sample tuple, and
     # the sorted frame list, took 113 bytes a sample with or without a sort.
     frames = long_capture(100_000, DECODER)
     if order == "reversed":
