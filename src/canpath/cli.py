@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import fields
 
 from . import __version__
-from .canlog import IdFilter, filter_frames, read_log, write_log
+from .canlog import MAX_STD_ID, IdFilter, filter_frames, read_log, write_log
 from .geokin import VehiclePose
 from .inference import ANGLE, InferenceParams, decode_signals, infer_path
 from .jsondocs import ManifestError, load_manifest, load_scenario, manifest_for
@@ -103,6 +103,17 @@ def _parse_params(text: str | None) -> InferenceParams:
         raise UsageError(f"--params: {exc}") from None
 
 
+def _hex_id(text: str) -> int:
+    """An 11-bit CAN identifier given in hex, for ``--swa-id`` and ``--ceiling``."""
+    try:
+        value = int(text, 16)
+        if 0 <= value <= MAX_STD_ID:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a hex CAN identifier 0-{MAX_STD_ID:X}, got {text!r}")
+
+
 def _make_matcher(spec: str | None):
     if spec is None or spec == "none":
         return None
@@ -127,7 +138,7 @@ def _write_or_print(text: str, path: str | None) -> None:
 def _cmd_rewheel(args) -> int:
     frames = _read_frames(args.log, strict=args.strict)
     stats = compute_change_stats(frames)
-    ranked = rank_swa_candidates(stats, id_ceiling=int(args.ceiling, 16))
+    ranked = rank_swa_candidates(stats, id_ceiling=args.ceiling)
     if args.csv:
         _write_or_print(candidate_report_csv(ranked), args.out)
     else:
@@ -147,15 +158,10 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_logfilter(args) -> int:
-    swa_id = int(args.swa_id, 16)
     # the mask keeps all eight OBD responders, 0x7E8-0x7EF
-    id_filter = IdFilter(((OBD_RESPONSE_ID_FIRST, 0x7F8), (swa_id, 0x7FF)))
+    id_filter = IdFilter(((OBD_RESPONSE_ID_FIRST, 0x7F8), (args.swa_id, 0x7FF)))
     frames = _read_frames(args.log, strict=args.strict)
-    kept = filter_frames(frames, id_filter)
-    if args.out:
-        write_log(kept, args.out)
-    else:
-        write_log(kept, sys.stdout)
+    write_log(filter_frames(frames, id_filter), args.out or sys.stdout)
     return 0
 
 
@@ -171,8 +177,7 @@ def _cmd_infer(args) -> int:
     frames = _read_frames(args.log, strict=args.strict)
     result = infer_path(frames, entry.decoder, vehicle, start, params, matcher)
     out = args.out or os.path.splitext(args.log)[0] + "_inferred.gpx"
-    with open(out, "w", encoding="utf-8") as fp:
-        fp.write(result.gpx)
+    save_gpx(result.track, out)
     report = result.diagnostics.report()
     print(f"wrote {out} ({len(result.track)} points)")
     if args.report:
@@ -245,7 +250,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rewheel", help="rank likely steering-angle IDs in a wiggle log")
     p.add_argument("log")
-    p.add_argument("--ceiling", default=f"{DEFAULT_ID_CEILING:X}", help="hex ID ceiling (default %(default)s)")
+    p.add_argument(
+        "--ceiling", type=_hex_id, default=f"{DEFAULT_ID_CEILING:X}", help="hex ID ceiling (default %(default)s)"
+    )
     p.add_argument("--strict", action="store_true", help="abort on unparseable lines")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
     p.add_argument("--out", help="write the report to a file")
@@ -262,7 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("logfilter", help="keep only OBD responses and one steering ID")
     p.add_argument("log")
     p.add_argument("--strict", action="store_true", help="abort on unparseable lines")
-    p.add_argument("--swa-id", required=True, help="steering-angle CAN ID in hex")
+    p.add_argument("--swa-id", type=_hex_id, required=True, help="steering-angle CAN ID in hex")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_logfilter)
 

@@ -3,10 +3,11 @@
 A matcher is any object with ``match(points) -> MatchResult``; inference
 and track comparison take one and call nothing else. Two ship here:
 GraphMatcher, a hidden-Markov matcher decoded with the Viterbi algorithm
-over a local RoadGraph, and ExternalMatcher, an HTTP client for a
-Valhalla-style trace-matching service. Emissions penalize perpendicular
-distance to a candidate edge; transitions penalize disagreement between
-the great-circle hop and the along-road distance.
+over a local RoadGraph, and ExternalMatcher, which POSTs each batch
+through the standard library's urllib to a Valhalla-style trace-matching
+service. Emissions penalize perpendicular distance to a candidate edge;
+transitions penalize disagreement between the great-circle hop and the
+along-road distance.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def emission_logweight(perp_m: float, sigma: float) -> float:
 
 
 def transition_logweight(gc_m: float, route_m: float, beta: float) -> float:
-    if math.isinf(route_m):
-        return -math.inf
+    """Never positive; an unreachable candidate (``route_m`` inf) gives -inf."""
     return -abs(gc_m - route_m) / beta
 
 
@@ -176,10 +176,18 @@ def build_external_request(points: Sequence[LatLon]) -> dict:
     }
 
 
+def _within(value, limit: float) -> bool:
+    """A JSON number (not a bool, a string, null or a container) in
+    [-limit, limit]; NaN and infinities compare outside."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -limit <= value <= limit
+
+
 def parse_external_response(document) -> MatchResult:
     """Extract the matched point list from a service response document.
 
     The service may densify, so the point count is whatever it returned.
+    A point whose lat or lon is not a finite number in range is a
+    MatchServiceError naming its index.
     """
     if not isinstance(document, dict):
         raise MatchServiceError(f"malformed response: expected an object, got {type(document).__name__}")
@@ -194,9 +202,11 @@ def parse_external_response(document) -> MatchResult:
     points = []
     edge_ids = []
     for i, entry in enumerate(matched):
-        if not isinstance(entry, dict) or "lat" not in entry or "lon" not in entry:
+        lat = entry.get("lat") if isinstance(entry, dict) else None
+        lon = entry.get("lon") if isinstance(entry, dict) else None
+        if not (_within(lat, 90) and _within(lon, 180)):
             raise MatchServiceError(f"malformed matched point at index {i}")
-        points.append((float(entry["lat"]), float(entry["lon"])))
+        points.append((float(lat), float(lon)))
         edge_ids.append(entry.get("edge_index"))
     have_edges = all(e is not None for e in edge_ids)
     return MatchResult(
@@ -205,53 +215,35 @@ def parse_external_response(document) -> MatchResult:
     )
 
 
-@dataclass(frozen=True)
-class _Reply:
-    status_code: int
-    body: bytes
-
-    def json(self):
-        return loads(self.body)
-
-
-class _UrllibSession:
-    """Default transport: one standard-library POST, on its own connection,
-    per call."""
-
-    def post(self, url: str, json: dict, timeout: float) -> _Reply:
-        request = urllib.request.Request(
-            url, data=dumps(json).encode("utf-8"), headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as reply:
-                return _Reply(reply.status, reply.read())
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            return _Reply(exc.code, b"")
-
-
 class ExternalMatcher:
-    """HTTP client for a trace-matching service.
+    """HTTP client for a trace-matching service: each ``match`` POSTs one
+    JSON request on its own connection, so concurrent calls are safe.
 
-    ``session`` is anything with ``post(url, json=, timeout=)`` returning an
-    object with ``status_code`` and ``json()``. The default opens one
-    connection per request, so concurrent calls are safe.
+    Only a 200 reply with a JSON body is parsed; a transport failure, any
+    other status, or a body that is not JSON is a MatchServiceError.
     """
 
-    def __init__(self, service_url: str, session=None):
+    def __init__(self, service_url: str):
         self.service_url = service_url
-        self._session = session if session is not None else _UrllibSession()
 
     def match(self, points: Sequence[LatLon]) -> MatchResult:
-        request = build_external_request(points)
+        request = urllib.request.Request(
+            self.service_url,
+            data=dumps(build_external_request(points)).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         try:
-            response = self._session.post(self.service_url, json=request, timeout=30)
+            with urllib.request.urlopen(request, timeout=30) as reply:
+                status, body = reply.status, reply.read()
+        except urllib.error.HTTPError as exc:  # an OSError, so caught first
+            exc.close()
+            raise MatchServiceError(f"service returned HTTP {exc.code}") from exc
         except (OSError, HTTPException) as exc:
             raise MatchServiceError(f"service unreachable: {exc}") from exc
-        if response.status_code != 200:
-            raise MatchServiceError(f"service returned HTTP {response.status_code}")
+        if status != 200:
+            raise MatchServiceError(f"service returned HTTP {status}")
         try:
-            document = response.json()
+            document = loads(body)
         except ValueError as exc:
             raise MatchServiceError("service returned a non-JSON body") from exc
         return parse_external_response(document)

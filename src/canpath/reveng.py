@@ -226,21 +226,6 @@ def lookup_vehicle(model: str) -> VehicleEntry | None:
     return KNOWN_VEHICLES.get(key)
 
 
-def format_decoder_sheet(entries: Iterable[VehicleEntry]) -> str:
-    """Serialize entries in the versioned sheet format."""
-    lines = [
-        SHEET_HEADER,
-        "# model, id, byte_hi, byte_lo, offset, scale, mode[, wheelbase_m]",
-    ]
-    for e in entries:
-        d = e.decoder
-        row = f"{e.model}, {d.id:03X}, {d.byte_hi}, {d.byte_lo}, {d.offset:04X}, {d.scale}, {d.mode}"
-        if e.wheelbase is not None:
-            row += f", {e.wheelbase}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
-
-
 def _hex(text: str) -> int:
     return int(text, 16)
 
@@ -265,7 +250,7 @@ _SHEET_FIELDS = (
 
 
 def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
-    """Parse a decoder sheet file back into entries keyed by normalized model.
+    """Parse a decoder sheet file into entries keyed by normalized model.
 
     A row with the wrong field count, a field that does not read as its
     kind (a hex id, an integer byte index, ...), or a value that

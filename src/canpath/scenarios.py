@@ -131,24 +131,15 @@ def _scenario(
     )
 
 
-def straight_1km(origin=ORIGIN, id_base=0) -> SimScenario:
+def straight_1km() -> SimScenario:
     pb = PathBuilder(heading=90.0)  # due east
-    return _scenario(
-        "straight_1km", {1: pb.straight(1000).take()}, [1], [(0.0, 36.0)], origin=origin, id_base=id_base
-    )
+    return _scenario("straight_1km", {1: pb.straight(1000).take()}, [1], [(0.0, 36.0)])
 
 
-def straight_2km_speed_change(origin=ORIGIN, id_base=0) -> SimScenario:
+def straight_2km_speed_change() -> SimScenario:
     pb = PathBuilder(heading=0.0)  # due north
     paths = {1: pb.straight(1200).take(), 2: pb.straight(800).take()}
-    return _scenario(
-        "straight_2km_speed_change",
-        paths,
-        [1, 2],
-        [(0.0, 36.0), (800.0, 54.0), (1500.0, 36.0)],
-        origin=origin,
-        id_base=id_base,
-    )
+    return _scenario("straight_2km_speed_change", paths, [1, 2], [(0.0, 36.0), (800.0, 54.0), (1500.0, 36.0)])
 
 
 def turn_left_90(origin=ORIGIN, id_base=0) -> SimScenario:
@@ -161,20 +152,20 @@ def turn_left_90(origin=ORIGIN, id_base=0) -> SimScenario:
     return _scenario("turn_left_90", paths, [1, 2], [(0.0, 20.0)], origin=origin, id_base=id_base)
 
 
-def turn_right_90(origin=ORIGIN, id_base=0) -> SimScenario:
+def turn_right_90() -> SimScenario:
     pb = PathBuilder(heading=0.0)
     approach = pb.straight(150).take()
     ahead_decoy = pb.branch().straight(140).take()
     cross_decoy = pb.branch(heading=90.0).straight(120).take()
     exit_path = pb.arc(12, -90).straight(150).take()
     paths = {1: approach, 2: exit_path, 3: ahead_decoy, 4: cross_decoy}
-    return _scenario("turn_right_90", paths, [1, 2], [(0.0, 20.0)], origin=origin, id_base=id_base)
+    return _scenario("turn_right_90", paths, [1, 2], [(0.0, 20.0)])
 
 
-def s_curve(origin=ORIGIN, id_base=0) -> SimScenario:
+def s_curve() -> SimScenario:
     pb = PathBuilder(heading=45.0)
     path = pb.straight(80).arc(40, 60).straight(40).arc(40, -60).straight(80).take()
-    return _scenario("s_curve", {1: path}, [1], [(0.0, 30.0)], origin=origin, id_base=id_base)
+    return _scenario("s_curve", {1: path}, [1], [(0.0, 30.0)])
 
 
 def city_block(origin=ORIGIN, id_base=0) -> SimScenario:
@@ -188,20 +179,20 @@ def city_block(origin=ORIGIN, id_base=0) -> SimScenario:
     return _scenario("city_block", paths, [1, 2, 3], [(0.0, 18.0)], origin=origin, id_base=id_base)
 
 
-def arc_loop(origin=ORIGIN, id_base=0) -> SimScenario:
+def arc_loop() -> SimScenario:
     """Roundabout-like: enter, 270 degrees around a 22 m arc, leave."""
     pb = PathBuilder(heading=0.0)
     path = pb.straight(60).arc(22, 270).straight(60).take()
-    return _scenario("arc_loop", {1: path}, [1], [(0.0, 25.0)], origin=origin, id_base=id_base)
+    return _scenario("arc_loop", {1: path}, [1], [(0.0, 25.0)])
 
 
-def highway_10km(origin=ORIGIN, id_base=0) -> SimScenario:
+def highway_10km() -> SimScenario:
     pb = PathBuilder(heading=90.0)
     main1 = pb.straight(2500, spacing=10).arc(2000, -20, spacing=2).straight(2500, spacing=10).take()
     ramp = pb.branch().arc(300, -30, spacing=2).straight(150).take()
     main2 = pb.arc(1500, 15, spacing=2).straight(3500, spacing=10).take()
     paths = {1: main1, 2: main2, 3: ramp}
-    return _scenario("highway_10km", paths, [1, 2], [(0.0, 108.0)], origin=origin, id_base=id_base)
+    return _scenario("highway_10km", paths, [1, 2], [(0.0, 108.0)])
 
 
 def zigzag(origin=ORIGIN, id_base=0) -> SimScenario:
@@ -212,23 +203,16 @@ def zigzag(origin=ORIGIN, id_base=0) -> SimScenario:
     return _scenario("zigzag", {1: path}, [1], [(0.0, 25.0)], origin=origin, id_base=id_base)
 
 
-def l_route(origin=ORIGIN, id_base=0) -> SimScenario:
+def l_route() -> SimScenario:
     pb = PathBuilder(heading=90.0)
     leg1 = pb.straight(200).take()
     ahead_decoy = pb.branch().straight(150).take()
     leg2 = pb.arc(15, 90).straight(200).take()
     paths = {1: leg1, 2: leg2, 3: ahead_decoy}
-    return _scenario(
-        "l_route",
-        paths,
-        [1, 2],
-        [(0.0, 40.0), (180.0, 25.0), (230.0, 40.0)],
-        origin=origin,
-        id_base=id_base,
-    )
+    return _scenario("l_route", paths, [1, 2], [(0.0, 40.0), (180.0, 25.0), (230.0, 40.0)])
 
 
-def fork_turns(start_bearing_error: float = 0.0, origin=ORIGIN, id_base=0) -> SimScenario:
+def fork_turns(start_bearing_error: float = 0.0) -> SimScenario:
     """Turn-heavy route past an early shallow fork; an initial heading error
     pushes the dead reckoning toward the decoy branch."""
     pb = PathBuilder(heading=0.0)
@@ -236,15 +220,7 @@ def fork_turns(start_bearing_error: float = 0.0, origin=ORIGIN, id_base=0) -> Si
     decoy = pb.branch().arc(60, -28).straight(200).take()
     true_path = pb.arc(60, 28).straight(60).arc(12, -90).straight(60).arc(12, 90).straight(60).take()
     paths = {1: approach, 2: true_path, 3: decoy}
-    return _scenario(
-        "fork_turns",
-        paths,
-        [1, 2],
-        [(0.0, 25.0)],
-        start_bearing_error=start_bearing_error,
-        origin=origin,
-        id_base=id_base,
-    )
+    return _scenario("fork_turns", paths, [1, 2], [(0.0, 25.0)], start_bearing_error=start_bearing_error)
 
 
 def default_suite() -> list[SimScenario]:
@@ -279,15 +255,10 @@ def merge_graphs(graphs: list[RoadGraph]) -> RoadGraph:
 
 
 def tuning_suite() -> list[SimScenario]:
-    """Three compact, turn-heavy tracks in disjoint areas, so one merged
-    region graph (see tuning_graph) serves all of them."""
+    """Three compact, turn-heavy tracks in disjoint areas and id ranges, so
+    one region graph (merge_graphs of their graphs) serves all of them."""
     return [
         turn_left_90(origin=(44.6500, 10.9200), id_base=100),
         city_block(origin=(44.7000, 10.9200), id_base=200),
         zigzag(origin=(44.7500, 10.9200), id_base=300),
     ]
-
-
-def tuning_graph(suite: list[SimScenario] | None = None) -> RoadGraph:
-    suite = suite or tuning_suite()
-    return merge_graphs([sc.graph for sc in suite])

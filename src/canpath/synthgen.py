@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canlog import CanFrame
 from .geokin import (
@@ -74,7 +74,6 @@ class SimResult:
     truth: Track
     start: VehiclePose
     route_length_m: float = 0.0
-    steering_deg: list[tuple[float, float]] = field(default_factory=list)  # (t, analytic delta)
 
 
 def route_polyline(graph: RoadGraph, route: list[int]) -> list[LatLon]:
@@ -190,7 +189,6 @@ def simulate(scenario: SimScenario) -> SimResult:
     obd_phase = obd_period / 20.0  # offset so OBD frames never collide with SWA frames
 
     frames: list[CanFrame] = []
-    steering: list[tuple[float, float]] = []
     trajectory_t = [0.0]
     trajectory_s = [0.0]
 
@@ -200,7 +198,6 @@ def simulate(scenario: SimScenario) -> SimResult:
     while s < total:
         delta = _steering_at(points, cum, s, scenario.vehicle.wheelbase)
         frames.append(encode_angle_frame(scenario.decoder, t, delta))
-        steering.append((t, delta))
         v = speed_kmh_at(s) / 3.6
         s += v * dt
         k += 1
@@ -245,10 +242,4 @@ def simulate(scenario: SimScenario) -> SimResult:
         lon=points[0][1],
         bearing=wrap_bearing(start_bearing + scenario.start_bearing_error),
     )
-    return SimResult(
-        frames=frames,
-        truth=truth,
-        start=start,
-        route_length_m=total,
-        steering_deg=steering,
-    )
+    return SimResult(frames=frames, truth=truth, start=start, route_length_m=total)

@@ -114,8 +114,13 @@ def read_gpx(text: str) -> Track:
 
 
 def load_gpx(path: str) -> Track:
-    with open(path, "r", encoding="utf-8") as fp:
-        return read_gpx(fp.read())
+    """A GPX file, read with ``read_gpx``; a malformed document or
+    coordinate, or text that is not UTF-8, is a GpxError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return read_gpx(fp.read())
+    except ValueError as exc:
+        raise GpxError(f"{path}: {exc}") from None
 
 
 def _format_time(epoch: float) -> str:

@@ -21,7 +21,7 @@ those of running every cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from operator import attrgetter
 from typing import Sequence
 
@@ -76,10 +76,6 @@ def evaluate_track(track: TuneTrack, params: InferenceParams, graph: RoadGraph, 
         return compare_tracks(result.track, track.truth).accuracy, None
     except Exception as exc:
         return 0.0, type(exc)
-
-
-def _param_tuple(params: InferenceParams) -> tuple:
-    return tuple(getattr(params, name) for name in _PARAM_ORDER)
 
 
 def resolve_grids(grids: dict[str, Sequence] | None) -> dict[str, Sequence]:
@@ -157,7 +153,7 @@ def grid_search(
     for params, results in zip(cells, zip(*by_track)):
         scores, errors = zip(*results)
         rows.append(GridRow(params, sum(scores) / len(scores), scores, errors))
-    rows.sort(key=lambda r: (-r.mean_accuracy, _param_tuple(r.params)))
+    rows.sort(key=lambda r: (-r.mean_accuracy, astuple(r.params)))
     return rows
 
 
@@ -190,6 +186,6 @@ def marginal_curves(
 def rows_to_csv(rows: Sequence[GridRow]) -> str:
     lines = [",".join(_PARAM_ORDER + ("mean_accuracy",))]
     for r in rows:
-        values = ",".join(str(v) for v in _param_tuple(r.params))
+        values = ",".join(str(v) for v in astuple(r.params))
         lines.append(f"{values},{r.mean_accuracy:.4f}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher, MatcherConfig, viterbi_match
 from canpath.obd import encode_speed_request, response_speed_kmh
 from canpath.reveng import AngleDecoder, payload_angle
-from canpath.scenarios import default_suite, fork_turns, tuning_graph, tuning_suite
+from canpath.scenarios import default_suite, fork_turns, merge_graphs, tuning_suite
 from canpath.synthgen import simulate
 from canpath.trackeval import Track, compare_tracks, nw_align
 from canpath.tuner import DEFAULT_GRIDS, TuneTrack, find_row, grid_search
@@ -171,7 +171,7 @@ def test_criterion_6_closed_loop(closed_loop):
 
 def test_criterion_7_tuning_grid():
     suite = tuning_suite()
-    graph = tuning_graph(suite)
+    graph = merge_graphs([sc.graph for sc in suite])
     tracks = []
     for scenario in suite:
         sim = simulate(scenario)

@@ -740,6 +740,55 @@ def test_compare_directory_is_one_error_line(capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:") and "directory" in lines[0], err
 
 
+# GPX bytes, and the message that must follow the file name
+BAD_GPX = {
+    "non-numeric": (b'<gpx><trk><trkseg><trkpt lat="north" lon="10.92"/></trkseg></trk></gpx>',
+                    "trkpt 0: non-numeric coordinate"),
+    "out-of-range": (b'<gpx><trk><trkseg><trkpt lat="95" lon="10.92"/></trkseg></trk></gpx>',
+                     "coordinate (95.0, 10.92) out of range"),
+    "not-utf8": (b'<gpx creator="Stra\xdfe"><trk><trkseg/></trk></gpx>', "'utf-8' codec can't decode byte 0xdf"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_GPX))
+def test_compare_bad_gpx_names_the_file(scenario_dir, capsys, tmp_path, kind):
+    data, message = BAD_GPX[kind]
+    bad = tmp_path / "bad.gpx"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "compare", scenario_dir / "leftturn_truth.gpx", bad)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: {message}"), err
+
+
+def test_tune_bad_truth_gpx_names_the_file(scenario_dir, capsys, tmp_path):
+    data, message = BAD_GPX["non-numeric"]
+    bad = tmp_path / "bad_truth.gpx"
+    bad.write_bytes(data)
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur", truth=str(bad))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {bad}: {message}"]
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["logfilter", "--swa-id", "zz"],
+        ["logfilter", "--swa-id", "900"],
+        ["logfilter", "--swa-id", "-1"],
+        ["rewheel", "--ceiling", "zz"],
+        ["rewheel", "--ceiling", "800"],
+    ],
+)
+def test_hex_id_flag_is_a_usage_error_before_the_log_is_read(capsys, tmp_path, argv):
+    command, flag, value = argv
+    # the log does not exist, so reading it first would be a different error
+    code, out, err = run(capsys, command, tmp_path / "missing.log", flag, value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: usage: argument {flag}: expected a hex CAN identifier 0-7FF, got {value!r}"]
+
+
 def test_decode_wheelbase_flag_is_usage_error(scenario_dir, capsys):
     code, out, err = run(
         capsys, "decode", scenario_dir / "leftturn.log", "--model", "renault captur", "--wheelbase", "2.6"

@@ -35,7 +35,13 @@ from canpath.inference import (
     window_aggregates,
     window_controls,
 )
-from canpath.mapmatch import ExternalMatcher, GraphMatcher, MatchResult, MatchServiceError, UnmatchedGapError
+from canpath.mapmatch import (
+    GraphMatcher,
+    MatchResult,
+    MatchServiceError,
+    UnmatchedGapError,
+    parse_external_response,
+)
 from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, encode_speed_request, encode_speed_response
 from canpath.reveng import OFFSET_MODE, TWOS_COMPLEMENT_MODE, AngleDecoder, encode_angle_frame
 from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
@@ -544,7 +550,8 @@ def test_matcher_gap_falls_back_to_raw_points():
 
 class _ScriptedMatcher:
     """Answers batch k with outcomes[k]: None returns the points unsnapped,
-    an exception class is raised."""
+    a dict is parsed as the match service's reply, an exception class is
+    raised. A call past the last outcome raises IndexError."""
 
     def __init__(self, *outcomes):
         self.outcomes = list(outcomes)
@@ -553,6 +560,8 @@ class _ScriptedMatcher:
         outcome = self.outcomes.pop(0)
         if outcome is None:
             return MatchResult(matched_points=tuple(points))
+        if isinstance(outcome, dict):
+            return parse_external_response(outcome)
         raise outcome(0) if outcome is UnmatchedGapError else outcome("service unreachable")
 
 
@@ -578,40 +587,14 @@ def test_fallback_spans_merge_only_when_adjacent():
     assert result.diagnostics.fallback_spans == [(30, 59), (90, 149)]
 
 
-class _ScriptedSession:
-    """A match service transport: request k is answered with the points it
-    sent when up[k] is true, and times out when it is false or past the end."""
-
-    def __init__(self, *up):
-        self.up = list(up)
-        self.posts = 0
-
-    def post(self, url, json, timeout):
-        self.posts += 1
-        if not (self.up and self.up.pop(0)):
-            raise TimeoutError("timed out")
-        return _StubReply({"matched_points": json["shape"]})
-
-
-class _StubReply:
-    status_code = 200
-
-    def __init__(self, document):
-        self.document = document
-
-    def json(self):
-        return self.document
-
-
 def test_service_outage_stops_sending_after_consecutive_failures():
     frames = _straight_log(n_windows=300)  # ten 30-window batches
     start = VehiclePose(44.65, 10.92, 90.0)
     raw = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), None)
     # one failure between two matches resets the count; the next two in a row end sending
-    session = _ScriptedSession(True, False, True, *[False] * MAX_SERVICE_FAILURES)
-    matcher = ExternalMatcher("http://matcher.local/trace_attributes", session=session)
+    matcher = _ScriptedMatcher(None, MatchServiceError, None, *[MatchServiceError] * MAX_SERVICE_FAILURES)
     result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, InferenceParams(), matcher)
-    assert session.posts == 3 + MAX_SERVICE_FAILURES
+    assert matcher.outcomes == []  # every outcome used, and no batch sent after them
     assert result.diagnostics.batches_matched == 2
     assert result.diagnostics.fallback_spans == [(30, 59), (90, 299)]
     assert result.gpx == raw.gpx
@@ -625,6 +608,22 @@ def test_service_outage_before_any_match_is_an_error(outcomes):
     frames = _straight_log(n_windows=90)
     with pytest.raises(MatchServiceError, match="unreachable"):
         infer_path(frames, DECODER, DEFAULT_VEHICLE, VehiclePose(44.65, 10.92, 90.0), None, _ScriptedMatcher(*outcomes))
+
+
+def test_malformed_service_point_is_a_service_failure():
+    frames = _straight_log(n_windows=90)
+    start = VehiclePose(44.65, 10.92, 90.0)
+    null_lat = {"matched_points": [{"lat": None, "lon": 10.92}]}
+    # before any match the run ends in one error
+    with pytest.raises(MatchServiceError, match="^malformed matched point at index 0$"):
+        infer_path(frames, DECODER, DEFAULT_VEHICLE, start, None, _ScriptedMatcher(null_lat))
+    # after a match the batch keeps its raw points
+    out_of_range = {"matched_points": [{"lat": 44.65, "lon": 10.92}, {"lat": 95.0, "lon": 10.92}]}
+    matcher = _ScriptedMatcher(None, out_of_range, None)
+    result = infer_path(frames, DECODER, DEFAULT_VEHICLE, start, None, matcher)
+    assert matcher.outcomes == []
+    assert result.diagnostics.batches_matched == 2
+    assert result.diagnostics.fallback_spans == [(30, 59)]
 
 
 def test_gpx_bytes_are_pinned():

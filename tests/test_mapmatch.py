@@ -3,7 +3,6 @@ import math
 import random
 import socket
 import threading
-import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -393,70 +392,41 @@ def test_response_malformed():
         parse_external_response({"matched_points": [{"lat": 1.0}]})
 
 
-class _StubResponse:
-    def __init__(self, status_code=200, payload=None, body_is_json=True):
-        self.status_code = status_code
-        self._payload = payload
-        self._body_is_json = body_is_json
-
-    def json(self):
-        if not self._body_is_json:
-            raise ValueError("not json")
-        return self._payload
-
-
-class _StubSession:
-    def __init__(self, response=None, exc=None):
-        self.response = response
-        self.exc = exc
-        self.calls = []
-
-    def post(self, url, json=None, timeout=None):
-        self.calls.append((url, json))
-        if self.exc is not None:
-            raise self.exc
-        return self.response
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"lat": None, "lon": 10.92},
+        {"lat": [44.65], "lon": 10.92},
+        {"lat": True, "lon": 10.92},
+        {"lat": "nan", "lon": 10.92},
+        {"lat": "44.65", "lon": 10.92},
+        {"lat": 44.65, "lon": math.inf},
+        {"lat": math.nan, "lon": 10.92},
+        {"lat": 95.0, "lon": 10.92},
+        {"lat": 44.65, "lon": 181},
+        {"lat": 10**400, "lon": 10.92},  # an integer too large for a float
+        "44.65,10.92",
+    ],
+)
+def test_response_point_that_is_not_a_coordinate_names_its_index(point):
+    document = {"matched_points": [{"lat": 44.65, "lon": 10.92}, point]}
+    with pytest.raises(MatchServiceError, match="^malformed matched point at index 1$"):
+        parse_external_response(document)
 
 
-def test_external_matcher_happy_path():
-    session = _StubSession(response=_StubResponse(payload=GOLDEN_RESPONSE))
-    matcher = ExternalMatcher("http://matcher.local/trace_attributes", session=session)
-    points = [(p["lat"], p["lon"]) for p in GOLDEN_REQUEST["shape"]]
-    result = matcher.match(points)
-    assert len(result.matched_points) == 6
-    url, body = session.calls[0]
-    assert url == "http://matcher.local/trace_attributes"
-    assert body == GOLDEN_REQUEST
-    assert json.dumps(body)  # request documents stay JSON-serializable
-
-
-def test_external_matcher_transport_error():
-    session = _StubSession(exc=urllib.error.URLError("refused"))
-    matcher = ExternalMatcher("http://matcher.local", session=session)
-    with pytest.raises(MatchServiceError, match="unreachable"):
-        matcher.match([(44.65, 10.92)])
-
-
-def test_external_matcher_http_error():
-    session = _StubSession(response=_StubResponse(status_code=500))
-    matcher = ExternalMatcher("http://matcher.local", session=session)
-    with pytest.raises(MatchServiceError, match="500"):
-        matcher.match([(44.65, 10.92)])
-
-
-def test_external_matcher_bad_body():
-    session = _StubSession(response=_StubResponse(body_is_json=False))
-    matcher = ExternalMatcher("http://matcher.local", session=session)
-    with pytest.raises(MatchServiceError, match="non-JSON"):
-        matcher.match([(44.65, 10.92)])
+def test_response_points_on_the_range_edges_parse():
+    document = {"matched_points": [{"lat": -90, "lon": 180}, {"lat": 90.0, "lon": -180.0}]}
+    assert parse_external_response(document).matched_points == ((-90.0, 180.0), (90.0, -180.0))
 
 
 def _serve_once(status: int, body: bytes, received: list):
-    """A loopback HTTP server that answers one POST, then stops."""
+    """A loopback HTTP server that answers one POST, then stops; each
+    request's path, content type and JSON document go to ``received``."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            document = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            received.append((self.path, self.headers["Content-Type"], document))
             self.send_response(status)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -490,17 +460,22 @@ def test_external_matcher_default_transport_over_loopback(monkeypatch):
     points = [(p["lat"], p["lon"]) for p in GOLDEN_REQUEST["shape"]]
 
     result, received = _match_over_loopback(200, json.dumps(GOLDEN_RESPONSE).encode(), points)
-    assert received == [GOLDEN_REQUEST]
+    assert received == [("/match", "application/json", GOLDEN_REQUEST)]
     assert len(result.matched_points) == 6
     assert result.edge_ids == (0, 0, 1, 1, 1, 1)
 
-    with pytest.raises(MatchServiceError, match="HTTP 500"):
+    with pytest.raises(MatchServiceError, match="^service returned HTTP 500$"):
         _match_over_loopback(500, b"", points)
+    # urlopen returns a 2xx normally; only 200 is a reply to parse
+    with pytest.raises(MatchServiceError, match="^service returned HTTP 204$"):
+        _match_over_loopback(204, b"", points)
+    with pytest.raises(MatchServiceError, match="^service returned a non-JSON body$"):
+        _match_over_loopback(200, b"<html>not json</html>", points)
 
     with socket.socket() as sock:  # a port nothing listens on once closed
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
-    with pytest.raises(MatchServiceError, match="unreachable"):
+    with pytest.raises(MatchServiceError, match="^service unreachable: "):
         ExternalMatcher(f"http://127.0.0.1:{port}/match").match(points)
 
     # a peer that answers with something other than HTTP
@@ -516,7 +491,7 @@ def test_external_matcher_default_transport_over_loopback(monkeypatch):
         thread = threading.Thread(target=answer_garbage)
         thread.start()
         try:
-            with pytest.raises(MatchServiceError, match="unreachable"):
+            with pytest.raises(MatchServiceError, match="^service unreachable: "):
                 ExternalMatcher(f"http://127.0.0.1:{listener.getsockname()[1]}/match").match(points)
         finally:
             thread.join(timeout=15)

@@ -12,7 +12,6 @@ from canpath.reveng import (
     compute_change_stats,
     encode_angle,
     encode_angle_frame,
-    format_decoder_sheet,
     lookup_vehicle,
     parse_decoder_sheet,
     payload_angle,
@@ -212,14 +211,23 @@ def test_lookup_unknown_model():
     assert lookup_vehicle("DeLorean DMC-12") is None
 
 
-def test_decoder_sheet_roundtrip(tmp_path):
+SHIPPED_SHEET = """canpath-decoders v1
+# model, id, byte_hi, byte_lo, offset, scale, mode[, wheelbase_m]
+renault captur, 0C6, 0, 1, 7FFF, 0.01, offset, 2.606
+dacia duster, 0C6, 0, 1, 7FFF, 0.01, offset, 2.673
+opel crossland, 2F5, 0, 1, 7FFF, 0.01, offset, 2.604
+peugeot 5008, 2EB, 0, 1, 7FFF, 0.01, offset, 2.84
+"""
+
+
+def test_decoder_sheet_roundtrip():
     from canpath.reveng import KNOWN_VEHICLES
 
-    text = format_decoder_sheet(KNOWN_VEHICLES.values())
-    entries = parse_decoder_sheet(text)
+    entries = parse_decoder_sheet(SHIPPED_SHEET)
     assert set(entries) == set(KNOWN_VEHICLES)
-    assert entries["opel crossland"].decoder == KNOWN_VEHICLES["opel crossland"].decoder
-    assert entries["opel crossland"].wheelbase == KNOWN_VEHICLES["opel crossland"].wheelbase
+    for model, entry in entries.items():
+        assert entry.decoder == KNOWN_VEHICLES[model].decoder
+        assert entry.wheelbase == KNOWN_VEHICLES[model].wheelbase
 
 
 def test_decoder_sheet_requires_header():

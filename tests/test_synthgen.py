@@ -71,10 +71,17 @@ def test_arc_steering_is_steady_at_atan_L_over_R():
         assert abs(angle - expected) <= DEFAULT_DECODER.scale + 1e-9
 
 
-def test_emitted_angles_match_analytic_steering_within_quantization():
-    sc = turn_left_90()
-    sim = simulate(sc)
-    analytic = dict(sim.steering_deg)
+def test_emitted_angles_match_analytic_steering_within_quantization(monkeypatch):
+    analytic = {}  # frame time -> the angle simulate asked to encode
+    encode_angle_frame = synthgen.encode_angle_frame
+
+    def recording(decoder, t, delta):
+        analytic[t] = delta
+        return encode_angle_frame(decoder, t, delta)
+
+    monkeypatch.setattr(synthgen, "encode_angle_frame", recording)
+    sim = simulate(turn_left_90())
+    assert any(abs(delta) > 10.0 for delta in analytic.values())  # the turn is in the record
     for frame in sim.frames:
         if frame.id == DEFAULT_DECODER.id:
             decoded = payload_angle(DEFAULT_DECODER, frame.data)

@@ -23,7 +23,6 @@ from canpath.scenarios import (
     PathBuilder,
     assemble_graph,
     merge_graphs,
-    tuning_graph,
     tuning_suite,
     turn_left_90,
 )
