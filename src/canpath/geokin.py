@@ -6,12 +6,14 @@ positive heading change is *subtracted* from the compass bearing.
 
 Polyline measure has its one home here: the simulator's ground truth, the
 road graph's edge offsets and the resampling before track alignment all
-use cumulative_lengths and point_along.
+use cumulative_lengths (column_lengths on coordinate columns) and
+point_along.
 
 The great-circle distance has one home too: haversine, on points that
 haversine_point has turned into (latitude in radians, its cosine,
-longitude in degrees) once each. geodesic_inverse, geodesic_distance,
-cumulative_lengths and track alignment all take their distance from it.
+longitude in degrees) once each. geodesic_inverse, geodesic_distance
+and track alignment all take their distance from it, and column_lengths,
+the one cumulative-length loop, inlines it.
 """
 
 from __future__ import annotations
@@ -144,10 +146,34 @@ def geodesic_inverse(a: LatLon, b: LatLon) -> tuple[float, float]:
 
 def cumulative_lengths(points: Sequence[LatLon]) -> list[float]:
     """Great-circle length from the first point to each; [0.0] for < 2 points."""
-    hps = [haversine_point(p) for p in points]
+    return column_lengths([p[0] for p in points], [p[1] for p in points])
+
+
+def column_lengths(lats: Sequence[float], lons: Sequence[float]) -> list[float]:
+    """cumulative_lengths of the points ``zip(lats, lons)``, from two
+    coordinate columns. This is the one cumulative-length loop: haversine
+    and haversine_point inlined in their operation order, each point's
+    radians and cosine worked out once, so every step is
+    ``haversine(haversine_point(a), haversine_point(b))`` bit for bit."""
     cum = [0.0]
-    for a, b in zip(hps, hps[1:]):
-        cum.append(cum[-1] + haversine(a, b))
+    if len(lats) < 2:
+        return cum
+    radians, cos, sin, asin, sqrt = math.radians, math.cos, math.sin, math.asin, math.sqrt
+    diameter = 2.0 * EARTH_RADIUS_M
+    append = cum.append
+    total = 0.0
+    phi1 = radians(lats[0])
+    cos1 = cos(phi1)
+    lon1 = lons[0]
+    for lat, lon2 in zip(lats[1:], lons[1:]):
+        phi2 = radians(lat)
+        cos2 = cos(phi2)
+        h = sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * sin(radians(lon2 - lon1) / 2.0) ** 2
+        root = sqrt(h)
+        # min(1.0, root): 1.0 unless root < 1.0, so NaN gives 1.0 too
+        total = total + diameter * asin(root if root < 1.0 else 1.0)
+        append(total)
+        phi1, cos1, lon1 = phi2, cos2, lon2
     return cum
 
 

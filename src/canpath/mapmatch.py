@@ -74,9 +74,10 @@ def candidates_for_point(
     graph: RoadGraph, lat: float, lon: float, config: MatcherConfig
 ) -> list[Candidate]:
     """Nearest candidate edges, returned in ascending edge-id order so tied
-    Viterbi scores resolve toward the smaller edge id."""
-    hits = graph.nearest_edges(lat, lon, config.candidate_radius, config.max_candidates)
-    return sorted(hits, key=lambda h: h.edge_id)
+    Viterbi scores resolve toward the smaller edge id. A Candidate is a
+    tuple that starts with its edge id, and a query holds each edge once,
+    so the plain tuple order is the edge-id order."""
+    return sorted(graph.nearest_edges(lat, lon, config.candidate_radius, config.max_candidates))
 
 
 def sequence_logweight(
@@ -186,8 +187,9 @@ def parse_external_response(document) -> MatchResult:
     """Extract the matched point list from a service response document.
 
     The service may densify, so the point count is whatever it returned.
-    A point whose lat or lon is not a finite number in range is a
-    MatchServiceError naming its index.
+    A point whose lat or lon is not a finite number in range, or whose
+    ``edge_index`` is present but not a non-negative integer (null and
+    true included), is a MatchServiceError naming its index.
     """
     if not isinstance(document, dict):
         raise MatchServiceError(f"malformed response: expected an object, got {type(document).__name__}")
@@ -206,8 +208,11 @@ def parse_external_response(document) -> MatchResult:
         lon = entry.get("lon") if isinstance(entry, dict) else None
         if not (_within(lat, 90) and _within(lon, 180)):
             raise MatchServiceError(f"malformed matched point at index {i}")
+        edge_index = entry.get("edge_index")
+        if "edge_index" in entry and (type(edge_index) is not int or edge_index < 0):  # bool is not int
+            raise MatchServiceError(f"malformed edge_index at index {i}")
         points.append((float(lat), float(lon)))
-        edge_ids.append(entry.get("edge_index"))
+        edge_ids.append(edge_index)
     have_edges = all(e is not None for e in edge_ids)
     return MatchResult(
         matched_points=tuple(points),

@@ -10,17 +10,28 @@ The optional lat/lon pairs are intermediate polyline points; the node
 positions are prepended/appended automatically. Coordinates must be finite,
 with |lat| <= 90 and |lon| <= 180.
 
-Nearest-edge lookup goes through a grid of segment cells built at load
-time. A cell holds runs of an edge's segments: one entry for each maximal
-run of consecutive segments whose two ends lie in that cell, and one entry
-for each segment that crosses a cell boundary in every cell of its bounding
-box, so loading costs about one entry per cell a road crosses, not one per
-segment. The segments a query box covers, grouped by edge, are gathered on
-the box's first query and kept, so the many queries that fall in one box
-share that work. Each query also keeps its hits, and the next query
-projects an edge that was a hit only onto the segments in a smaller box,
-as wide as the last hit's distance plus the hop between the two points
-(with the metric's stretch): that edge's nearest point cannot lie
+Loading checks every line and defers the rest. It parses each edge's
+coordinates into two float columns and raises every format error a line
+holds (a bad number, a missing node, a duplicate id, a zero-length edge,
+an over-limit segment), but it measures an edge, builds a node's
+adjacency and indexes an edge's segments only when a query first needs
+them, so a drive pays for the part of the map it touches, not the whole
+map. Every answer is the one the eager build gives, bit for bit.
+
+Nearest-edge lookup goes through a grid of segment cells. A cell holds
+runs of an edge's segments: one entry for each maximal run of consecutive
+segments whose two ends lie in that cell, and one entry for each segment
+that crosses a cell boundary in every cell of its bounding box, so the
+index costs about one entry per cell a road crosses, not one per segment.
+The cells are grouped into square tiles of ``_TILE`` cells on a side;
+loading registers each edge in the tiles its cell bounding box meets, and
+a query indexes the registered edges of the tiles its box meets before it
+reads the cells. The segments a query box covers, grouped by edge, are
+gathered on the box's first query and kept, so the many queries that fall
+in one box share that work. Each query also keeps its hits, and the next
+query projects an edge that was a hit only onto the segments in a smaller
+box, as wide as the last hit's distance plus the hop between the two
+points (with the metric's stretch): that edge's nearest point cannot lie
 farther, so the answer is exact whatever was queried before.
 
 Distances between nodes come from Dijkstra searches that are run on
@@ -36,10 +47,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .geokin import DEG_M, LatLon, cumulative_lengths
+from .geokin import DEG_M, LatLon, column_lengths
 
 # Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
 # default 50 m candidate radius, so a query box spans only a few cells.
@@ -48,39 +60,84 @@ _CELL_DEG = 0.0005
 # its bounding box; one whose box covers more cells than this (a box of
 # about 56 by 39 km at latitude 45) is rejected, not indexed.
 _MAX_SEGMENT_CELLS = 1_000_000
+# Index tiles are _TILE x _TILE cells (about 220 m of latitude on a side):
+# the unit in which segments are indexed on first use.
+_TILE = 4
+# An edge that spans at least this many degrees per segment in latitude or
+# longitude, less _SPAN_MARGIN for rounding, has positive length (see
+# RoadGraph._add_edge), so it is measured on first use, not at load.
+_STEP_DEG = 1e-9
+_SPAN_MARGIN = 1e-12
 # Query boxes are widened by 0.1 mm so rounding in the projection arithmetic
 # can never leave a segment within the radius outside the box.
 _PAD_DEG = 1e-9
 # (lat_lo, lat_hi, lon_lo, lon_hi) of a query box that clips no segment
 _UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
+# nearest-edge order: perpendicular distance, then edge id
+_BY_DISTANCE = itemgetter(4, 0)
 
 
 class GraphFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Edge:
-    id: int
-    node_from: int
-    node_to: int
-    bidirectional: bool
-    geometry: tuple[LatLon, ...]  # includes both endpoints
-    length_m: float
-    cum_m: tuple[float, ...]  # cumulative length at each geometry vertex
+    """A directed or two-way road between two nodes. Its polyline, both
+    endpoints included, is held as two float columns, ``lats`` and
+    ``lons``; ``geometry`` zips them into ``(lat, lon)`` pairs on each
+    read. ``cum_m`` (cumulative length at each vertex) and ``length_m``
+    are measured on first read and kept."""
+
+    def __init__(
+        self, id: int, node_from: int, node_to: int, bidirectional: bool, lats: tuple[float, ...], lons: tuple[float, ...]
+    ):
+        self.id = id
+        self.node_from = node_from
+        self.node_to = node_to
+        self.bidirectional = bidirectional
+        self.lats = lats
+        self.lons = lons
+
+    @property
+    def geometry(self) -> tuple[LatLon, ...]:
+        return tuple(zip(self.lats, self.lons))
+
+    @cached_property
+    def cum_m(self) -> tuple[float, ...]:
+        return tuple(column_lengths(self.lats, self.lons))
+
+    @cached_property
+    def length_m(self) -> float:
+        return self.cum_m[-1]
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A point snapped onto an edge: its along-edge offset from the edge's
-    from-node, its coordinate, and its perpendicular distance from the
-    query point."""
+class Candidate(tuple):
+    """A point snapped onto an edge: the immutable 5-tuple
+    ``(edge_id, offset_m, lat, lon, perp_m)`` with those fields by name,
+    its along-edge offset from the edge's from-node, its coordinate, and
+    its perpendicular distance from the query point. ``_project`` builds
+    the tuple directly with ``tuple.__new__``. Candidates compare and hash
+    as the tuple of their fields, so edge id orders them first."""
 
-    edge_id: int
-    offset_m: float
-    lat: float
-    lon: float
-    perp_m: float
+    __slots__ = ()
+
+    def __new__(cls, edge_id: int, offset_m: float, lat: float, lon: float, perp_m: float):
+        return tuple.__new__(cls, (edge_id, offset_m, lat, lon, perp_m))
+
+    edge_id = property(itemgetter(0))
+    offset_m = property(itemgetter(1))
+    lat = property(itemgetter(2))
+    lon = property(itemgetter(3))
+    perp_m = property(itemgetter(4))
+
+    def __getnewargs__(self):
+        # pickling and copying rebuild the candidate through __new__
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"Candidate(edge_id={self[0]!r}, offset_m={self[1]!r}, lat={self[2]!r}, lon={self[3]!r}, perp_m={self[4]!r})"
+        )
 
 
 class RoadGraph:
@@ -92,9 +149,16 @@ class RoadGraph:
         """edges entries: (id, from, to, bidirectional, intermediate points)."""
         self.nodes = dict(nodes)
         self.edges: dict[int, Edge] = {}
-        self._adjacency: dict[int, list[tuple[int, float]]] = {n: [] for n in self.nodes}
+        # per node: the edges a search leaves it by, in insertion order, and
+        # once the node is first expanded, their (neighbor, length) pairs
+        self._incident: dict[int, list[Edge]] = {n: [] for n in self.nodes}
+        self._adjacency: dict[int, list[tuple[int, float]]] = {}
         # per cell: (edge id, first, end) entries for the segments range(first, end)
         self._cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        # per tile not yet indexed: the edges whose cell bounding box meets it
+        self._tiles: dict[tuple[int, int], list[Edge]] = {}
+        # ids of the edges in _cells
+        self._indexed: set[int] = set()
         # per query box (i0, i1, j0, j1): each edge with its ascending segments
         self._boxes: dict[tuple[int, int, int, int], list[tuple[Edge, tuple[int, ...]]]] = {}
         # (lat, lon, kx, returned hits) of the last nearest_edges query
@@ -107,41 +171,88 @@ class RoadGraph:
         # legs, see route_distance
         self._legs: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
-        for edge in edges:
-            self._add_edge(*edge)
+        for edge_id, node_from, node_to, bidir, mid in edges:
+            self._add_edge(edge_id, node_from, node_to, bidir, [p[0] for p in mid], [p[1] for p in mid])
 
     # -- construction helpers -------------------------------------------------
 
-    def _add_edge(self, edge_id: int, node_from: int, node_to: int, bidir: bool, mid: Sequence[LatLon]) -> None:
-        if node_from not in self.nodes or node_to not in self.nodes:
+    def _add_edge(
+        self, edge_id: int, node_from: int, node_to: int, bidir: bool, mid_lats: list[float], mid_lons: list[float]
+    ) -> None:
+        """Adds an edge with the given intermediate points, raising every
+        error the eager build raises, in its order: a missing node, zero
+        length, a duplicate id, an over-limit segment.
+
+        Zero length is ruled out without measuring an edge whose
+        coordinates are finite, within |lat| <= 90 and |lon| <= 180, and
+        whose latitude or longitude span S over its n vertices has
+        S - _SPAN_MARGIN >= _STEP_DEG * (n - 1) as computed. Proof: the
+        computed S, the subtraction and the product each round by less
+        than 1e-13 on coordinates this small, so the true span exceeds
+        1e-9 * (n - 1). The polyline walks from its lowest vertex to its
+        highest in at most n - 1 steps, so some step changes that
+        coordinate by more than 1e-9 degrees. On that step, haversine's
+        sin((phi2 - phi1) / 2) ** 2 (a latitude step: the radians of two
+        latitudes 1e-9 apart differ by over 1.7e-11 after rounding) or
+        sin(radians(dlon) / 2) ** 2 (a longitude step, with dlon in
+        [1e-9, 360]) is at least 1e-32, and cos1 * cos2 is at least 3e-33,
+        because |phi| <= radians(90) < pi / 2. The other term is never
+        negative, so h > 0 with no underflow, and the step's length
+        2 R asin(min(1, sqrt(h))) is positive. Every step is >= 0 and
+        adding a non-negative float never decreases a sum, so the edge's
+        length is positive. Any other edge is measured here, and one of
+        length <= 0 is rejected with the eager build's message.
+
+        A segment's cell box lies inside its edge's cell box, so only an
+        edge whose box exceeds _MAX_SEGMENT_CELLS can hold an over-limit
+        segment; such an edge (or one with a coordinate that is not
+        finite) is indexed here, which raises that error. Any other edge
+        is registered in the tiles its box meets and indexed on first use.
+        """
+        nodes = self.nodes
+        if node_from not in nodes or node_to not in nodes:
             raise GraphFormatError(f"edge {edge_id} references a missing node")
-        geometry = (self.nodes[node_from], *tuple(mid), self.nodes[node_to])
-        cum = cumulative_lengths(geometry)
-        length = cum[-1]
-        if length <= 0:
-            raise GraphFormatError(f"edge {edge_id} has zero length")
+        (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
+        lats = (alat, *mid_lats, blat)
+        lons = (alon, *mid_lons, blon)
+        edge = Edge(edge_id, node_from, node_to, bool(bidir), lats, lons)
+        lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
+        # a NaN or an infinity makes the sum NaN or infinite
+        finite = math.isfinite(sum(lats) + sum(lons))
+        if not (
+            finite
+            and -90.0 <= lat_lo
+            and lat_hi <= 90.0
+            and -180.0 <= lon_lo
+            and lon_hi <= 180.0
+            and max(lat_hi - lat_lo, lon_hi - lon_lo) - _SPAN_MARGIN >= _STEP_DEG * (len(lats) - 1)
+        ):
+            if edge.length_m <= 0:
+                raise GraphFormatError(f"edge {edge_id} has zero length")
         if edge_id in self.edges:
             raise GraphFormatError(f"duplicate edge id {edge_id}")
-        edge = Edge(
-            id=edge_id,
-            node_from=node_from,
-            node_to=node_to,
-            bidirectional=bool(bidir),
-            geometry=geometry,
-            length_m=length,
-            cum_m=tuple(cum),
-        )
         self.edges[edge_id] = edge
-        self._adjacency[node_from].append((node_to, length))
+        self._incident[node_from].append(edge)
         if edge.bidirectional:
-            self._adjacency[node_to].append((node_from, length))
+            self._incident[node_to].append(edge)
         self._parent[self._component(node_from)] = self._component(node_to)
+        if finite:
+            i0, i1 = int(lat_lo // _CELL_DEG), int(lat_hi // _CELL_DEG)
+            j0, j1 = int(lon_lo // _CELL_DEG), int(lon_hi // _CELL_DEG)
+            if (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_SEGMENT_CELLS:
+                tiles = self._tiles
+                for ti in range(i0 // _TILE, i1 // _TILE + 1):
+                    for tj in range(j0 // _TILE, j1 // _TILE + 1):
+                        tiles.setdefault((ti, tj), []).append(edge)
+                return
+        self._indexed.add(edge_id)
         self._index_edge(edge)
 
     @classmethod
     def from_text(cls, text: str) -> "RoadGraph":
         nodes: dict[int, LatLon] = {}
-        edges: list[tuple[int, tuple[int, int, int, bool, list[LatLon]]]] = []  # (line, record)
+        # (line, record)
+        edges: list[tuple[int, tuple[int, int, int, bool, list[float], list[float]]]] = []
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -160,8 +271,8 @@ class RoadGraph:
                         raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
                     if parts[4] not in ("0", "1"):
                         raise ValueError("bidir flag must be 0 or 1")
-                    mid = [_latlon(parts[i], parts[i + 1]) for i in range(5, len(parts), 2)]
-                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", mid)))
+                    lats, lons = _columns(parts[5:])
+                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", lats, lons)))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except ValueError as exc:
@@ -192,7 +303,7 @@ class RoadGraph:
             lines.append(f"node {node_id} {lat:.7f} {lon:.7f}")
         for edge_id in sorted(self.edges):
             e = self.edges[edge_id]
-            mid = " ".join(f"{lat:.7f} {lon:.7f}" for lat, lon in e.geometry[1:-1])
+            mid = " ".join(f"{lat:.7f} {lon:.7f}" for lat, lon in zip(e.lats[1:-1], e.lons[1:-1]))
             row = f"edge {e.id} {e.node_from} {e.node_to} {1 if e.bidirectional else 0}"
             lines.append(row + (" " + mid if mid else ""))
         return "\n".join(lines) + "\n"
@@ -209,13 +320,13 @@ class RoadGraph:
         segments whose two ends lie in one cell, in that cell, and one per
         other segment in every cell of its bounding box.
 
-        Expanded, each cell holds the same (edge, segment) pairs in the same
-        order as entering every segment in every cell of its box would give:
-        a run's segments touch only its cell, and no other entry can come
-        between them there."""
+        Expanded, the edge's entries in each cell are the same (edge,
+        segment) pairs in the same order as entering each of its segments
+        in every cell of its box would give: a run's segments touch only
+        its cell, and no other entry can come between them there."""
         index = self._cells
         edge_id = edge.id
-        cells = [(int(lat // _CELL_DEG), int(lon // _CELL_DEG)) for lat, lon in edge.geometry]
+        cells = [(int(lat // _CELL_DEG), int(lon // _CELL_DEG)) for lat, lon in zip(edge.lats, edge.lons)]
         first = 0
         for seg in range(len(cells) - 1):
             a = cells[seg]
@@ -266,28 +377,33 @@ class RoadGraph:
         order keeps the lowest segment on ties.
 
         This is the one projection kernel (``nearest_edges`` and
-        ``project_to_edge`` both call it), written on locals: each vertex
-        is unpacked once, the segment vector is ``(blon - lon) * kx - ax``
-        (the same float as the far end's local x minus ``ax``), and ``t`` is
-        clamped to [0, 1] by the comparisons that ``max(0.0, min(1.0, t))``
-        makes, so -0.0 becomes 0.0 and NaN becomes 1.0.
+        ``project_to_edge`` both call it), written on locals over the
+        edge's coordinate columns: a segment's longitudes are read only
+        once its latitudes pass the box, the segment vector is
+        ``(blon - lon) * kx - ax`` (the same float as the far end's local x
+        minus ``ax``), and ``t`` is clamped to [0, 1] by the comparisons
+        that ``max(0.0, min(1.0, t))`` makes, so -0.0 becomes 0.0 and NaN
+        becomes 1.0. The hit is built with ``tuple.__new__``.
         """
         ky = DEG_M
         hypot = math.hypot
-        geometry = edge.geometry
+        lats = edge.lats
+        lons = edge.lons
         lat_lo, lat_hi, lon_lo, lon_hi = bounds
         best_dist = math.inf
         best_seg = -1
         best_t = 0.0
         for seg in segs:
-            alat, alon = geometry[seg]
-            blat, blon = geometry[seg + 1]
+            alat = lats[seg]
+            blat = lats[seg + 1]
             if alat > lat_hi:
                 if blat > lat_hi:
                     continue
             if alat < lat_lo:
                 if blat < lat_lo:
                     continue
+            alon = lons[seg]
+            blon = lons[seg + 1]
             if alon > lon_hi:
                 if blon > lon_hi:
                     continue
@@ -314,16 +430,18 @@ class RoadGraph:
                 best_t = t
         if best_seg < 0 or best_dist > radius_m:
             return None
-        alat, alon = geometry[best_seg]
-        blat, blon = geometry[best_seg + 1]
+        alat, blat = lats[best_seg], lats[best_seg + 1]
+        alon, blon = lons[best_seg], lons[best_seg + 1]
         t, cum = best_t, edge.cum_m
         offset = cum[best_seg] + t * (cum[best_seg + 1] - cum[best_seg])
-        return Candidate(edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon), best_dist)
+        return tuple.__new__(
+            Candidate, (edge.id, offset, alat + t * (blat - alat), alon + t * (blon - alon), best_dist)
+        )
 
     def project_to_edge(self, edge_id: int, lat: float, lon: float) -> Candidate:
         """Perpendicular projection of a point onto an edge's polyline."""
         edge = self.edges[edge_id]
-        return self._project(edge, range(len(edge.geometry) - 1), lat, lon, DEG_M * math.cos(math.radians(lat)))
+        return self._project(edge, range(len(edge.lats) - 1), lat, lon, DEG_M * math.cos(math.radians(lat)))
 
     def nearest_edges(self, lat: float, lon: float, radius_m: float, max_results: int) -> list[Candidate]:
         """Candidate edges within radius, nearest first (ties by edge id).
@@ -336,10 +454,14 @@ class RoadGraph:
         (the local metric is the one ``_project`` uses, padded for rounding),
         so each edge's nearest segment within the radius is among the indexed
         segments projected here, and ascending segment order keeps the same
-        tie rule. Near a pole, where the box holds more cells than the index,
-        the index's own cells are filtered instead. The index is fixed after
-        load, so a box's (edge, segments) groups are built on its first query
-        and reused.
+        tie rule. Before a box's first query, every edge registered in a
+        tile that meets the box is indexed (``_index_tiles``); an edge
+        with a segment indexed in a cell has that cell in its cell bounding
+        box, so it is registered in the cell's tile, and every cell of the
+        box is then complete. Near a pole, where the box holds more cells
+        than the index, the index's own cells are filtered instead. Later
+        indexing adds entries only outside built tiles, so a box's (edge,
+        segments) groups are built on its first query and reused.
 
         Within a group, ``_project`` skips a segment whose two ends lie beyond
         the same side of the query box. Every point of such a segment lies
@@ -375,6 +497,8 @@ class RoadGraph:
         )
         groups = self._boxes.get(box)
         if groups is None:
+            if self._tiles:
+                self._index_tiles(*box)
             groups = self._boxes[box] = self._box_groups(*box)
         near: dict[int, tuple[float, float, float, float]] = {}
         if self._last is not None:
@@ -393,10 +517,27 @@ class RoadGraph:
             hit = self._project(edge, segs, lat, lon, kx, radius_m, near.get(edge.id, bounds))
             if hit is not None:
                 hits.append(hit)
-        hits.sort(key=lambda h: (h.perp_m, h.edge_id))
+        hits.sort(key=_BY_DISTANCE)
         hits = hits[:max_results]
         self._last = (lat, lon, kx, hits)
         return hits
+
+    def _index_tiles(self, i0: int, i1: int, j0: int, j1: int) -> None:
+        """Indexes every edge registered in a not yet indexed tile that
+        meets the cell box; near a pole, where the box meets more tiles
+        than are registered, the registry is filtered instead."""
+        tiles = self._tiles
+        t0, t1, u0, u1 = i0 // _TILE, i1 // _TILE, j0 // _TILE, j1 // _TILE
+        if (t1 - t0 + 1) * (u1 - u0 + 1) <= len(tiles):
+            keys = [(t, u) for t in range(t0, t1 + 1) for u in range(u0, u1 + 1) if (t, u) in tiles]
+        else:
+            keys = [(t, u) for t, u in tiles if t0 <= t <= t1 and u0 <= u <= u1]
+        indexed = self._indexed
+        for key in keys:
+            for edge in tiles.pop(key):
+                if edge.id not in indexed:
+                    indexed.add(edge.id)
+                    self._index_edge(edge)
 
     def _box_groups(self, i0: int, i1: int, j0: int, j1: int) -> list[tuple[Edge, tuple[int, ...]]]:
         """Each edge indexed in the cells of a box, with its segments there
@@ -436,6 +577,9 @@ class RoadGraph:
         search ends with. A target in another weak component is inf at once,
         with no search started or resumed; one that one-way edges keep out of
         reach inside the source's component still exhausts that component.
+        A node's (neighbor, length) list is built on its first expansion, in
+        the order its edges were added, so the heap sees the pushes of an
+        adjacency built at load.
         """
         if self._component(source) != self._component(target):
             return math.inf
@@ -451,7 +595,12 @@ class RoadGraph:
             if d > dist[node]:
                 continue
             settled[node] = d
-            for neighbor, length in adjacency[node]:
+            neighbors = adjacency.get(node)
+            if neighbors is None:
+                neighbors = adjacency[node] = [
+                    (e.node_to if e.node_from == node else e.node_from, e.length_m) for e in self._incident[node]
+                ]
+            for neighbor, length in neighbors:
                 nd = d + length
                 if nd < dist.get(neighbor, math.inf):
                     dist[neighbor] = nd
@@ -473,6 +622,28 @@ def _latlon(lat_text: str, lon_text: str) -> LatLon:
     raise ValueError(f"longitude {lon_text} is outside [-180, 180]")
 
 
+def _columns(tokens: list[str]) -> tuple[list[float], list[float]]:
+    """The latitude and longitude columns of an edge line's coordinate
+    tokens, converted and checked in bulk. On any failure the pairs are
+    read again one by one with ``_latlon``, which names the first bad one."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = None
+    if values is not None:
+        lats, lons = values[0::2], values[1::2]
+        if not values or (
+            math.isfinite(sum(values))
+            and -90.0 <= min(lats)
+            and max(lats) <= 90.0
+            and -180.0 <= min(lons)
+            and max(lons) <= 180.0
+        ):
+            return lats, lons
+    pairs = [_latlon(tokens[i], tokens[i + 1]) for i in range(0, len(tokens), 2)]
+    return [lat for lat, _ in pairs], [lon for _, lon in pairs]
+
+
 def route_distance(graph: RoadGraph, a: Candidate, b: Candidate) -> float:
     """Shortest along-road distance between two points on edges.
 
@@ -488,25 +659,27 @@ def route_distance(graph: RoadGraph, a: Candidate, b: Candidate) -> float:
     one routing definition: the Viterbi matcher, ``sequence_logweight`` and
     the brute-force oracle all score transitions with it.
     """
+    a_id, a_offset = a[0], a[1]  # edge_id, offset_m
+    b_id, b_offset = b[0], b[1]
     best = math.inf
-    edge_a = graph.edges[a.edge_id]
-    edge_b = graph.edges[b.edge_id]
-    if a.edge_id == b.edge_id:
+    edge_a = graph.edges[a_id]
+    edge_b = graph.edges[b_id]
+    if a_id == b_id:
         if edge_a.bidirectional:
-            best = abs(a.offset_m - b.offset_m)
-        elif b.offset_m >= a.offset_m:
-            best = b.offset_m - a.offset_m
-    legs = graph._legs.get((a.edge_id, b.edge_id))
+            best = abs(a_offset - b_offset)
+        elif b_offset >= a_offset:
+            best = b_offset - a_offset
+    legs = graph._legs.get((a_id, b_id))
     if legs is None:
         exits = (edge_a.node_to, edge_a.node_from) if edge_a.bidirectional else (edge_a.node_to,)
         entries = (edge_b.node_from, edge_b.node_to) if edge_b.bidirectional else (edge_b.node_from,)
-        legs = graph._legs[a.edge_id, b.edge_id] = [
+        legs = graph._legs[a_id, b_id] = [
             (i, j, graph.node_distance(exit_node, entry_node))
             for i, exit_node in enumerate(exits)
             for j, entry_node in enumerate(entries)
         ]
-    exit_costs = (edge_a.length_m - a.offset_m, a.offset_m)
-    entry_costs = (b.offset_m, edge_b.length_m - b.offset_m)
+    exit_costs = (edge_a.length_m - a_offset, a_offset)
+    entry_costs = (b_offset, edge_b.length_m - b_offset)
     for i, j, leg in legs:
         total = exit_costs[i] + leg + entry_costs[j]
         if total < best:

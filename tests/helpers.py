@@ -118,24 +118,25 @@ def arc_graph(radius: float = 30.0) -> RoadGraph:
     return assemble_graph({1: pb.straight(40).arc(radius, 180).straight(40).take()})
 
 
-def grid_text(lat0, lon0, n=4, step_deg=0.0007, vertex_deg=0.00009):
+def grid_text(lat0, lon0, n=4, step_deg=0.0007, vertex_deg=0.00009, id_base=0):
     """Graph text of an n x n street grid with ~78 m blocks and a vertex
-    every ~10 m; rows are two-way, columns one-way north."""
-    lines, edge_id = [], 1
+    every ~10 m; rows are two-way, columns one-way north. Node and edge
+    ids start at id_base and id_base + 1."""
+    lines, edge_id = [], id_base + 1
     for r in range(n):
         for c in range(n):
-            lines.append(f"node {r * n + c} {lat0 + r * step_deg:.9f} {lon0 + c * step_deg:.9f}")
+            lines.append(f"node {id_base + r * n + c} {lat0 + r * step_deg:.9f} {lon0 + c * step_deg:.9f}")
     mids = [k * vertex_deg for k in range(1, int(step_deg / vertex_deg))]
     for r in range(n):
         for c in range(n):
             lat, lon = lat0 + r * step_deg, lon0 + c * step_deg
             if c + 1 < n:
                 pts = " ".join(f"{lat:.9f} {lon + d:.9f}" for d in mids)
-                lines.append(f"edge {edge_id} {r * n + c} {r * n + c + 1} 1 {pts}")
+                lines.append(f"edge {edge_id} {id_base + r * n + c} {id_base + r * n + c + 1} 1 {pts}")
                 edge_id += 1
             if r + 1 < n:
                 pts = " ".join(f"{lat + d:.9f} {lon:.9f}" for d in mids)
-                lines.append(f"edge {edge_id} {r * n + c} {(r + 1) * n + c} 0 {pts}")
+                lines.append(f"edge {edge_id} {id_base + r * n + c} {id_base + (r + 1) * n + c} 0 {pts}")
                 edge_id += 1
     return "\n".join(lines) + "\n"
 

@@ -9,6 +9,7 @@ from canpath.geokin import (
     VehiclePose,
     VehicleSpec,
     angular_speed,
+    column_lengths,
     cumulative_lengths,
     geodesic_distance,
     geodesic_forward,
@@ -235,6 +236,22 @@ def test_cumulative_lengths_is_bit_identical_to_the_reference():
         assert _bits(cumulative_lengths(line)) == _bits(_reference_cumulative_lengths(line))
         assert polyline_length(line).hex() == _reference_cumulative_lengths(line)[-1].hex()
         start += max(n, 1)
+
+
+def test_column_lengths_steps_are_the_haversine_kernel():
+    # every step of the inlined loop is haversine on haversine_point, bit for
+    # bit, and the sum runs in the same order, whatever holds the columns
+    rng = random.Random(20261021)
+    points = [p for pair in _reference_pairs(rng, 20_000) for p in pair]
+    points.insert(100, points[100])  # a repeated vertex
+    want = [0.0]
+    for a, b in zip(points, points[1:]):
+        want.append(want[-1] + haversine(haversine_point(a), haversine_point(b)))
+    lats, lons = [p[0] for p in points], [p[1] for p in points]
+    assert _bits(column_lengths(lats, lons)) == _bits(want)
+    assert _bits(column_lengths(tuple(lats), tuple(lons))) == _bits(want)
+    assert _bits(cumulative_lengths(points)) == _bits(want)
+    assert column_lengths([], []) == column_lengths(lats[:1], lons[:1]) == [0.0]
 
 
 def test_straight_steps_conserve_length():

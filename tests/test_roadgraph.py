@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from canpath.geokin import DEG_M, geodesic_inverse
+from canpath.geokin import DEG_M, cumulative_lengths, geodesic_inverse
 from canpath import mapmatch, roadgraph
+from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
 from canpath.roadgraph import _CELL_DEG, _PAD_DEG, Candidate, GraphFormatError, RoadGraph, route_distance
-from canpath.scenarios import PathBuilder, assemble_graph
+from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, PathBuilder, assemble_graph, merge_graphs
+from canpath.synthgen import SimScenario, simulate
 
 from helpers import (
     all_simple_path_distances,
@@ -82,12 +84,184 @@ def test_parse_errors(text, message):
         RoadGraph.from_text(text)
 
 
+def index_all(graph):
+    """The segment index with every tile built, through the path that a
+    nearest_edges query takes for its box, here a box over every cell."""
+    huge = 2**62
+    graph._index_tiles(-huge, huge, -huge, huge)
+    return graph._cells
+
+
+_NODES_12 = "node 1 44.65 10.92\nnode 2 44.66 10.92\n"
+
+# Every message is the one the graph gave when it measured and indexed each
+# edge at load.
+_LOAD_ERRORS = {
+    "missing node": ("node 1 44.65 10.92\nedge 1 1 2 1\n", "line 2: edge 1 references a missing node"),
+    "duplicate node": (_NODES_12 + "node 1 45.0 10.92\n", "line 3: duplicate node id 1"),
+    "duplicate edge": (_NODES_12 + "edge 1 1 2 1\nedge 1 2 1 1\n", "line 4: duplicate edge id 1"),
+    # zero length is found before the duplicate id
+    "zero-length duplicate": (
+        "node 1 44.65 10.92\nnode 2 44.65 10.92\nnode 3 44.66 10.92\nedge 1 1 3 1\nedge 1 1 2 1\n",
+        "line 5: edge 1 has zero length",
+    ),
+    "zero length": ("node 1 44.65 10.92\nnode 2 44.65 10.92\nedge 1 1 2 1\n", "line 3: edge 1 has zero length"),
+    "zero length through a point": (
+        "node 1 44.65 10.92\nnode 2 44.65 10.92\nedge 1 1 2 0 44.65 10.92\n",
+        "line 3: edge 1 has zero length",
+    ),
+    # every point within 1e-12 degrees of the others, so small that each
+    # step's haversine underflows to 0
+    "points within 1e-12 degrees": (
+        "node 1 0 0\nnode 2 1e-170 0\nedge 1 1 2 1 5e-171 1e-171\n",
+        "line 3: edge 1 has zero length",
+    ),
+    "over-limit segment after a run": (
+        "node 1 0.0001 0.0001\nnode 2 0.6 0.6\nedge 1 1 2 1 0.0002 0.0003 0.0004 0.0002\n",
+        "line 3: edge 1 segment 2 spans 1440000 index cells (at most 1000000); add intermediate points",
+    ),
+    "nan": (_NODES_12 + "edge 1 1 2 1 44.655 10.92 nan 10.92\n", "line 3: coordinate nan 10.92 is not finite"),
+    "inf": (_NODES_12 + "edge 1 1 2 1 44.655 -inf\n", "line 3: coordinate 44.655 -inf is not finite"),
+    "latitude out of range": (_NODES_12 + "edge 1 1 2 1 91 10.92\n", "line 3: latitude 91 is outside [-90, 90]"),
+    "longitude out of range": (
+        _NODES_12 + "edge 1 1 2 1 44.655 -180.5\n",
+        "line 3: longitude -180.5 is outside [-180, 180]",
+    ),
+    "out of range before a bad token": (
+        _NODES_12 + "edge 1 1 2 1 44.655 10.92 95 10.92 foo 10.92\n",
+        "line 3: latitude 95 is outside [-90, 90]",
+    ),
+    "bad token before out of range": (
+        _NODES_12 + "edge 1 1 2 1 44.655 10.92 foo 10.92 95 10.92\n",
+        "line 3: could not convert string to float: 'foo'",
+    ),
+    "coordinate before a bad id": (_NODES_12 + "edge x 1 2 1 91 10.92\n", "line 3: latitude 91 is outside [-90, 90]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOAD_ERRORS))
+def test_load_errors_are_unchanged(case):
+    text, message = _LOAD_ERRORS[case]
+    with pytest.raises(GraphFormatError) as info:
+        RoadGraph.from_text(text)
+    assert str(info.value) == message
+
+
+_A, _B = (44.65, 10.92), (44.66, 10.92)
+_CONSTRUCTOR_ERRORS = {
+    "missing node": ({1: _A}, [(1, 1, 2, True, [])], "edge 1 references a missing node"),
+    "duplicate edge": ({1: _A, 2: _B}, [(1, 1, 2, True, []), (1, 2, 1, False, [])], "duplicate edge id 1"),
+    "zero length": ({1: _A, 2: _A}, [(1, 1, 2, True, [_A])], "edge 1 has zero length"),
+    "points within 1e-12 degrees": (
+        {1: (0.0, 0.0), 2: (1e-170, 0.0)},
+        [(1, 1, 2, True, [(5e-171, 1e-171)])],
+        "edge 1 has zero length",
+    ),
+    "over-limit segment after a run": (
+        {1: (0.0001, 0.0001), 2: (0.6, 0.6)},
+        [(1, 1, 2, True, [(0.0002, 0.0003), (0.0004, 0.0002)])],
+        "edge 1 segment 2 spans 1440000 index cells (at most 1000000); add intermediate points",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTRUCTOR_ERRORS))
+def test_constructor_errors_are_unchanged(case):
+    nodes, edges, message = _CONSTRUCTOR_ERRORS[case]
+    with pytest.raises(GraphFormatError) as info:
+        RoadGraph(nodes, edges)
+    assert str(info.value) == message
+
+
+def test_edges_that_load_keep_their_eager_length():
+    # points 1e-12 degrees apart near 44.65: too close for the span rule,
+    # so measured at load, and positive; and a 1 x 1 degree edge of short
+    # segments, whose cell box is over the limit, so indexed at load
+    tiny = "node 1 44.65 10.92\nnode 2 44.650000000001 10.92\nedge 1 1 2 1 44.6500000000005 10.9200000000005\n"
+    wide = "node 1 0 0\nnode 2 1 1\nedge 1 1 2 1 " + " ".join(f"{k / 100} {k / 100}" for k in range(1, 100)) + "\n"
+    assert RoadGraph.from_text(tiny).edges[1].length_m.hex() == "0x1.24fb853fcfe23p-23"
+    graph = RoadGraph.from_text(wide)
+    assert graph.edges[1].length_m.hex() == "0x1.3320cca6bfecbp+17"
+    assert 1 in graph._indexed and graph._tiles == {}
+
+
+def test_zero_length_is_found_exactly_when_the_eager_length_is_not_positive():
+    # polylines on lattices from 1e-13 to 1e-7 degrees, around the span
+    # rule's 1e-9 degrees per step, near the equator, at 44.65 and at a
+    # pole, each loaded or rejected as its measured length says
+    rng = random.Random(20261021)
+    outcomes = set()
+    for _ in range(3000):
+        base_lat, base_lon = rng.choice(((0.0, 0.0), (44.65, 10.92), (90.0, 179.9), (-89.99, -180.0)))
+        unit = 10.0 ** rng.randint(-13, -7)
+        points = [
+            (max(-90.0, min(90.0, base_lat + rng.randint(-3, 3) * unit)), base_lon + rng.randint(-3, 3) * unit)
+            for _ in range(rng.randint(2, 6))
+        ]
+        nodes = {1: points[0], 2: points[-1]}
+        length = cumulative_lengths(points)[-1]
+        if length > 0:
+            graph = RoadGraph(nodes, [(1, 1, 2, rng.random() < 0.5, points[1:-1])])
+            assert graph.edges[1].length_m == length, points
+            assert graph.edges[1].cum_m == tuple(cumulative_lengths(points)), points
+        else:
+            with pytest.raises(GraphFormatError, match="^edge 1 has zero length$"):
+                RoadGraph(nodes, [(1, 1, 2, True, points[1:-1])])
+        outcomes.add(length > 0)
+    assert outcomes == {True, False}
+
+
+def _edge_between(graph, a, b):
+    (edge_id,) = [e.id for e in graph.edges.values() if {e.node_from, e.node_to} == {a, b}]
+    return edge_id
+
+
+def test_a_drive_does_not_touch_a_distant_map():
+    # east two blocks, north two, east two on a 5 x 5 grid, then the same
+    # drive matched on that grid merged with a 12 x 12 grid 50 km north
+    near_text = grid_text(44.65, 10.92, n=5)
+    near = RoadGraph.from_text(near_text)
+    route = [_edge_between(near, a, b) for a, b in zip([0, 1, 2, 7, 12, 13], [1, 2, 7, 12, 13, 14])]
+    scenario = SimScenario("grid drive", near, route, [(0.0, 30.0)], DEFAULT_DECODER, DEFAULT_VEHICLE)
+    sim = simulate(scenario)
+    far_text = grid_text(45.1, 10.92, n=12, id_base=1000)
+    merged = merge_graphs([RoadGraph.from_text(near_text), RoadGraph.from_text(far_text)])
+    far = {edge_id for edge_id in merged.edges if edge_id > 1000}
+    assert len(far) > 2 * len(near.edges)
+
+    def gpx(matcher):
+        return infer_path(sim.frames, DEFAULT_DECODER, DEFAULT_VEHICLE, sim.start, InferenceParams(), matcher).gpx
+
+    alone = gpx(GraphMatcher(RoadGraph.from_text(near_text)))
+    assert gpx(GraphMatcher(merged)) == alone != gpx(None)
+    measured = {e.id for e in merged.edges.values() if "cum_m" in vars(e) or "length_m" in vars(e)}
+    in_cells = {edge_id for entries in merged._cells.values() for edge_id, _, _ in entries}
+    assert measured and in_cells and merged._adjacency
+    assert not measured & far and not in_cells & far and not merged._indexed & far
+    assert all(node < 1000 for node in merged._adjacency)
+
+
+def test_candidates_are_tuples_with_named_fields():
+    import copy
+    import pickle
+
+    hit = Candidate(7, 12.5, 44.65, 10.92, 3.0)
+    assert (hit.edge_id, hit.offset_m, hit.lat, hit.lon, hit.perp_m) == (7, 12.5, 44.65, 10.92, 3.0)
+    assert hit == (7, 12.5, 44.65, 10.92, 3.0) and hash(hit) == hash(tuple(hit))
+    assert sorted([Candidate(9, 0.0, 0.0, 0.0, 1.0), hit])[0] is hit
+    for back in (pickle.loads(pickle.dumps(hit)), copy.copy(hit), copy.deepcopy(hit)):
+        assert type(back) is Candidate and back == hit
+    assert repr(hit) == "Candidate(edge_id=7, offset_m=12.5, lat=44.65, lon=10.92, perp_m=3.0)"
+    with pytest.raises(AttributeError):
+        hit.perp_m = 1.0
+
+
 def test_segment_cell_limit(monkeypatch):
     monkeypatch.setattr(roadgraph, "_MAX_SEGMENT_CELLS", 6)
     lat, lon = 10 * _CELL_DEG + _CELL_DEG / 2, 20 * _CELL_DEG + _CELL_DEG / 2
     # a box of 2 x 3 cells is indexed, one of 3 x 3 is not
     graph = RoadGraph({1: (lat, lon), 2: (lat + _CELL_DEG, lon + 2 * _CELL_DEG)}, [(1, 1, 2, True, [])])
-    assert len(graph._cells) == 6
+    assert len(index_all(graph)) == 6
     with pytest.raises(GraphFormatError, match="edge 1 segment 0 spans 9 index cells"):
         RoadGraph({1: (lat, lon), 2: (lat + 2 * _CELL_DEG, lon + 2 * _CELL_DEG)}, [(1, 1, 2, True, [])])
 
@@ -129,16 +303,18 @@ def _arc_graph():
 
 
 def _assert_same_as_brute_force(graph, points, radii=(3.0, 20.0, 50.0, 150.0), max_results=(1, 3, 50)):
-    """nearest_edges equals the brute-force lookup, and builds a Candidate
-    only for an edge within the radius."""
+    """nearest_edges equals the brute-force lookup, and its projections
+    return a Candidate only for an edge within the radius, once each."""
     built = [0]
+    real_project = graph._project
 
-    def counting_candidate(*fields):
-        built[0] += 1
-        return Candidate(*fields)
+    def counting_project(*args):
+        hit = real_project(*args)
+        built[0] += hit is not None
+        return hit
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roadgraph, "Candidate", counting_candidate)
+        patch.setattr(graph, "_project", counting_project)
         for lat, lon in points:
             for radius in radii:
                 within = brute_force_nearest(graph, lat, lon, radius, len(graph.edges))
@@ -442,7 +618,7 @@ def test_nearest_edges_equals_brute_force_on_repeated_boxes():
     points = _random_points(polar, random.Random(17), 6, margin_deg=0.0005)
     _assert_same_as_brute_force(polar, points + points[::-1])
     assert len(polar._boxes) == len(points) * 4
-    assert any((i1 - i0 + 1) * (j1 - j0 + 1) > len(polar._cells) for i0, i1, j0, j1 in polar._boxes)
+    assert any((i1 - i0 + 1) * (j1 - j0 + 1) > len(index_all(polar)) for i0, i1, j0, j1 in polar._boxes)
 
 
 def per_segment_cells(graph):
@@ -487,24 +663,38 @@ def test_index_equals_the_per_segment_rule(make_graph):
     graph = make_graph()
     expected = per_segment_cells(graph)
     assert len(expected) > 10
-    assert list(expanded_cells(graph).items()) == list(expected.items())
+    _assert_index_is_the_per_segment_rule(graph)
     _assert_runs_are_maximal(graph)
 
 
 def expanded_cells(graph):
-    """The index with each (edge id, first, end) entry expanded, in order,
-    to its (edge id, segment) pairs."""
+    """The index, every tile built, with each (edge id, first, end) entry
+    expanded, in order, to its (edge id, segment) pairs."""
     return {
         cell: [(edge_id, seg) for edge_id, first, end in entries for seg in range(first, end)]
-        for cell, entries in graph._cells.items()
+        for cell, entries in index_all(graph).items()
     }
+
+
+def _assert_index_is_the_per_segment_rule(graph):
+    """Each cell holds the reference's (edge, segment) pairs. Tiles are
+    indexed in the order queries reach them, so edges may come in another
+    order, but each edge's pairs in a cell are one block, ascending."""
+    got = expanded_cells(graph)
+    assert {cell: sorted(pairs) for cell, pairs in got.items()} == {
+        cell: sorted(pairs) for cell, pairs in per_segment_cells(graph).items()
+    }
+    for pairs in got.values():
+        blocks = [edge for k, (edge, _) in enumerate(pairs) if k == 0 or pairs[k - 1][0] != edge]
+        assert len(blocks) == len(set(blocks))
+        assert pairs == sorted(pairs, key=lambda pair: (blocks.index(pair[0]), pair[1]))
 
 
 def _assert_runs_are_maximal(graph):
     """Every entry is one segment whose ends lie in different cells, or a run
     of segments whose ends all lie in the entry's cell and that no such
     segment before or after extends."""
-    for cell, entries in graph._cells.items():
+    for cell, entries in index_all(graph).items():
         for edge_id, first, end in entries:
             assert first < end, (cell, edge_id, first, end)
             ends = [_cell_of(p) for p in graph.edges[edge_id].geometry]
@@ -534,7 +724,7 @@ def test_index_of_a_polyline_that_leaves_a_cell_and_comes_back():
     points = [_cell_point(*a, 0.2, 0.2), _cell_point(*a, 0.4, 0.3), _cell_point(*b, 0.5, 0.5),
               _cell_point(*a, 0.6, 0.7), _cell_point(*a, 0.8, 0.6), _cell_point(*a, 0.3, 0.8)]
     graph = _polyline_graph(points)
-    assert graph._cells == {a: [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 5)], b: [(1, 1, 2), (1, 2, 3)]}
+    assert index_all(graph) == {a: [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 5)], b: [(1, 1, 2), (1, 2, 3)]}
     assert expanded_cells(graph) == per_segment_cells(graph)
     rng = random.Random(5)
     _assert_same_as_brute_force(graph, [_cell_point(*rng.choice((a, b)), rng.random(), rng.random()) for _ in range(20)])
@@ -544,7 +734,7 @@ def test_index_of_a_repeated_vertex_inside_a_run():
     cell = (89300, 21840)
     p, q, r = _cell_point(*cell, 0.2, 0.2), _cell_point(*cell, 0.5, 0.6), _cell_point(*cell, 0.8, 0.3)
     graph = _polyline_graph([p, q, q, r, _cell_point(cell[0] + 1, cell[1], 0.5, 0.3)])
-    assert graph._cells == {cell: [(1, 0, 3), (1, 3, 4)], (cell[0] + 1, cell[1]): [(1, 3, 4)]}
+    assert index_all(graph) == {cell: [(1, 0, 3), (1, 3, 4)], (cell[0] + 1, cell[1]): [(1, 3, 4)]}
     assert expanded_cells(graph) == per_segment_cells(graph)
     _assert_same_as_brute_force(graph, [q, _cell_point(*cell, 0.5, 0.9), _cell_point(*cell, 0.9, 0.1)])
 
@@ -558,7 +748,7 @@ def test_over_limit_segment_after_a_run_is_named(monkeypatch):
         _polyline_graph(points)
     # the same run before a segment of 2 x 3 cells is indexed
     graph = _polyline_graph(points[:-1] + [_cell_point(i + 1, j + 2)])
-    assert graph._cells[i, j] == [(1, 0, 2), (1, 2, 3)]
+    assert index_all(graph)[i, j] == [(1, 0, 2), (1, 2, 3)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
