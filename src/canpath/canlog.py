@@ -15,6 +15,14 @@ other line (blank, malformed, or a rare valid spelling such as
 uses, the only code that words a parse error. Both parsers intern the
 interface name, so the frames of one capture share one ``can0`` string
 instead of holding a copy each (about 53 bytes a frame).
+
+A filtered capture repeats a few dozen ``ID#DATA`` bodies, so
+``parse_log`` reads each distinct body once: a memo local to the call
+maps the token to its ``(id, payload)``, and every frame of that body
+shares the two objects. The stamp is read and checked on every
+line. The memo stops growing at ``MEMO_ENTRIES`` bodies; a body past that
+is read again on each line. A parsed frame of a repeated body holds about
+113 bytes: its tuple and its stamp.
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ from operator import itemgetter
 from typing import Iterable, TextIO
 
 MAX_STD_ID = 0x7FF
+
+# Most entries a memo of parse_log or inference.decode_signals holds: a
+# filtered capture repeats a few dozen distinct frame bodies, and a log in
+# which every body differs stops adding to the memo at this size.
+MEMO_ENTRIES = 4096
 
 
 class LogParseError(ValueError):
@@ -162,23 +175,36 @@ def parse_log(
     """
     frames: list[CanFrame] = []
     skipped: list[tuple[int, str]] = []
+    # ID#DATA token -> (id, payload), for tokens that pass _parse's checks
+    bodies: dict[str, tuple[int, bytes]] = {}
     append, new, isfinite, intern = frames.append, tuple.__new__, math.isfinite, sys.intern
     for line_no, line in enumerate(lines, start=1):
         # the happy path: _parse's checks on a line's three tokens, in locals
         tokens = line.split()
         if len(tokens) == 3:
             stamp, interface, frame_text = tokens
-            id_text, sep, data_text = frame_text.partition("#")
-            if stamp[0] == "(" and stamp[-1] == ")" and sep and len(data_text) <= 16 and not len(data_text) % 2:
+            body = bodies.get(frame_text)
+            if body is None:
+                id_text, sep, data_text = frame_text.partition("#")
+                if sep and len(data_text) <= 16 and not len(data_text) % 2:
+                    try:
+                        frame_id = int(id_text, 16)
+                        data = bytes.fromhex(data_text)
+                    except ValueError:
+                        pass
+                    else:
+                        if 0 <= frame_id <= MAX_STD_ID:
+                            body = (frame_id, data)
+                            if len(bodies) < MEMO_ENTRIES:
+                                bodies[frame_text] = body
+            if body is not None and stamp[0] == "(" and stamp[-1] == ")":
                 try:
                     timestamp = float(stamp[1:-1])
-                    frame_id = int(id_text, 16)
-                    data = bytes.fromhex(data_text)
                 except ValueError:
                     pass
                 else:
-                    if isfinite(timestamp) and timestamp >= 0 and 0 <= frame_id <= MAX_STD_ID:
-                        append(new(CanFrame, (timestamp, intern(interface), frame_id, data)))
+                    if isfinite(timestamp) and timestamp >= 0:
+                        append(new(CanFrame, (timestamp, intern(interface), body[0], body[1])))
                         continue
         text = line.strip()
         if not text:

@@ -33,7 +33,7 @@ from itertools import islice
 from operator import itemgetter, le
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .canlog import CanFrame
+from .canlog import MEMO_ENTRIES, CanFrame
 from .geokin import (
     LatLon,
     VehiclePose,
@@ -160,14 +160,23 @@ def decode_signals(frames: Iterable[CanFrame], decoder: AngleDecoder) -> Iterato
     Frames with the decoder's ID are angles (too-short ones are skipped);
     any other frame counts only if it is a speed response. This is the one
     decode pass of the pipeline: inference and ``canpath decode`` share it.
-    Payloads go straight to reveng.payload_angle and obd.response_speed_kmh,
-    and each sample is yielded as it is decoded, so no object outlives its
-    frame's turn.
+    Payloads go to reveng.payload_angle and obd.response_speed_kmh, and
+    each sample is yielded as it is decoded. The one thing kept across
+    frames is a memo of angle payloads: each payload that decodes to an
+    angle maps to it, up to canlog.MEMO_ENTRIES payloads, so a repeated
+    payload is decoded once (and the payload objects that parse_log shares
+    hash once). A payload too short to decode is never kept.
     """
     angle_id = decoder.id
+    # angle payload -> its angle, for payloads that decode to one
+    angles: dict[bytes, float] = {}
     for timestamp, _interface, frame_id, data in frames:
         if frame_id == angle_id:
-            value = payload_angle(decoder, data)
+            value = angles.get(data)
+            if value is None:
+                value = payload_angle(decoder, data)
+                if value is not None and len(angles) < MEMO_ENTRIES:
+                    angles[data] = value
             signal = ANGLE
         else:
             value = response_speed_kmh(frame_id, data)

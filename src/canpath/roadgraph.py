@@ -146,8 +146,16 @@ class RoadGraph:
         nodes: dict[int, LatLon],
         edges: Iterable[tuple[int, int, int, bool, Sequence[LatLon]]],
     ):
-        """edges entries: (id, from, to, bidirectional, intermediate points)."""
+        """edges entries: (id, from, to, bidirectional, intermediate points).
+        Every coordinate must be finite, with |lat| <= 90 and |lon| <= 180;
+        the first that is not is a GraphFormatError naming its node or edge."""
         self.nodes = dict(nodes)
+        for node_id, (lat, lon) in self.nodes.items():
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                try:
+                    _latlon(lat, lon)
+                except ValueError as exc:
+                    raise GraphFormatError(f"node {node_id}: {exc}") from None
         self.edges: dict[int, Edge] = {}
         # per node: the edges a search leaves it by, in insertion order, and
         # once the node is first expanded, their (neighbor, length) pairs
@@ -172,7 +180,11 @@ class RoadGraph:
         self._legs: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
         for edge_id, node_from, node_to, bidir, mid in edges:
-            self._add_edge(edge_id, node_from, node_to, bidir, [p[0] for p in mid], [p[1] for p in mid])
+            try:
+                mid_lats, mid_lons = _columns([c for point in mid for c in point])
+            except ValueError as exc:
+                raise GraphFormatError(f"edge {edge_id}: {exc}") from None
+            self._add_edge(edge_id, node_from, node_to, bidir, mid_lats, mid_lons)
 
     # -- construction helpers -------------------------------------------------
 
@@ -183,9 +195,10 @@ class RoadGraph:
         error the eager build raises, in its order: a missing node, zero
         length, a duplicate id, an over-limit segment.
 
-        Zero length is ruled out without measuring an edge whose
-        coordinates are finite, within |lat| <= 90 and |lon| <= 180, and
-        whose latitude or longitude span S over its n vertices has
+        Every coordinate is finite, with |lat| <= 90 and |lon| <= 180
+        (the constructor and from_text check them). Zero length is ruled
+        out without measuring an edge whose latitude or longitude span S
+        over its n vertices has
         S - _SPAN_MARGIN >= _STEP_DEG * (n - 1) as computed. Proof: the
         computed S, the subtraction and the product each round by less
         than 1e-13 on coordinates this small, so the true span exceeds
@@ -205,9 +218,9 @@ class RoadGraph:
 
         A segment's cell box lies inside its edge's cell box, so only an
         edge whose box exceeds _MAX_SEGMENT_CELLS can hold an over-limit
-        segment; such an edge (or one with a coordinate that is not
-        finite) is indexed here, which raises that error. Any other edge
-        is registered in the tiles its box meets and indexed on first use.
+        segment; such an edge is indexed here, which raises that error.
+        Any other edge is registered in the tiles its box meets and indexed
+        on first use.
         """
         nodes = self.nodes
         if node_from not in nodes or node_to not in nodes:
@@ -217,16 +230,7 @@ class RoadGraph:
         lons = (alon, *mid_lons, blon)
         edge = Edge(edge_id, node_from, node_to, bool(bidir), lats, lons)
         lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
-        # a NaN or an infinity makes the sum NaN or infinite
-        finite = math.isfinite(sum(lats) + sum(lons))
-        if not (
-            finite
-            and -90.0 <= lat_lo
-            and lat_hi <= 90.0
-            and -180.0 <= lon_lo
-            and lon_hi <= 180.0
-            and max(lat_hi - lat_lo, lon_hi - lon_lo) - _SPAN_MARGIN >= _STEP_DEG * (len(lats) - 1)
-        ):
+        if max(lat_hi - lat_lo, lon_hi - lon_lo) - _SPAN_MARGIN < _STEP_DEG * (len(lats) - 1):
             if edge.length_m <= 0:
                 raise GraphFormatError(f"edge {edge_id} has zero length")
         if edge_id in self.edges:
@@ -236,15 +240,14 @@ class RoadGraph:
         if edge.bidirectional:
             self._incident[node_to].append(edge)
         self._parent[self._component(node_from)] = self._component(node_to)
-        if finite:
-            i0, i1 = int(lat_lo // _CELL_DEG), int(lat_hi // _CELL_DEG)
-            j0, j1 = int(lon_lo // _CELL_DEG), int(lon_hi // _CELL_DEG)
-            if (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_SEGMENT_CELLS:
-                tiles = self._tiles
-                for ti in range(i0 // _TILE, i1 // _TILE + 1):
-                    for tj in range(j0 // _TILE, j1 // _TILE + 1):
-                        tiles.setdefault((ti, tj), []).append(edge)
-                return
+        i0, i1 = int(lat_lo // _CELL_DEG), int(lat_hi // _CELL_DEG)
+        j0, j1 = int(lon_lo // _CELL_DEG), int(lon_hi // _CELL_DEG)
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_SEGMENT_CELLS:
+            tiles = self._tiles
+            for ti in range(i0 // _TILE, i1 // _TILE + 1):
+                for tj in range(j0 // _TILE, j1 // _TILE + 1):
+                    tiles.setdefault((ti, tj), []).append(edge)
+            return
         self._indexed.add(edge_id)
         self._index_edge(edge)
 

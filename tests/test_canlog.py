@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from canpath.canlog import (
+    MEMO_ENTRIES,
     CanFrame,
     IdFilter,
     LogParseError,
@@ -287,8 +288,9 @@ def _well_formed(draw):
     frame = CanFrame(
         round(draw(st.floats(min_value=0, max_value=2e9, allow_nan=False, allow_infinity=False)), 6),
         draw(st.sampled_from(["can0", "vcan1", "slcan0"])),
-        draw(st.integers(min_value=0, max_value=0x7FF)),
-        draw(st.binary(max_size=8)),
+        # a few common bodies, so a log repeats some and parse_log's memo hits
+        draw(st.one_of(st.sampled_from([0x0C6, 0x7E8]), st.integers(min_value=0, max_value=0x7FF))),
+        draw(st.one_of(st.sampled_from([b"", b"\x7d\xc8"]), st.binary(max_size=8))),
     )
     line = format_line(frame)
     if draw(st.booleans()):
@@ -348,7 +350,27 @@ _EDGE_LINES = [
 ]
 
 
+# a body that parses, then repeated behind stamps that do not
+_MEMO_HIT_LINES = [
+    "(1.0) can0 0C6#7DC8",
+    "(nan) can0 0C6#7DC8",
+    "(-1.0) can0 0C6#7DC8",
+    "(1.0 can0 0C6#7DC8",
+    "1.0 can0 0C6#7DC8",
+    "(2.0) vcan1 0C6#7DC8",
+]
+# more distinct bodies than the memo holds, then repeats of early and late
+# ones, good and bad stamps among them
+_PAST_THE_MEMO = [f"({k}.5) can0 {k % 0x800:03X}#{k:08X}" for k in range(MEMO_ENTRIES + 300)] + [
+    f"({stamp}) can0 {k % 0x800:03X}#{k:08X}"
+    for k in (0, 1, MEMO_ENTRIES - 1, MEMO_ENTRIES, MEMO_ENTRIES + 299, 7)
+    for stamp in ("3.25", "nan", "-1.0")
+]
+
+
 @example(_EDGE_LINES)
+@example(_MEMO_HIT_LINES)
+@example(_PAST_THE_MEMO)
 @given(st.lists(_log_line(), max_size=20))
 def test_parse_log_equals_the_per_line_reference(lines):
     frames, skipped = parse_log(lines, strict=False)
@@ -373,12 +395,25 @@ def _outcome(parse, line):
         return str(exc)
 
 
-def test_parse_log_holds_about_160_bytes_a_frame():
-    # a frame is its tuple, a float stamp, a bytes payload and, for an OBD
-    # frame, an int id; every frame shares one interface string (a copy
-    # each took 53 bytes more, 211 a frame)
+def test_parse_log_memo_stops_at_its_cap():
+    # a repeated body shares the payload of its first frame only while the
+    # memo had room for it when first read; 4-byte payloads are never cached
+    # by the interpreter itself
+    lines = [f"(1.0) can0 0C6#{k:08X}" for k in range(MEMO_ENTRIES + 10)]
+    frames, _ = parse_log(lines + lines)
+    first, again = frames[: len(lines)], frames[len(lines) :]
+    assert again == first
+    assert [a[3] is f[3] for f, a in zip(first, again)] == [True] * MEMO_ENTRIES + [False] * 10
+
+
+def test_parse_log_holds_about_115_bytes_a_frame():
+    # a frame is its tuple and a float stamp; every frame shares one
+    # interface string (a copy each took 53 bytes more, 211 a frame), and
+    # the frames of one ID#DATA body share its id and payload objects (a
+    # payload and an OBD id each took 44 bytes more, 158 a frame)
     text = "".join(format_line(f) + "\n" for f in long_capture(100_000, AngleDecoder(id=0x0C6)))
     (frames, skipped), peak = traced_peak(parse_log, io.StringIO(text))
     assert (len(frames), skipped) == (100_000, [])
     assert len({id(frame.interface) for frame in frames}) == 1
-    assert peak / len(frames) < 180
+    assert len({(id(frame.id), id(frame.data)) for frame in frames}) == len({frame[2:] for frame in frames}) == 706
+    assert peak / len(frames) < 130

@@ -9,7 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from canpath.canlog import CanFrame
+from canpath.canlog import MEMO_ENTRIES, CanFrame
 from canpath.geokin import (
     DEG_M,
     VehiclePose,
@@ -127,6 +127,8 @@ def _decoders(draw):
 
 _payloads = st.one_of(
     st.binary(max_size=8),
+    # a few common payloads, so a log repeats some and decode_signals' memo hits
+    st.sampled_from([b"", b"\x7f", b"\x7d\xc8", bytes(8), b"\x03\x41\x0d\x21"]),
     # speed-response shaped, some with a wrong mode or PID byte
     st.builds(
         lambda mode, pid, kmh, tail: bytes([0x03, mode, pid, kmh]) + tail,
@@ -155,6 +157,41 @@ def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
     want = _reference_decode_signals(frames, decoder)
     assert samples == want
     assert [type(v) for _t, _s, v in samples] == [type(v) for _t, _s, v in want]
+
+
+def _past_the_memo(decoder):
+    """Frames of more distinct angle payloads than decode_signals' memo
+    holds, each a distinct angle to a decoder of bytes 0 and 2, with short
+    angle payloads and speed responses among them, and then the same frames
+    again."""
+    frames = []
+    for k in range(MEMO_ENTRIES + 10):
+        frames.append(CanFrame(k * 0.01, "can0", decoder.id, bytes([k >> 8, 0xAA, k & 0xFF, 0xAA])))
+        if k % 100 == 0:
+            frames += [CanFrame(k * 0.01, "can0", decoder.id, short) for short in (b"", b"\x7f", b"\x7f\xff")]
+            frames.append(speed_frame(k * 0.01, k % 256))
+    return frames + frames
+
+
+@pytest.mark.parametrize("mode", [OFFSET_MODE, TWOS_COMPLEMENT_MODE])
+def test_decode_signals_past_its_memo_equals_the_per_frame_decoders(mode):
+    decoder = AngleDecoder(id=0x2F5, byte_hi=0, byte_lo=2, offset=0x7FFF, scale=0.1, mode=mode)
+    frames = _past_the_memo(decoder)
+    samples = list(decode_signals(frames, decoder))
+    want = _reference_decode_signals(frames, decoder)
+    assert samples == want
+    assert [type(v) for _t, _s, v in samples] == [type(v) for _t, _s, v in want]
+
+
+def test_decode_signals_memo_stops_at_its_cap():
+    # a repeated payload's angle is the object decoded at its first frame
+    # only while the memo had room for it then
+    decoder = AngleDecoder(id=0x2F5, byte_hi=0, byte_lo=2)  # the short payloads decode to nothing
+    frames = _past_the_memo(decoder)
+    angles = [v for _t, signal, v in decode_signals(frames, decoder) if signal == ANGLE]
+    first, again = angles[: len(angles) // 2], angles[len(angles) // 2 :]
+    assert again == first and len(first) == MEMO_ENTRIES + 10
+    assert [a is f for f, a in zip(first, again)] == [True] * MEMO_ENTRIES + [False] * 10
 
 
 def test_window_aggregate_means_and_unit_conversion():

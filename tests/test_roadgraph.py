@@ -162,6 +162,20 @@ _CONSTRUCTOR_ERRORS = {
         [(1, 1, 2, True, [(0.0002, 0.0003), (0.0004, 0.0002)])],
         "edge 1 segment 2 spans 1440000 index cells (at most 1000000); add intermediate points",
     ),
+    # assemble_graph and merge_graphs build through the constructor, not
+    # from_text, and get from_text's coordinate checks
+    "nan node": ({1: (math.nan, 10.92), 2: _B}, [], "node 1: coordinate nan 10.92 is not finite"),
+    "infinite intermediate point": (
+        {1: _A, 2: _B},
+        [(1, 1, 2, True, []), (2, 2, 1, True, [(44.655, 10.92), (44.655, math.inf)])],
+        "edge 2: coordinate 44.655 inf is not finite",
+    ),
+    "node at latitude 95": ({1: _A, 2: (95.0, 10.92)}, [(1, 1, 2, True, [])], "node 2: latitude 95.0 is outside [-90, 90]"),
+    "intermediate point past longitude 180": (
+        {1: _A, 2: _B},
+        [(1, 1, 2, True, [(44.655, -180.5)])],
+        "edge 1: longitude -180.5 is outside [-180, 180]",
+    ),
 }
 
 
@@ -195,7 +209,10 @@ def test_zero_length_is_found_exactly_when_the_eager_length_is_not_positive():
         base_lat, base_lon = rng.choice(((0.0, 0.0), (44.65, 10.92), (90.0, 179.9), (-89.99, -180.0)))
         unit = 10.0 ** rng.randint(-13, -7)
         points = [
-            (max(-90.0, min(90.0, base_lat + rng.randint(-3, 3) * unit)), base_lon + rng.randint(-3, 3) * unit)
+            (
+                max(-90.0, min(90.0, base_lat + rng.randint(-3, 3) * unit)),
+                max(-180.0, min(180.0, base_lon + rng.randint(-3, 3) * unit)),
+            )
             for _ in range(rng.randint(2, 6))
         ]
         nodes = {1: points[0], 2: points[-1]}
