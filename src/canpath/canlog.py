@@ -219,10 +219,15 @@ def parse_log(
 
 
 def read_log(source: str | TextIO, strict: bool = True) -> tuple[list[CanFrame], list[tuple[int, str]]]:
-    """Read a log from a file path or an open text stream."""
+    """Read a log from a file path, named in its parse errors, or an open text stream."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fp:
-            return parse_log(fp, strict=strict)
+        try:
+            with open(source, "r", encoding="utf-8") as fp:
+                return parse_log(fp, strict=strict)
+        except (LogParseError, UnicodeDecodeError) as exc:
+            named = LogParseError(f"{source}: {exc}")
+            named.line_no = getattr(exc, "line_no", None)
+            raise named from None
     return parse_log(source, strict=strict)
 
 

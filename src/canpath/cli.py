@@ -178,13 +178,8 @@ def _cmd_infer(args) -> int:
     result = infer_path(frames, entry.decoder, vehicle, start, params, matcher)
     out = args.out or os.path.splitext(args.log)[0] + "_inferred.gpx"
     save_gpx(result.track, out)
-    report = result.diagnostics.report()
     print(f"wrote {out} ({len(result.track)} points)")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fp:
-            fp.write(report)
-    else:
-        sys.stdout.write(report)
+    _write_or_print(result.diagnostics.report(), args.report)
     return 0
 
 
@@ -210,9 +205,7 @@ def _cmd_synth(args) -> int:
     write_log(result.frames, log_file)
     save_gpx(result.truth, truth_file)
     manifest = manifest_for(scenario, result, log_file, truth_file)
-    with open(manifest_file, "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2)
-        fp.write("\n")
+    _write_or_print(json.dumps(manifest, indent=2) + "\n", manifest_file)
     print(f"wrote {log_file}")
     print(f"wrote {truth_file}")
     print(f"wrote {manifest_file}")
@@ -235,11 +228,8 @@ def _cmd_tune(args) -> int:
     print(f"best: {chosen} mean_accuracy={best.mean_accuracy:.4f}", file=sys.stderr)
     if args.marginals:
         curves = marginal_curves(rows, grids)
-        with open(args.marginals, "w", encoding="utf-8") as fp:
-            fp.write("parameter,value,mean_accuracy\n")
-            for name, curve in curves.items():
-                for value, acc in curve:
-                    fp.write(f"{name},{value},{acc:.4f}\n")
+        lines = [f"{name},{value},{acc:.4f}\n" for name, curve in curves.items() for value, acc in curve]
+        _write_or_print("parameter,value,mean_accuracy\n" + "".join(lines), args.marginals)
     return 0
 
 

@@ -49,6 +49,9 @@ class VehiclePose:
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} out of range")
+        for name, value in (("longitude", self.lon), ("bearing", self.bearing)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         if not -180.0 <= self.lon < 180.0:
             object.__setattr__(self, "lon", (self.lon + 180.0) % 360.0 - 180.0)
         object.__setattr__(self, "bearing", wrap_bearing(self.bearing))

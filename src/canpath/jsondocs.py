@@ -163,8 +163,14 @@ class _Object:
 
 
 def _document(path: str, allowed: frozenset, where: str, error: type) -> _Object:
-    with open(path, "r", encoding="utf-8") as fp:
-        return _Object(json.load(fp), allowed, where, os.path.dirname(os.path.abspath(path)), error)
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            value = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return _Object(value, allowed, where, os.path.dirname(os.path.abspath(path)), error)
 
 
 def _vehicle(doc: _Object):

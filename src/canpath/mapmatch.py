@@ -187,9 +187,9 @@ def parse_external_response(document) -> MatchResult:
     """Extract the matched point list from a service response document.
 
     The service may densify, so the point count is whatever it returned.
-    A point whose lat or lon is not a finite number in range, or whose
-    ``edge_index`` is present but not a non-negative integer (null and
-    true included), is a MatchServiceError naming its index.
+    A point whose lat or lon is not a finite number in range is a
+    MatchServiceError naming its index. ``edge_index`` indexes the reply's
+    own edge list, not RoadGraph edges, so it is not read: no edge_ids.
     """
     if not isinstance(document, dict):
         raise MatchServiceError(f"malformed response: expected an object, got {type(document).__name__}")
@@ -202,22 +202,13 @@ def parse_external_response(document) -> MatchResult:
     if not matched:
         raise UnmatchedGapError(0, "service matched no points")
     points = []
-    edge_ids = []
     for i, entry in enumerate(matched):
         lat = entry.get("lat") if isinstance(entry, dict) else None
         lon = entry.get("lon") if isinstance(entry, dict) else None
         if not (_within(lat, 90) and _within(lon, 180)):
             raise MatchServiceError(f"malformed matched point at index {i}")
-        edge_index = entry.get("edge_index")
-        if "edge_index" in entry and (type(edge_index) is not int or edge_index < 0):  # bool is not int
-            raise MatchServiceError(f"malformed edge_index at index {i}")
         points.append((float(lat), float(lon)))
-        edge_ids.append(edge_index)
-    have_edges = all(e is not None for e in edge_ids)
-    return MatchResult(
-        matched_points=tuple(points),
-        edge_ids=tuple(edge_ids) if have_edges else None,
-    )
+    return MatchResult(matched_points=tuple(points))
 
 
 class ExternalMatcher:

@@ -13,10 +13,10 @@ with |lat| <= 90 and |lon| <= 180.
 Loading checks every line and defers the rest. It parses each edge's
 coordinates into two float columns and raises every format error a line
 holds (a bad number, a missing node, a duplicate id, a zero-length edge,
-an over-limit segment), but it measures an edge, builds a node's
-adjacency and indexes an edge's segments only when a query first needs
-them, so a drive pays for the part of the map it touches, not the whole
-map. Every answer is the one the eager build gives, bit for bit.
+an over-limit segment), but it measures an edge and indexes its
+segments only when a query first needs them, so a drive pays for the
+part of the map it touches, not the whole map. Every answer is the one
+the eager build gives, bit for bit.
 
 Nearest-edge lookup goes through a grid of segment cells. A cell holds
 runs of an edge's segments: one entry for each maximal run of consecutive
@@ -49,7 +49,7 @@ import heapq
 import math
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geokin import DEG_M, LatLon, column_lengths
 
@@ -111,33 +111,18 @@ class Edge:
         return self.cum_m[-1]
 
 
-class Candidate(tuple):
-    """A point snapped onto an edge: the immutable 5-tuple
-    ``(edge_id, offset_m, lat, lon, perp_m)`` with those fields by name,
-    its along-edge offset from the edge's from-node, its coordinate, and
-    its perpendicular distance from the query point. ``_project`` builds
-    the tuple directly with ``tuple.__new__``. Candidates compare and hash
-    as the tuple of their fields, so edge id orders them first."""
+class Candidate(NamedTuple):
+    """A point snapped onto an edge: its along-edge offset from the edge's
+    from-node, its coordinate, and its perpendicular distance from the
+    query point. ``_project`` builds the tuple directly with
+    ``tuple.__new__``. Candidates compare and hash as the tuple of their
+    fields, so edge id orders them first."""
 
-    __slots__ = ()
-
-    def __new__(cls, edge_id: int, offset_m: float, lat: float, lon: float, perp_m: float):
-        return tuple.__new__(cls, (edge_id, offset_m, lat, lon, perp_m))
-
-    edge_id = property(itemgetter(0))
-    offset_m = property(itemgetter(1))
-    lat = property(itemgetter(2))
-    lon = property(itemgetter(3))
-    perp_m = property(itemgetter(4))
-
-    def __getnewargs__(self):
-        # pickling and copying rebuild the candidate through __new__
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"Candidate(edge_id={self[0]!r}, offset_m={self[1]!r}, lat={self[2]!r}, lon={self[3]!r}, perp_m={self[4]!r})"
-        )
+    edge_id: int
+    offset_m: float
+    lat: float
+    lon: float
+    perp_m: float
 
 
 class RoadGraph:
@@ -157,10 +142,8 @@ class RoadGraph:
                 except ValueError as exc:
                     raise GraphFormatError(f"node {node_id}: {exc}") from None
         self.edges: dict[int, Edge] = {}
-        # per node: the edges a search leaves it by, in insertion order, and
-        # once the node is first expanded, their (neighbor, length) pairs
+        # per node: the edges a search leaves it by, in insertion order
         self._incident: dict[int, list[Edge]] = {n: [] for n in self.nodes}
-        self._adjacency: dict[int, list[tuple[int, float]]] = {}
         # per cell: (edge id, first, end) entries for the segments range(first, end)
         self._cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         # per tile not yet indexed: the edges whose cell bounding box meets it
@@ -527,17 +510,10 @@ class RoadGraph:
 
     def _index_tiles(self, i0: int, i1: int, j0: int, j1: int) -> None:
         """Indexes every edge registered in a not yet indexed tile that
-        meets the cell box; near a pole, where the box meets more tiles
-        than are registered, the registry is filtered instead."""
-        tiles = self._tiles
-        t0, t1, u0, u1 = i0 // _TILE, i1 // _TILE, j0 // _TILE, j1 // _TILE
-        if (t1 - t0 + 1) * (u1 - u0 + 1) <= len(tiles):
-            keys = [(t, u) for t in range(t0, t1 + 1) for u in range(u0, u1 + 1) if (t, u) in tiles]
-        else:
-            keys = [(t, u) for t, u in tiles if t0 <= t <= t1 and u0 <= u <= u1]
+        meets the cell box."""
         indexed = self._indexed
-        for key in keys:
-            for edge in tiles.pop(key):
+        for key in _keys_in(self._tiles, i0 // _TILE, i1 // _TILE, j0 // _TILE, j1 // _TILE):
+            for edge in self._tiles.pop(key):
                 if edge.id not in indexed:
                     indexed.add(edge.id)
                     self._index_edge(edge)
@@ -545,13 +521,9 @@ class RoadGraph:
     def _box_groups(self, i0: int, i1: int, j0: int, j1: int) -> list[tuple[Edge, tuple[int, ...]]]:
         """Each edge indexed in the cells of a box, with its segments there
         in ascending order."""
-        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(self._cells):
-            cells = [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
-        else:
-            cells = [(i, j) for i, j in self._cells if i0 <= i <= i1 and j0 <= j <= j1]
         segs_by_edge: dict[int, set[int]] = {}
-        for cell in cells:
-            for edge_id, first, end in self._cells.get(cell, ()):
+        for cell in _keys_in(self._cells, i0, i1, j0, j1):
+            for edge_id, first, end in self._cells[cell]:
                 segs_by_edge.setdefault(edge_id, set()).update(range(first, end))
         return [(self.edges[edge_id], tuple(sorted(segs))) for edge_id, segs in segs_by_edge.items()]
 
@@ -580,9 +552,9 @@ class RoadGraph:
         search ends with. A target in another weak component is inf at once,
         with no search started or resumed; one that one-way edges keep out of
         reach inside the source's component still exhausts that component.
-        A node's (neighbor, length) list is built on its first expansion, in
-        the order its edges were added, so the heap sees the pushes of an
-        adjacency built at load.
+        A node is relaxed over its incident edges in the order they were
+        added, each measured on first read, so the heap sees the pushes of
+        an adjacency built at load.
         """
         if self._component(source) != self._component(target):
             return math.inf
@@ -592,25 +564,29 @@ class RoadGraph:
         settled, dist, heap = search
         if target in settled:
             return settled[target]
-        adjacency = self._adjacency
+        incident = self._incident
         while heap:
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
             settled[node] = d
-            neighbors = adjacency.get(node)
-            if neighbors is None:
-                neighbors = adjacency[node] = [
-                    (e.node_to if e.node_from == node else e.node_from, e.length_m) for e in self._incident[node]
-                ]
-            for neighbor, length in neighbors:
-                nd = d + length
+            for edge in incident[node]:
+                neighbor = edge.node_to if edge.node_from == node else edge.node_from
+                nd = d + edge.length_m
                 if nd < dist.get(neighbor, math.inf):
                     dist[neighbor] = nd
                     heapq.heappush(heap, (nd, neighbor))
             if node == target:
                 return d
         return math.inf
+
+
+def _keys_in(keyed: dict, i0: int, i1: int, j0: int, j1: int) -> list[tuple[int, int]]:
+    """The keys of ``keyed`` in the box i0..i1 by j0..j1: the box's keys, or
+    the dict's keys filtered where the box holds more (near a pole)."""
+    if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(keyed):
+        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1) if (i, j) in keyed]
+    return [(i, j) for i, j in keyed if i0 <= i <= i1 and j0 <= j <= j1]
 
 
 def _latlon(lat_text: str, lon_text: str) -> LatLon:

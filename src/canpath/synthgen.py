@@ -104,8 +104,6 @@ def route_polyline(graph: RoadGraph, route: list[int]) -> list[LatLon]:
     if first.node_to in (second.node_from, second.node_to):
         start_node = first.node_from
     elif first.node_from in (second.node_from, second.node_to):
-        if not first.bidirectional:
-            raise ScenarioError(f"one-way edge {first.id} traversed backwards")
         start_node = first.node_to
     else:
         raise ScenarioError(f"edges {first.id} and {second.id} do not connect")

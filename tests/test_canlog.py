@@ -169,6 +169,23 @@ def test_read_log_from_stream():
     assert frames[0].id == 0x0C6
 
 
+def test_read_log_errors_name_the_file_but_not_a_stream(tmp_path):
+    path = tmp_path / "bad.log"
+    path.write_text("(1.0) can0 0C6#7DC8\n(x) can0 0C6#00\n")
+    with pytest.raises(LogParseError) as named:
+        read_log(str(path))
+    assert str(named.value) == f"{path}: line 2: malformed timestamp 'x'" and named.value.line_no == 2
+    with pytest.raises(LogParseError) as unnamed:
+        read_log(io.StringIO(path.read_text()))
+    assert str(unnamed.value) == "line 2: malformed timestamp 'x'" and unnamed.value.line_no == 2
+    path.write_bytes(b"(1.0) can0 0C6#7DC8\n(2.0) can0 0C6#7D\xff\n")
+    for strict in (True, False):
+        with pytest.raises(LogParseError) as undecodable:
+            read_log(str(path), strict=strict)
+        assert str(undecodable.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position ")
+        assert undecodable.value.line_no is None
+
+
 # -- CanFrame contract -----------------------------------------------------------
 
 

@@ -53,6 +53,17 @@ def test_synth_writes_log_truth_manifest(scenario_dir, capsys, tmp_path):
     assert (lat, lon) == (44.65, 10.92) and isinstance(bearing, float)
 
 
+def test_synth_manifest_bytes_are_pinned(scenario_dir, capsys, tmp_path):
+    code, out, err = run(capsys, "synth", scenario_dir / "scenario.json", "--out-dir", tmp_path)
+    assert code == 0, err
+    log, truth = json.dumps(str(tmp_path / "leftturn.log")), json.dumps(str(tmp_path / "leftturn_truth.gpx"))
+    assert (tmp_path / "leftturn_manifest.json").read_bytes() == (
+        '{\n  "scenario": "leftturn",\n  "log": %s,\n  "truth": %s,\n'
+        '  "start": [\n    44.65,\n    10.92,\n    0.0\n  ],\n  "route_length_m": 318.84,\n'
+        '  "swa_id": "0x0C6",\n  "wheelbase": 2.6,\n  "frames": 6314\n}\n' % (log, truth)
+    ).encode()
+
+
 @pytest.mark.parametrize("rate", ["swa_rate", "obd_rate"])
 def test_synth_beyond_the_step_bound_is_one_error_line(scenario_dir, capsys, monkeypatch, tmp_path, rate):
     no_sim_frames(monkeypatch)
@@ -130,6 +141,18 @@ def test_full_pipeline_synth_infer_compare(scenario_dir, capsys):
     name, length_km, accuracy = out.strip().split(",")
     assert name == "inferred"
     assert float(accuracy) >= 0.95
+
+
+def test_infer_report_file_holds_the_bytes_infer_prints(scenario_dir, capsys, tmp_path):
+    argv = ["infer", scenario_dir / "leftturn.log", "--start", "44.65,10.92,0", "--model", "renault captur"]
+    argv += ["--matcher", f"internal:{scenario_dir / 'roads.txt'}", "--out", tmp_path / "out.gpx"]
+    code, printed, err = run(capsys, *argv)
+    assert code == 0, err
+    wrote, report = printed.split("\n", 1)
+    assert wrote.startswith("wrote ") and report.startswith("windows processed: ")
+    code, out, err = run(capsys, *argv, "--report", tmp_path / "diag.txt")
+    assert code == 0, err
+    assert out == wrote + "\n" and (tmp_path / "diag.txt").read_bytes() == report.encode()
 
 
 def test_compare_identity(scenario_dir, capsys):
@@ -731,6 +754,53 @@ def test_infer_graph_that_is_not_utf8_names_the_file(scenario_dir, capsys, tmp_p
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {roads}: 'utf-8' codec can't decode byte 0xdf"), err
+
+
+def test_strict_decode_of_a_bad_log_names_the_file_but_not_stdin(capsys, monkeypatch, tmp_path):
+    log = tmp_path / "bad.log"
+    log.write_text("(1.0) can0 0C6#7DC8\n(x) can0 0C6#00\n")
+    code, out, err = run(capsys, "decode", log, "--strict", "--model", "renault captur")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {log}: line 2: malformed timestamp 'x'"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(log.read_text()))
+    code, out, err = run(capsys, "decode", "-", "--strict", "--model", "renault captur")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: line 2: malformed timestamp 'x'"]
+
+
+def test_log_that_is_not_utf8_names_the_file(scenario_dir, capsys, tmp_path):
+    log = tmp_path / "latin1.log"
+    log.write_bytes(b"(1.0) can0 0C6#7DC8\n(2.0) can0 0C6#7D\xff\n")
+    for command in (["decode"], ["infer", "--start", "44.65,10.92,0", "--matcher", "none", "--out", tmp_path / "o.gpx"]):
+        code, out, err = run(capsys, command[0], log, *command[1:], "--model", "renault captur")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff"), err
+    assert not (tmp_path / "o.gpx").exists()
+
+
+def test_tune_manifest_track_log_that_is_not_utf8_names_the_log(scenario_dir, capsys, tmp_path):
+    log = tmp_path / "latin1.log"
+    log.write_bytes((scenario_dir / "leftturn.log").read_bytes() + b"(99.0) can0 0C6#7D\xff\n")
+    code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur", log=str(log))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff"), err
+    assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("data", [b'{"graph": ', b'{"graph": "roads.txt", \xff}'])
+def test_json_document_that_does_not_parse_names_the_file(scenario_dir, capsys, tmp_path, data):
+    manifest, scenario = tmp_path / "tune.json", tmp_path / "scenario.json"
+    manifest.write_bytes(data)
+    scenario.write_bytes(data)
+    message = "Expecting value: line 1 column 11 (char 10)" if data.endswith(b" ") else "'utf-8' codec can't decode"
+    for argv in (["tune", manifest, "--out", tmp_path / "grid.csv"], ["synth", scenario, "--out-dir", tmp_path / "out"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {argv[1]}: {message}"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "tune.json"]
 
 
 def test_compare_directory_is_one_error_line(capsys, tmp_path):

@@ -297,6 +297,21 @@ def test_pose_validation():
     assert VehiclePose(45.0, 0.0, 540.0).bearing == pytest.approx(180.0)
 
 
+@pytest.mark.parametrize(
+    "pose, message",
+    [
+        ((45.0, math.nan, 0.0), "^longitude nan is not finite$"),
+        ((45.0, -math.inf, 0.0), "^longitude -inf is not finite$"),
+        ((45.0, 11.0, math.inf), "^bearing inf is not finite$"),
+        ((45.0, 11.0, math.nan), "^bearing nan is not finite$"),
+        ((math.nan, 11.0, 0.0), "^latitude nan out of range$"),
+    ],
+)
+def test_pose_with_a_non_finite_field_names_it(pose, message):
+    with pytest.raises(ValueError, match=message):
+        VehiclePose(*pose)
+
+
 def test_vehicle_spec_validation():
     with pytest.raises(ValueError):
         VehicleSpec(wheelbase=0.0)

@@ -253,9 +253,10 @@ def test_a_drive_does_not_touch_a_distant_map():
     assert gpx(GraphMatcher(merged)) == alone != gpx(None)
     measured = {e.id for e in merged.edges.values() if "cum_m" in vars(e) or "length_m" in vars(e)}
     in_cells = {edge_id for entries in merged._cells.values() for edge_id, _, _ in entries}
-    assert measured and in_cells and merged._adjacency
+    settled = {node for found, _, _ in merged._searches.values() for node in found}
+    assert measured and in_cells and settled
     assert not measured & far and not in_cells & far and not merged._indexed & far
-    assert all(node < 1000 for node in merged._adjacency)
+    assert all(node < 1000 for node in settled)
 
 
 def test_candidates_are_tuples_with_named_fields():
@@ -266,11 +267,22 @@ def test_candidates_are_tuples_with_named_fields():
     assert (hit.edge_id, hit.offset_m, hit.lat, hit.lon, hit.perp_m) == (7, 12.5, 44.65, 10.92, 3.0)
     assert hit == (7, 12.5, 44.65, 10.92, 3.0) and hash(hit) == hash(tuple(hit))
     assert sorted([Candidate(9, 0.0, 0.0, 0.0, 1.0), hit])[0] is hit
-    for back in (pickle.loads(pickle.dumps(hit)), copy.copy(hit), copy.deepcopy(hit)):
-        assert type(back) is Candidate and back == hit
+    assert Candidate(edge_id=7, offset_m=12.5, lat=44.65, lon=10.92, perp_m=3.0) == hit
+    assert tuple.__new__(Candidate, tuple(hit)) == hit
+    backs = [pickle.loads(pickle.dumps(hit, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*backs, copy.copy(hit), copy.deepcopy(hit)):
+        assert type(back) is Candidate and back == hit and back.perp_m == 3.0
     assert repr(hit) == "Candidate(edge_id=7, offset_m=12.5, lat=44.65, lon=10.92, perp_m=3.0)"
-    with pytest.raises(AttributeError):
-        hit.perp_m = 1.0
+    assert repr(Candidate(1, -0.0, 1e-7, -180.0, 0.1 + 0.2)) == (
+        "Candidate(edge_id=1, offset_m=-0.0, lat=1e-07, lon=-180.0, perp_m=0.30000000000000004)"
+    )
+    assert not hasattr(hit, "__dict__")
+    for field in ("edge_id", "offset_m", "lat", "lon", "perp_m"):
+        with pytest.raises(AttributeError):
+            setattr(hit, field, 1.0)
+    with pytest.raises(TypeError):
+        hit[4] = 1.0
+    assert hit == (7, 12.5, 44.65, 10.92, 3.0)
 
 
 def test_segment_cell_limit(monkeypatch):

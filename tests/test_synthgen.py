@@ -10,6 +10,7 @@ from canpath.inference import InferenceParams, infer_path
 from canpath.mapmatch import GraphMatcher
 from canpath.obd import response_speed_kmh
 from canpath.reveng import AngleDecoder, payload_angle
+from canpath.roadgraph import RoadGraph
 from canpath.scenarios import (
     DEFAULT_DECODER,
     DEFAULT_VEHICLE,
@@ -179,6 +180,21 @@ def test_route_polyline_reverses_bidirectional_edges():
     points = route_polyline(graph, [2, 1])
     assert points[0] == pytest.approx(graph.edges[2].geometry[-1])
     assert points[-1] == pytest.approx(graph.edges[1].geometry[0])
+
+
+@pytest.mark.parametrize(
+    "edges, backwards",
+    [
+        ([(1, 2, 1, False, []), (2, 2, 3, True, [])], 1),  # the first edge runs 2 -> 1
+        ([(1, 1, 2, True, []), (2, 3, 2, False, [])], 2),  # a later edge runs 3 -> 2
+    ],
+)
+def test_route_polyline_refuses_a_one_way_edge_driven_backwards(edges, backwards):
+    graph = RoadGraph({1: (44.65, 10.92), 2: (44.651, 10.92), 3: (44.652, 10.92)}, edges)
+    with pytest.raises(ScenarioError, match=f"^one-way edge {backwards} traversed backwards$"):
+        route_polyline(graph, [1, 2])
+    two_way = RoadGraph(graph.nodes, [(e_id, a, b, True, mid) for e_id, a, b, _, mid in edges])
+    assert route_polyline(two_way, [1, 2]) == [(44.65, 10.92), (44.651, 10.92), (44.652, 10.92)]
 
 
 def test_closed_loop_roundtrip_accuracy():
