@@ -1,21 +1,23 @@
 """End-to-end path reconstruction from a filtered CAN log.
 
-infer_path runs stages that pass plain data. decode_log rejects a log
-whose first and last frames lie more than a day apart, then decodes the
-frames once, in frame order, into four float columns: the times and values
-of the steering angles and of the OBD speeds, each column stably sorted by
-time only when it is out of order. It builds no object per frame and keeps
-no frame list: the decoded log is 16 bytes a sample. window_aggregates
-cuts the columns into fixed windows anchored at the first frame, each an
-(angle, speed) tuple of its samples' means (holding the previous value
-when a category has none);
-window_controls clamps each window's angle to steer_max and says whether
-it may turn (at most speed_max), the only code that reads those two;
-dead_reckon advances a batch of windows with the bicycle model plus a
-geodesic forward step, on plain floats. Each batch is snapped to the road
-network, and the length difference between the snapped and dead-reckoned
-polylines is carried into the next batch's first window so the track does
-not fall behind. A batch the matcher cannot snap keeps its raw points.
+infer_path runs stages that pass plain data. decode_log works on a
+canlog.FrameLog, the columns parse_log gives (any other frame sequence is
+put in that form first). It rejects a log whose first and last frames lie
+more than a day apart, decodes each distinct frame body once
+(decode_bodies), and selects four float columns from the stamp and body
+columns: the times and values of the steering angles and of the OBD
+speeds, each column stably sorted by time only when it is out of order. It
+builds no object per frame: the decoded log is 16 bytes a sample.
+window_aggregates cuts the columns into fixed windows anchored at the
+first frame, each an (angle, speed) tuple of its samples' means (holding
+the previous value when a category has none); window_controls clamps each
+window's angle to steer_max and says whether it may turn (at most
+speed_max), the only code that reads those two; dead_reckon advances a
+batch of windows with the bicycle model plus a geodesic forward step, on
+plain floats. Each batch is snapped to the road network, and the length
+difference between the snapped and dead-reckoned polylines is carried
+into the next batch's first window so the track does not fall behind. A
+batch the matcher cannot snap keeps its raw points.
 
 infer_path also takes a CutLog in place of the frames: a log already
 decoded and cut into windows of one length, holding no samples. Runs of
@@ -29,11 +31,11 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import islice
-from operator import itemgetter, le
+from itertools import compress, islice
+from operator import le
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .canlog import MEMO_ENTRIES, CanFrame
+from .canlog import CanFrame, FrameLog
 from .geokin import (
     LatLon,
     VehiclePose,
@@ -154,35 +156,40 @@ class Signals(NamedTuple):
     t_end: float
 
 
-def decode_signals(frames: Iterable[CanFrame], decoder: AngleDecoder) -> Iterator[Sample]:
-    """Every decodable steering angle and OBD-II speed, in frame order.
+def decode_bodies(log: FrameLog, decoder: AngleDecoder) -> tuple[list, list]:
+    """Per body row of the log, its steering angle in degrees and its OBD
+    speed in km/h, each None when the body holds none.
 
-    Frames with the decoder's ID are angles (too-short ones are skipped);
-    any other frame counts only if it is a speed response. This is the one
-    decode pass of the pipeline: inference and ``canpath decode`` share it.
-    Payloads go to reveng.payload_angle and obd.response_speed_kmh, and
-    each sample is yielded as it is decoded. The one thing kept across
-    frames is a memo of angle payloads: each payload that decodes to an
-    angle maps to it, up to canlog.MEMO_ENTRIES payloads, so a repeated
-    payload is decoded once (and the payload objects that parse_log shares
-    hash once). A payload too short to decode is never kept.
+    A body with the decoder's ID is an angle (None when too short to hold
+    both angle bytes); any other body counts only if it is a speed
+    response. This is the one decode rule of the pipeline: decode_log and
+    ``canpath decode`` share it, and each row goes once to
+    reveng.payload_angle or obd.response_speed_kmh.
     """
     angle_id = decoder.id
-    # angle payload -> its angle, for payloads that decode to one
-    angles: dict[bytes, float] = {}
-    for timestamp, _interface, frame_id, data in frames:
+    angles: list[float | None] = []
+    speeds: list[int | None] = []
+    for frame_id, data in zip(log.ids, log.payloads):
         if frame_id == angle_id:
-            value = angles.get(data)
-            if value is None:
-                value = payload_angle(decoder, data)
-                if value is not None and len(angles) < MEMO_ENTRIES:
-                    angles[data] = value
-            signal = ANGLE
+            angles.append(payload_angle(decoder, data))
+            speeds.append(None)
         else:
-            value = response_speed_kmh(frame_id, data)
-            signal = SPEED
-        if value is not None:
-            yield timestamp, signal, value
+            angles.append(None)
+            speeds.append(response_speed_kmh(frame_id, data))
+    return angles, speeds
+
+
+def decode_signals(frames: Iterable[CanFrame], decoder: AngleDecoder) -> Iterator[Sample]:
+    """Every decodable steering angle and OBD-II speed, in frame order:
+    what decode_bodies reads from each frame's body."""
+    log = FrameLog.of(frames)
+    angles, speeds = decode_bodies(log, decoder)
+    index = log.index
+    for t, angle, speed in zip(log.stamps, map(angles.__getitem__, index), map(speeds.__getitem__, index)):
+        if angle is not None:
+            yield t, ANGLE, angle
+        elif speed is not None:
+            yield t, SPEED, speed
 
 
 def _time_ordered(times: array, values: array) -> tuple[array, array]:
@@ -196,29 +203,38 @@ def _time_ordered(times: array, values: array) -> tuple[array, array]:
 
 
 def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> Signals:
-    """The frames' samples (see decode_signals) as time-ordered columns,
+    """The frames' samples (see decode_bodies) as time-ordered columns,
     with the times of the first and last frame; InferenceError for an
     empty log, one whose first and last frames lie more than MAX_LOG_SPAN_S
     apart, or one without a decodable steering angle."""
-    if not frames:
+    angle_times, angles, speed_times, speeds, t0, t_end = _columns(FrameLog.of(frames), decoder)
+    if not angle_times:
+        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
+    return Signals(*_time_ordered(angle_times, angles), *_time_ordered(speed_times, speeds), t0, t_end)
+
+
+def _columns(log: FrameLog, decoder: AngleDecoder) -> tuple[array, array, array, array, float, float]:
+    """decode_log's four columns in frame order, and its first and last
+    stamps: each column is selected from the stamp and body-index columns
+    by its body's decoded value."""
+    if not log:
         raise InferenceError("empty log: nothing to infer")
-    t0, t_end = min(map(itemgetter(0), frames)), max(map(itemgetter(0), frames))
+    t0, t_end = min(log.stamps), max(log.stamps)
     if t_end - t0 > MAX_LOG_SPAN_S:
         raise InferenceError(
             f"log spans {t0!r} s to {t_end!r} s, more than {MAX_LOG_SPAN_S:.0f} s: "
             "a stray timestamp or mixed captures"
         )
-    angle_times, angles, speed_times, speeds = array("d"), array("d"), array("d"), array("d")
-    for t, signal, value in decode_signals(frames, decoder):
-        if signal == ANGLE:
-            angle_times.append(t)
-            angles.append(value)
-        else:
-            speed_times.append(t)
-            speeds.append(value)
-    if not angle_times:
-        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
-    return Signals(*_time_ordered(angle_times, angles), *_time_ordered(speed_times, speeds), t0, t_end)
+    index = log.index
+    columns: list = []
+    for values in decode_bodies(log, decoder):
+        kept = [value is not None for value in values]
+        selected = bytearray(map(kept.__getitem__, index))  # a byte a frame
+        columns += (
+            array("d", compress(log.stamps, selected)),
+            array("d", map(values.__getitem__, compress(index, selected))),
+        )
+    return (*columns, t0, t_end)
 
 
 def window_aggregates(signals: Signals, t_window: float) -> list[Window]:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import math
 import pickle
@@ -178,12 +179,18 @@ def test_read_log_errors_name_the_file_but_not_a_stream(tmp_path):
     with pytest.raises(LogParseError) as unnamed:
         read_log(io.StringIO(path.read_text()))
     assert str(unnamed.value) == "line 2: malformed timestamp 'x'" and unnamed.value.line_no == 2
-    path.write_bytes(b"(1.0) can0 0C6#7DC8\n(2.0) can0 0C6#7D\xff\n")
-    for strict in (True, False):
-        with pytest.raises(LogParseError) as undecodable:
-            read_log(str(path), strict=strict)
-        assert str(undecodable.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff in position ")
-        assert undecodable.value.line_no is None
+    # a byte that is not UTF-8 is a parse error of its line alone
+    path.write_bytes(b"(1.0) can0 0C6#7DC8\n(2.0) can0 0C6#7D\xff\n(3.0) can\xe90 0C6#7DC8\n(4.0) can0 0C6#7DC8\n")
+    undecodable = "'utf-8' codec can't decode byte 0x{:x} in position {}: invalid {} byte"
+    with pytest.raises(LogParseError) as named:
+        read_log(str(path))
+    assert str(named.value) == f"{path}: line 2: " + undecodable.format(0xFF, 17, "start") and named.value.line_no == 2
+    frames, skipped = read_log(str(path), strict=False)
+    assert frames == [CanFrame(1.0, "can0", 0x0C6, b"\x7d\xc8"), CanFrame(4.0, "can0", 0x0C6, b"\x7d\xc8")]
+    assert skipped == [
+        (2, "line 2: " + undecodable.format(0xFF, 17, "start")),
+        (3, "line 3: " + undecodable.format(0xE9, 9, "continuation")),
+    ]
 
 
 # -- CanFrame contract -----------------------------------------------------------
@@ -385,9 +392,38 @@ _PAST_THE_MEMO = [f"({k}.5) can0 {k % 0x800:03X}#{k:08X}" for k in range(MEMO_EN
 ]
 
 
+# the memo's key is a line's text after its stamp: separators, line ends
+# and a leading blank change it, a body first read behind a bad stamp must
+# not be kept for that line, and one repeated past the memo's cap is read
+# again
+_MEMO_KEY_LINES = [
+    "(1.0)\tcan0\t0C6#7DC8\n",
+    "(1.0)  can0  0C6#7DC8\n",
+    "(2.0) can0 0C6#7DC8\r\n",
+    " (3.0) can0 0C6#7DC8\n",
+    "\t(3.0) can0 0C6#7DC8",
+    "(x) can0 7E8#03410D21\n",
+    "(4.0) can0 7E8#03410D21\n",
+    "(-4.0)\tcan0\t7E8#03410D22\n",
+    " (-4.0) can0 7E8#03410D22\n",
+    "(4.5)\tcan0\t7E8#03410D22\n",
+    "(5.0) can0 0C6#7DC8\n",
+    "(5.0) can0 0C6#7DC8",
+]
+_MEMO_KEY_PAST_THE_MEMO = _PAST_THE_MEMO[:MEMO_ENTRIES + 300] + _MEMO_KEY_LINES + [
+    f"({stamp}){sep}can0{sep}{k % 0x800:03X}#{k:08X}{end}"
+    for k in (0, MEMO_ENTRIES + 299)
+    for stamp in ("6.0", "inf")
+    for sep in (" ", "\t")
+    for end in ("", "\n", "\r\n")
+]
+
+
 @example(_EDGE_LINES)
 @example(_MEMO_HIT_LINES)
 @example(_PAST_THE_MEMO)
+@example(_MEMO_KEY_LINES)
+@example(_MEMO_KEY_PAST_THE_MEMO)
 @given(st.lists(_log_line(), max_size=20))
 def test_parse_log_equals_the_per_line_reference(lines):
     frames, skipped = parse_log(lines, strict=False)
@@ -423,14 +459,29 @@ def test_parse_log_memo_stops_at_its_cap():
     assert [a[3] is f[3] for f, a in zip(first, again)] == [True] * MEMO_ENTRIES + [False] * 10
 
 
-def test_parse_log_holds_about_115_bytes_a_frame():
-    # a frame is its tuple and a float stamp; every frame shares one
-    # interface string (a copy each took 53 bytes more, 211 a frame), and
-    # the frames of one ID#DATA body share its id and payload objects (a
-    # payload and an OBD id each took 44 bytes more, 158 a frame)
-    text = "".join(format_line(f) + "\n" for f in long_capture(100_000, AngleDecoder(id=0x0C6)))
-    (frames, skipped), peak = traced_peak(parse_log, io.StringIO(text))
+def _long_capture_text():
+    return "".join(format_line(f) + "\n" for f in long_capture(100_000, AngleDecoder(id=0x0C6)))
+
+
+def test_parse_log_holds_about_14_bytes_a_frame():
+    # a frame is its stamp in one array and its body's row in another;
+    # every frame of one body shares the body's interface, id and payload
+    # objects (a frame tuple and its float stamp took 113 bytes, 158 with a
+    # payload and an OBD id of its own, 211 with an interface copy too)
+    (frames, skipped), peak = traced_peak(parse_log, io.StringIO(_long_capture_text()))
     assert (len(frames), skipped) == (100_000, [])
+    assert len(frames.ids) == 706
     assert len({id(frame.interface) for frame in frames}) == 1
     assert len({(id(frame.id), id(frame.data)) for frame in frames}) == len({frame[2:] for frame in frames}) == 706
-    assert peak / len(frames) < 130
+    assert peak / len(frames) < 16
+
+
+def test_parse_log_adds_no_object_a_frame_for_the_collector_to_walk():
+    # a tuple subclass such as CanFrame is never untracked by the cyclic
+    # garbage collector, so a list of frames added one tracked object a frame
+    text = _long_capture_text()
+    gc.collect()
+    before = len(gc.get_objects())
+    frames, _ = parse_log(io.StringIO(text))
+    gc.collect()
+    assert len(frames) == 100_000 and len(gc.get_objects()) - before < 1000

@@ -769,24 +769,30 @@ def test_strict_decode_of_a_bad_log_names_the_file_but_not_stdin(capsys, monkeyp
 
 
 def test_log_that_is_not_utf8_names_the_file(scenario_dir, capsys, tmp_path):
+    # only --strict stops at the line; without it the line is skipped
     log = tmp_path / "latin1.log"
     log.write_bytes(b"(1.0) can0 0C6#7DC8\n(2.0) can0 0C6#7D\xff\n")
+    error = f"error: {log}: line 2: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"
     for command in (["decode"], ["infer", "--start", "44.65,10.92,0", "--matcher", "none", "--out", tmp_path / "o.gpx"]):
-        code, out, err = run(capsys, command[0], log, *command[1:], "--model", "renault captur")
+        code, out, err = run(capsys, command[0], log, *command[1:], "--model", "renault captur", "--strict")
         assert code == 1 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff"), err
+        assert err.splitlines() == [error]
     assert not (tmp_path / "o.gpx").exists()
+    code, out, err = run(capsys, "decode", log, "--model", "renault captur")
+    assert code == 0 and out == "timestamp,signal,value\n1.000000,angle_deg,-5.6700\n"
+    assert err.splitlines() == ["warning: skipped 1 unparseable lines: 2"]
 
 
-def test_tune_manifest_track_log_that_is_not_utf8_names_the_log(scenario_dir, capsys, tmp_path):
+def test_tune_manifest_track_log_line_that_is_not_utf8_is_skipped(scenario_dir, capsys, tmp_path):
     log = tmp_path / "latin1.log"
-    log.write_bytes((scenario_dir / "leftturn.log").read_bytes() + b"(99.0) can0 0C6#7D\xff\n")
+    lines = (scenario_dir / "leftturn.log").read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines) + b"(99.0) can0 0C6#7D\xff\n")
     code, out, err = _tune_with_track(scenario_dir, capsys, tmp_path, model="renault captur", log=str(log))
-    assert code == 1 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {log}: 'utf-8' codec can't decode byte 0xff"), err
-    assert not (tmp_path / "grid.csv").exists()
+    assert code == 0 and out == ""
+    warning, best = err.splitlines()
+    assert warning == f"warning: manifest track 'leftturn': skipped 1 unparseable lines: {len(lines) + 1}"
+    assert best.startswith("best: t_window=0.1 ")
+    assert (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("data", [b'{"graph": ', b'{"graph": "roads.txt", \xff}'])

@@ -9,7 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
-from canpath.canlog import MEMO_ENTRIES, CanFrame
+from canpath.canlog import MEMO_ENTRIES, CanFrame, format_line, parse_log
 from canpath.geokin import (
     DEG_M,
     VehiclePose,
@@ -160,10 +160,10 @@ def test_decode_signals_equals_the_per_frame_decoders(decoder, data):
 
 
 def _past_the_memo(decoder):
-    """Frames of more distinct angle payloads than decode_signals' memo
-    holds, each a distinct angle to a decoder of bytes 0 and 2, with short
-    angle payloads and speed responses among them, and then the same frames
-    again."""
+    """Frames of more distinct angle payloads than the body memo of
+    FrameLog.of holds, each a distinct angle to a decoder of bytes 0 and 2,
+    with short angle payloads and speed responses among them, and then the
+    same frames again."""
     frames = []
     for k in range(MEMO_ENTRIES + 10):
         frames.append(CanFrame(k * 0.01, "can0", decoder.id, bytes([k >> 8, 0xAA, k & 0xFF, 0xAA])))
@@ -184,10 +184,11 @@ def test_decode_signals_past_its_memo_equals_the_per_frame_decoders(mode):
 
 
 def test_decode_signals_memo_stops_at_its_cap():
-    # a repeated payload's angle is the object decoded at its first frame
-    # only while the memo had room for it then
-    decoder = AngleDecoder(id=0x2F5, byte_hi=0, byte_lo=2)  # the short payloads decode to nothing
-    frames = _past_the_memo(decoder)
+    # a repeated body is decoded once, so its angle is the object decoded at
+    # its first frame, only while the body memo of FrameLog.of had room for
+    # it then
+    decoder = AngleDecoder(id=0x2F5, byte_hi=0, byte_lo=2)
+    frames = [f for f in _past_the_memo(decoder) if f.id == decoder.id and len(f.data) == 4]
     angles = [v for _t, signal, v in decode_signals(frames, decoder) if signal == ANGLE]
     first, again = angles[: len(angles) // 2], angles[len(angles) // 2 :]
     assert again == first and len(first) == MEMO_ENTRIES + 10
@@ -312,15 +313,19 @@ def _decode_and_cut(frames):
     return signals, window_aggregates(signals, 0.1)
 
 
-@pytest.mark.parametrize("order,bound", [("in time order", 40), ("reversed", 100)])
+@pytest.mark.parametrize("order,bound", [("in time order", 40), ("reversed", 100), ("parsed", 40)])
 def test_decoding_a_long_log_holds_the_samples_not_the_log(order, bound):
     # 100,000 frames are 91,666 samples and 8,334 windows of 0.1 s. The
-    # columns take 16 bytes a sample and the windows about 11; sorting
-    # reversed columns holds some 55 more for a moment. A sample tuple, and
-    # the sorted frame list, took 113 bytes a sample with or without a sort.
+    # columns take 16 bytes a sample and the windows about 11; a frame list
+    # is first put in columns (about 13 bytes a frame, freed before the
+    # windows), and sorting reversed columns holds some 55 more for a
+    # moment. A sample tuple, and the sorted frame list, took 113 bytes a
+    # sample with or without a sort.
     frames = long_capture(100_000, DECODER)
     if order == "reversed":
         frames.reverse()
+    elif order == "parsed":
+        frames, _ = parse_log(format_line(frame) for frame in frames)
     (signals, windows), peak = traced_peak(_decode_and_cut, frames)
     samples = len(signals.angles) + len(signals.speeds)
     assert (samples, len(windows)) == (91_666, 8_334)

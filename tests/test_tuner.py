@@ -282,13 +282,13 @@ def test_a_refused_window_length_equals_the_every_cell_oracle(clamp_suite, monke
 def test_grid_search_decodes_each_track_once(clamp_suite, monkeypatch):
     tracks, graph = clamp_suite
     decoded = []
-    decode_signals = inference.decode_signals
+    decode_bodies = inference.decode_bodies
 
-    def counting_decode_signals(frames, decoder):
-        decoded.append(len(frames))
-        return decode_signals(frames, decoder)
+    def counting_decode_bodies(log, decoder):
+        decoded.append(len(log))
+        return decode_bodies(log, decoder)
 
-    monkeypatch.setattr(inference, "decode_signals", counting_decode_signals)
+    monkeypatch.setattr(inference, "decode_bodies", counting_decode_bodies)
     grid_search(tracks, graph, grids=CLAMP_GRIDS)
     assert sorted(decoded) == sorted(len(track.frames) for track in tracks)
 
