@@ -346,3 +346,14 @@ def write_log(frames: Iterable[CanFrame], dest: str | TextIO) -> None:
         return
     for frame in frames:
         dest.write(format_line(frame) + "\n")
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of a text, broken where a text-mode read breaks them: at
+    ``\\n``, ``\\r\\n`` and ``\\r`` only. ``str.splitlines`` also breaks at a
+    form feed, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``,
+    which a comment may hold. The graph and decoder-sheet readers share
+    this rule."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")

@@ -210,16 +210,30 @@ def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> Signals:
     angle_times, angles, speed_times, speeds, t0, t_end = _columns(FrameLog.of(frames), decoder)
     if not angle_times:
         raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
-    return Signals(*_time_ordered(angle_times, angles), *_time_ordered(speed_times, speeds), t0, t_end)
+    return Signals(angle_times, angles, speed_times, speeds, t0, t_end)
 
 
 def _columns(log: FrameLog, decoder: AngleDecoder) -> tuple[array, array, array, array, float, float]:
-    """decode_log's four columns in frame order, and its first and last
+    """decode_log's four columns in time order, and its first and last
     stamps: each column is selected from the stamp and body-index columns
-    by its body's decoded value."""
+    by its body's decoded value. One pass over the stamps shows whether
+    they are in order; a column selected from stamps in order is in order,
+    and the stamps' ends are then the first and last stamps. Only a log
+    that is out of order has its ends found with min and max and each
+    column sorted by _time_ordered."""
     if not log:
         raise InferenceError("empty log: nothing to infer")
-    t0, t_end = min(log.stamps), max(log.stamps)
+    stamps = log.stamps
+    in_order = all(map(le, stamps, islice(stamps, 1, None)))
+    if in_order:
+        # stamps[0] is the first of the smallest stamps, as min gives. max
+        # gives the first of the largest, stamps[-1] the last: they differ
+        # only as 0.0 and -0.0, when every stamp is a zero, and then
+        # t_end - t0 is a zero either way, which makes one window and no
+        # message.
+        t0, t_end = stamps[0], stamps[-1]
+    else:
+        t0, t_end = min(stamps), max(stamps)
     if t_end - t0 > MAX_LOG_SPAN_S:
         raise InferenceError(
             f"log spans {t0!r} s to {t_end!r} s, more than {MAX_LOG_SPAN_S:.0f} s: "
@@ -230,10 +244,9 @@ def _columns(log: FrameLog, decoder: AngleDecoder) -> tuple[array, array, array,
     for values in decode_bodies(log, decoder):
         kept = [value is not None for value in values]
         selected = bytearray(map(kept.__getitem__, index))  # a byte a frame
-        columns += (
-            array("d", compress(log.stamps, selected)),
-            array("d", map(values.__getitem__, compress(index, selected))),
-        )
+        times = array("d", compress(stamps, selected))
+        samples = array("d", map(values.__getitem__, compress(index, selected)))
+        columns += (times, samples) if in_order else _time_ordered(times, samples)
     return (*columns, t0, t_end)
 
 

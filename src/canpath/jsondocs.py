@@ -110,7 +110,7 @@ def _track(entry, index: int, base: str) -> tuple[TuneTrack, list[tuple[int, str
     row, vehicle = _vehicle(doc)
     truth = doc.path("truth")
     frames, skipped = read_log(log, strict=False)
-    return TuneTrack(name, tuple(frames), load_gpx(truth), start, row.decoder, vehicle), skipped
+    return TuneTrack(name, frames, load_gpx(truth), start, row.decoder, vehicle), skipped
 
 
 def manifest_for(scenario: SimScenario, result: SimResult, log_file: str, truth_file: str) -> dict:

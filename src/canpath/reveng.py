@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canlog import CanFrame
+from .canlog import CanFrame, text_lines
 from .geokin import VehicleSpec
 
 OFFSET_MODE = "offset"
@@ -256,8 +256,8 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
     kind (a hex id, an integer byte index, ...), or a value that
     ``AngleDecoder`` or ``VehicleSpec`` rejects (a byte index past 7, a zero
     scale or wheelbase, ...) is a ValueError naming its line."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SHEET_HEADER:
+    lines = text_lines(text)
+    if lines[0].strip() != SHEET_HEADER:
         raise ValueError(f"decoder sheet must start with {SHEET_HEADER!r}")
     entries: dict[str, VehicleEntry] = {}
     for line_no, line in enumerate(lines[1:], start=2):

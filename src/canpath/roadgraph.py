@@ -8,14 +8,20 @@ Graph files are plain text so test fixtures stay hand-writable:
 
 The optional lat/lon pairs are intermediate polyline points; the node
 positions are prepended/appended automatically. Coordinates must be finite,
-with |lat| <= 90 and |lon| <= 180.
+with |lat| <= 90 and |lon| <= 180. ``#`` starts a comment that runs to the
+end of the line, and lines break only at ``\n``, ``\r\n`` and ``\r``, as in
+a text-mode read.
 
-Loading checks every line and defers the rest. It parses each edge's
-coordinates into two float columns and raises every format error a line
-holds (a bad number, a missing node, a duplicate id, a zero-length edge,
-an over-limit segment), but it measures an edge and indexes its
-segments only when a query first needs them, so a drive pays for the
-part of the map it touches, not the whole map. Every answer is the one
+Loading checks every line and defers the rest. A text whose lines hold no
+error, with each node defined before an edge names it, is read in one
+pass: an edge line costs one split, one float conversion per coordinate
+and one min/max pass over each column of its polyline, and its edge is
+placed as the line is read. Any other text is read again by the per-line
+code that words each format error (a bad number, a missing node, a
+duplicate id, a zero-length edge, an over-limit segment), which reports
+the first as the eager build did. Either way an edge is measured and its
+segments indexed only when a query first needs them, so a drive pays for
+the part of the map it touches, not the whole map. Every answer is the one
 the eager build gives, bit for bit.
 
 Nearest-edge lookup goes through a grid of segment cells. A cell holds
@@ -51,6 +57,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
+from .canlog import text_lines
 from .geokin import DEG_M, LatLon, column_lengths
 
 # Spatial index cell size: 0.0005 degrees is about 56 m of latitude, near the
@@ -75,6 +82,8 @@ _PAD_DEG = 1e-9
 _UNBOUNDED = (-math.inf, math.inf, -math.inf, math.inf)
 # nearest-edge order: perpendicular distance, then edge id
 _BY_DISTANCE = itemgetter(4, 0)
+# an edge line's bidir flag
+_BIDIR = {"0": False, "1": True}
 
 
 class GraphFormatError(ValueError):
@@ -134,16 +143,10 @@ class RoadGraph:
         """edges entries: (id, from, to, bidirectional, intermediate points).
         Every coordinate must be finite, with |lat| <= 90 and |lon| <= 180;
         the first that is not is a GraphFormatError naming its node or edge."""
-        self.nodes = dict(nodes)
-        for node_id, (lat, lon) in self.nodes.items():
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                try:
-                    _latlon(lat, lon)
-                except ValueError as exc:
-                    raise GraphFormatError(f"node {node_id}: {exc}") from None
+        self.nodes: dict[int, LatLon] = {}
         self.edges: dict[int, Edge] = {}
         # per node: the edges a search leaves it by, in insertion order
-        self._incident: dict[int, list[Edge]] = {n: [] for n in self.nodes}
+        self._incident: dict[int, list[Edge]] = {}
         # per cell: (edge id, first, end) entries for the segments range(first, end)
         self._cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         # per tile not yet indexed: the edges whose cell bounding box meets it
@@ -155,13 +158,21 @@ class RoadGraph:
         # (lat, lon, kx, returned hits) of the last nearest_edges query
         self._last: tuple[float, float, float, list[Candidate]] | None = None
         # union-find forest of weak components; a root is its own parent
-        self._parent: dict[int, int] = {n: n for n in self.nodes}
+        self._parent: dict[int, int] = {}
         # per source: (settled, tentative, heap) of a paused Dijkstra search
         self._searches: dict[int, tuple[dict[int, float], dict[int, float], list[tuple[float, int]]]] = {}
         # per (edge_a.id, edge_b.id): (exit index, entry index, node distance)
         # legs, see route_distance
         self._legs: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
 
+        for node_id, point in dict(nodes).items():
+            lat, lon = point
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                try:
+                    _latlon(lat, lon)
+                except ValueError as exc:
+                    raise GraphFormatError(f"node {node_id}: {exc}") from None
+            self._add_node(node_id, point)
         for edge_id, node_from, node_to, bidir, mid in edges:
             try:
                 mid_lats, mid_lons = _columns([c for point in mid for c in point])
@@ -171,12 +182,33 @@ class RoadGraph:
 
     # -- construction helpers -------------------------------------------------
 
+    def _add_node(self, node_id: int, point: LatLon) -> None:
+        """Adds a node with no edges, the root of its own component."""
+        self.nodes[node_id] = point
+        self._incident[node_id] = []
+        self._parent[node_id] = node_id
+
     def _add_edge(
         self, edge_id: int, node_from: int, node_to: int, bidir: bool, mid_lats: list[float], mid_lons: list[float]
     ) -> None:
         """Adds an edge with the given intermediate points, raising every
-        error the eager build raises, in its order: a missing node, zero
-        length, a duplicate id, an over-limit segment.
+        error the eager build raises, in its order: a missing node, then
+        ``_place``'s."""
+        nodes = self.nodes
+        if node_from not in nodes or node_to not in nodes:
+            raise GraphFormatError(f"edge {edge_id} references a missing node")
+        (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
+        lats = (alat, *mid_lats, blat)
+        lons = (alon, *mid_lons, blon)
+        edge = Edge(edge_id, node_from, node_to, bool(bidir), lats, lons)
+        self._place(edge, min(lats), max(lats), min(lons), max(lons))
+
+    def _place(self, edge: Edge, lat_lo: float, lat_hi: float, lon_lo: float, lon_hi: float) -> None:
+        """Adds an edge between two nodes of the graph, given the bounds of
+        its polyline, raising the eager build's errors in its order: zero
+        length, a duplicate id, an over-limit segment. This is the one
+        registration step: ``_add_edge`` (the constructor, and a text read
+        line by line) and ``_read_plain`` both add an edge through it.
 
         Every coordinate is finite, with |lat| <= 90 and |lon| <= 180
         (the constructor and from_text check them). Zero length is ruled
@@ -205,24 +237,17 @@ class RoadGraph:
         Any other edge is registered in the tiles its box meets and indexed
         on first use.
         """
-        nodes = self.nodes
-        if node_from not in nodes or node_to not in nodes:
-            raise GraphFormatError(f"edge {edge_id} references a missing node")
-        (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
-        lats = (alat, *mid_lats, blat)
-        lons = (alon, *mid_lons, blon)
-        edge = Edge(edge_id, node_from, node_to, bool(bidir), lats, lons)
-        lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
-        if max(lat_hi - lat_lo, lon_hi - lon_lo) - _SPAN_MARGIN < _STEP_DEG * (len(lats) - 1):
+        edge_id = edge.id
+        if max(lat_hi - lat_lo, lon_hi - lon_lo) - _SPAN_MARGIN < _STEP_DEG * (len(edge.lats) - 1):
             if edge.length_m <= 0:
                 raise GraphFormatError(f"edge {edge_id} has zero length")
         if edge_id in self.edges:
             raise GraphFormatError(f"duplicate edge id {edge_id}")
         self.edges[edge_id] = edge
-        self._incident[node_from].append(edge)
+        self._incident[edge.node_from].append(edge)
         if edge.bidirectional:
-            self._incident[node_to].append(edge)
-        self._parent[self._component(node_from)] = self._component(node_to)
+            self._incident[edge.node_to].append(edge)
+        self._parent[self._component(edge.node_from)] = self._component(edge.node_to)
         i0, i1 = int(lat_lo // _CELL_DEG), int(lat_hi // _CELL_DEG)
         j0, j1 = int(lon_lo // _CELL_DEG), int(lon_hi // _CELL_DEG)
         if (i1 - i0 + 1) * (j1 - j0 + 1) <= _MAX_SEGMENT_CELLS:
@@ -236,10 +261,76 @@ class RoadGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "RoadGraph":
+        """The graph a graph file's text describes (see the module
+        docstring); GraphFormatError names the line of the first error.
+
+        A text whose lines all read plainly loads in one pass
+        (``_read_plain``). Any other text, an invalid one included, is read
+        again by ``_read_each``, the only code that words a load error, so
+        the graph and the message are the same either way."""
+        lines = text_lines(text)
+        graph = cls._read_plain(lines)
+        return graph if graph is not None else cls._read_each(lines)
+
+    @classmethod
+    def _read_plain(cls, lines: list[str]) -> "RoadGraph | None":
+        """The graph of lines that hold no error and define each node before
+        an edge names it, or None for any other lines.
+
+        Each edge line costs one ``split``, one ``float`` per coordinate and
+        one min/max pass over each column of its polyline, whose bounds
+        serve the range and finiteness check and ``_place``. Each edge is
+        placed as its line is read, so nothing but the graph outlives a
+        line. Since ``_read_each`` reads every line before it adds the first
+        edge, and edges in line order, both build the same graph; on an
+        error here ``_read_each`` finds the one it reports first."""
+        graph = cls({}, [])
+        nodes = graph.nodes
+        isfinite = math.isfinite
+        try:
+            for line in lines:
+                if "#" in line:
+                    line = line.split("#", 1)[0]
+                parts = line.split()
+                if not parts:
+                    continue
+                kind = parts[0]
+                if kind == "edge" and len(parts) % 2:
+                    node_from, node_to = int(parts[2]), int(parts[3])
+                    (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
+                    lats = (alat, *map(float, parts[5::2]), blat)
+                    lons = (alon, *map(float, parts[6::2]), blon)
+                    lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
+                    # min and max pass over NaN; the sum does not
+                    if not (
+                        -90.0 <= lat_lo and lat_hi <= 90.0 and -180.0 <= lon_lo and lon_hi <= 180.0
+                    ) or not isfinite(sum(lats) + sum(lons)):
+                        return None
+                    edge = Edge(int(parts[1]), node_from, node_to, _BIDIR[parts[4]], lats, lons)
+                    graph._place(edge, lat_lo, lat_hi, lon_lo, lon_hi)
+                elif kind == "node" and len(parts) == 4:
+                    node_id = int(parts[1])
+                    if node_id in nodes:
+                        return None
+                    graph._add_node(node_id, _latlon(parts[2], parts[3]))
+                else:
+                    return None
+        except (ValueError, LookupError):  # GraphFormatError is a ValueError
+            return None
+        return graph
+
+    @classmethod
+    def _read_each(cls, lines: list[str]) -> "RoadGraph":
+        """The graph of any lines: every line is read and checked, in order,
+        with the per-item code that words each error, and then every edge
+        is added, in line order. A read error (a malformed line, a bad or
+        out-of-range number, a duplicate node id) is reported before any
+        error of the graph (a missing node, zero length, a duplicate edge
+        id, an over-limit segment)."""
         nodes: dict[int, LatLon] = {}
         # (line, record)
         edges: list[tuple[int, tuple[int, int, int, bool, list[float], list[float]]]] = []
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -255,10 +346,10 @@ class RoadGraph:
                 elif parts[0] == "edge":
                     if len(parts) < 5 or (len(parts) - 5) % 2 != 0:
                         raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
-                    if parts[4] not in ("0", "1"):
+                    if parts[4] not in _BIDIR:
                         raise ValueError("bidir flag must be 0 or 1")
                     lats, lons = _columns(parts[5:])
-                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", lats, lons)))
+                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), _BIDIR[parts[4]], lats, lons)))
                 else:
                     raise ValueError(f"unknown record {parts[0]!r}")
             except ValueError as exc:
@@ -602,23 +693,8 @@ def _latlon(lat_text: str, lon_text: str) -> LatLon:
 
 
 def _columns(tokens: list[str]) -> tuple[list[float], list[float]]:
-    """The latitude and longitude columns of an edge line's coordinate
-    tokens, converted and checked in bulk. On any failure the pairs are
-    read again one by one with ``_latlon``, which names the first bad one."""
-    try:
-        values = list(map(float, tokens))
-    except ValueError:
-        values = None
-    if values is not None:
-        lats, lons = values[0::2], values[1::2]
-        if not values or (
-            math.isfinite(sum(values))
-            and -90.0 <= min(lats)
-            and max(lats) <= 90.0
-            and -180.0 <= min(lons)
-            and max(lons) <= 180.0
-        ):
-            return lats, lons
+    """The latitude and longitude columns of an edge's coordinate tokens,
+    read pair by pair with ``_latlon``, which names the first bad pair."""
     pairs = [_latlon(tokens[i], tokens[i + 1]) for i in range(0, len(tokens), 2)]
     return [lat for lat, _ in pairs], [lon for _, lon in pairs]
 

@@ -46,7 +46,7 @@ _PARAM_ORDER = tuple(f.name for f in fields(InferenceParams))
 @dataclass(frozen=True)
 class TuneTrack:
     name: str
-    frames: tuple[CanFrame, ...]
+    frames: Sequence[CanFrame]
     truth: Track
     start: VehiclePose
     decoder: AngleDecoder

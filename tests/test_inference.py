@@ -280,7 +280,9 @@ def _random_log(rng, t_window):
 
 def test_window_aggregates_equal_the_per_window_code():
     # the reference sorts the frames stably by time, decodes them into
-    # sample tuples and cuts those with the per-window code
+    # sample tuples and cuts those with the per-window code; decode_log
+    # gets the shuffled log and the sorted one, whose ends it reads
+    # without min and max and whose columns it does not sort
     rng = random.Random(14)
     seen = dict.fromkeys(
         ["empty", "angle only", "speed only", "last on closing edge", "tie in a signal", "tie across signals"], 0
@@ -293,6 +295,7 @@ def test_window_aggregates_equal_the_per_window_code():
             samples = list(decode_signals(ordered, DECODER))
             got = window_aggregates(decode_log(frames, DECODER), t_window)
             assert got == reference_window_aggregates(samples, t0, t_end, t_window)
+            assert decode_log(ordered, DECODER) == decode_log(frames, DECODER)
             # which signals each window holds, to show that every case occurs
             edges = [t0 + k * t_window for k in range(1, len(got) + 1)]
             signals = [set() for _ in got]
@@ -306,6 +309,16 @@ def test_window_aggregates_equal_the_per_window_code():
             seen["tie in a signal"] += len(set(stamps)) < len(stamps)
             seen["tie across signals"] += len({t for t, _s in stamps}) < len(set(stamps))
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("stamps", [(0.0, -0.0), (-0.0, 0.0), (0.0, -0.0, 0.0)], ids=repr)
+def test_a_log_of_zero_stamps_of_either_sign_is_one_window(stamps):
+    # a log in order that ends in -0.0 has that t_end, where max gives 0.0:
+    # t_end - t0 is a zero either way, and so are the windows
+    frames = [angle_frame(stamps[0], 5.0), *(speed_frame(t, 36) for t in stamps[1:])]
+    assert window_aggregates(decode_log(frames, DECODER), 0.1) == reference_window_aggregates(
+        list(decode_signals(frames, DECODER)), min(stamps), max(stamps), 0.1
+    )
 
 
 def _decode_and_cut(frames):

@@ -11,12 +11,15 @@ profile speed would be a memory test, not a type test.
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from canpath import tuner
+from canpath.canlog import FrameLog, read_log
 from canpath.cli import main
+from canpath.jsondocs import load_manifest
 from canpath.scenarios import turn_left_90
 
 SHEET = "canpath-decoders v1\nmy hatchback, 0C6, 0, 1, 7FFF, 0.01, offset, 2.60\n"
@@ -71,6 +74,19 @@ def work(tmp_path_factory):
     (base / "tune.json").write_text(json.dumps(manifest))
     assert _run(["tune", base / "tune.json", "--out", base / "grid.csv"])[0] == 0
     return base, scenario, manifest
+
+
+def test_a_manifest_track_keeps_its_parsed_log(work):
+    # the search decodes the FrameLog that read_log gave, with no tuple of
+    # frames to put back in columns, and writes the CSV that tune wrote
+    base, _scenario, _manifest = work
+    graph, grids, (track,), _skipped = load_manifest(str(base / "tune.json"))
+    assert type(track.frames) is FrameLog
+    assert track.frames == read_log(str(base / "sim" / "leftturn.log"))[0]
+    as_tuples = replace(track, frames=tuple(track.frames))
+    csv = tuner.rows_to_csv(tuner.grid_search([track], graph, grids=grids))
+    assert csv == tuner.rows_to_csv(tuner.grid_search([as_tuples], graph, grids=grids))
+    assert csv == (base / "grid.csv").read_text()
 
 
 def _run(argv):

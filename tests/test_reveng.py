@@ -290,3 +290,14 @@ def test_decoder_sheet_bad_value_names_its_line(row, message):
     with pytest.raises(ValueError) as exc:
         parse_decoder_sheet(sheet)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=ascii)
+def test_decoder_sheet_lines_break_only_where_a_text_mode_read_breaks_them(char):
+    # a comment holding a character at which str.splitlines breaks is one
+    # line, and \r\n and \r each end one line
+    sheet = f"canpath-decoders v1\r\n# notes{char}more notes\rmy van, 2F5, 0, 1, 7FFF, 0.01, offset\n"
+    assert set(parse_decoder_sheet(sheet)) == {"my van"}
+    with pytest.raises(ValueError) as exc:
+        parse_decoder_sheet(sheet + "my van, 2F5, 0, x, 7FFF, 0.01, offset\n")
+    assert str(exc.value) == "line 4: byte_lo must be an integer, got 'x'"

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from canpath.canlog import text_lines
 from canpath.geokin import DEG_M, cumulative_lengths, geodesic_inverse
 from canpath import mapmatch, roadgraph
 from canpath.inference import InferenceParams, infer_path
@@ -226,6 +227,334 @@ def test_zero_length_is_found_exactly_when_the_eager_length_is_not_positive():
                 RoadGraph(nodes, [(1, 1, 2, True, points[1:-1])])
         outcomes.add(length > 0)
     assert outcomes == {True, False}
+
+
+# -- load against the two-pass loader it replaced ---------------------------------
+
+
+def _reference_columns(tokens):
+    """_columns as it was: a bulk check of the converted tokens, and on any
+    failure a pair-by-pair re-read that names the first bad pair."""
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        values = None
+    if values is not None:
+        lats, lons = values[0::2], values[1::2]
+        if not values or (
+            math.isfinite(sum(values))
+            and -90.0 <= min(lats)
+            and max(lats) <= 90.0
+            and -180.0 <= min(lons)
+            and max(lons) <= 180.0
+        ):
+            return lats, lons
+    pairs = [roadgraph._latlon(tokens[i], tokens[i + 1]) for i in range(0, len(tokens), 2)]
+    return [lat for lat, _ in pairs], [lon for _, lon in pairs]
+
+
+def _reference_add_edge(graph, edge_id, node_from, node_to, bidir, mid_lats, mid_lons):
+    """RoadGraph._add_edge as it was, registration included."""
+    nodes = graph.nodes
+    if node_from not in nodes or node_to not in nodes:
+        raise GraphFormatError(f"edge {edge_id} references a missing node")
+    (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
+    lats = (alat, *mid_lats, blat)
+    lons = (alon, *mid_lons, blon)
+    edge = roadgraph.Edge(edge_id, node_from, node_to, bool(bidir), lats, lons)
+    lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
+    if max(lat_hi - lat_lo, lon_hi - lon_lo) - roadgraph._SPAN_MARGIN < roadgraph._STEP_DEG * (len(lats) - 1):
+        if edge.length_m <= 0:
+            raise GraphFormatError(f"edge {edge_id} has zero length")
+    if edge_id in graph.edges:
+        raise GraphFormatError(f"duplicate edge id {edge_id}")
+    graph.edges[edge_id] = edge
+    graph._incident[node_from].append(edge)
+    if edge.bidirectional:
+        graph._incident[node_to].append(edge)
+    graph._parent[graph._component(node_from)] = graph._component(node_to)
+    i0, i1 = int(lat_lo // _CELL_DEG), int(lat_hi // _CELL_DEG)
+    j0, j1 = int(lon_lo // _CELL_DEG), int(lon_hi // _CELL_DEG)
+    if (i1 - i0 + 1) * (j1 - j0 + 1) <= roadgraph._MAX_SEGMENT_CELLS:
+        for ti in range(i0 // roadgraph._TILE, i1 // roadgraph._TILE + 1):
+            for tj in range(j0 // roadgraph._TILE, j1 // roadgraph._TILE + 1):
+                graph._tiles.setdefault((ti, tj), []).append(edge)
+        return
+    graph._indexed.add(edge_id)
+    graph._index_edge(edge)
+
+
+def reference_from_text(text):
+    """RoadGraph.from_text as it was, on lines broken as text_lines breaks
+    them: every line read and checked, with each record kept until the last
+    line is read, and then every edge added in line order."""
+    nodes = {}
+    edges = []
+    for line_no, raw in enumerate(text_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "node":
+                if len(parts) != 4:
+                    raise ValueError("expected: node <id> <lat> <lon>")
+                node_id = int(parts[1])
+                if node_id in nodes:
+                    raise ValueError(f"duplicate node id {node_id}")
+                nodes[node_id] = roadgraph._latlon(parts[2], parts[3])
+            elif parts[0] == "edge":
+                if len(parts) < 5 or (len(parts) - 5) % 2 != 0:
+                    raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
+                if parts[4] not in ("0", "1"):
+                    raise ValueError("bidir flag must be 0 or 1")
+                lats, lons = _reference_columns(parts[5:])
+                edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), parts[4] == "1", lats, lons)))
+            else:
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except ValueError as exc:
+            raise GraphFormatError(f"line {line_no}: {exc}") from None
+    graph = RoadGraph(nodes, [])
+    for line_no, record in edges:
+        try:
+            _reference_add_edge(graph, *record)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"line {line_no}: {exc}") from None
+    return graph
+
+
+def graph_fields(graph):
+    """Everything load builds, field by field, with floats as their bits, so
+    that -0.0 and 0.0 differ; edges appear by id wherever the one Edge
+    object each id maps to is held."""
+    edges = graph.edges
+
+    def ids(held):
+        assert all(edge is edges[edge.id] for edge in held)
+        return [edge.id for edge in held]
+
+    def bits(values):
+        assert type(values) is tuple
+        return [value.hex() for value in values]
+
+    return {
+        "nodes": [(node, bits(point)) for node, point in graph.nodes.items()],
+        "edges": [
+            (key, e.id, e.node_from, e.node_to, e.bidirectional, bits(e.lats), bits(e.lons), sorted(vars(e)))
+            for key, e in edges.items()
+        ],
+        "incident": [(node, ids(held)) for node, held in graph._incident.items()],
+        "parent": list(graph._parent.items()),
+        "tiles": [(tile, ids(held)) for tile, held in graph._tiles.items()],
+        "indexed": graph._indexed,
+        "cells": list(graph._cells.items()),
+    }
+
+
+def _load_outcome(load, text):
+    try:
+        return "graph", graph_fields(load(text))
+    except GraphFormatError as exc:
+        return "error", str(exc)
+
+
+# what str.split() reads as blanks; str.splitlines breaks lines at all but
+# the space, tab, \x1f, \xa0 and \u3000
+_BLANKS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029", "\u3000")
+_BAD_TOKENS = ("foo", "nan", "-inf", "inf", "1e400", "0x1", "1.5", "--1", "")
+# out of range as a latitude, and as a longitude: small enough that the
+# edge's cell box can stay under the limit
+_OUT_OF_RANGE = (("90.5", "-90.5"), ("180.5", "-180.5"))
+_BASES = ((44.65, 10.92), (0.0, 0.0), (-33.87, 151.21), (89.9995, 179.9993), (-89.9995, -179.9995))
+
+
+def _clamped(lat, lon):
+    return max(-90.0, min(90.0, lat)), max(-180.0, min(180.0, lon))
+
+
+def _spelt_float(rng, value):
+    return rng.choice((repr(value), f"{value:.7f}", f"{value:+.9e}", f"{value:.12g}"))
+
+
+def _spelt_int(rng, value):
+    text = str(value)
+    return rng.choice((text, "+" + text, "0" + text, text[0] + "_" + text[1:] if len(text) > 1 else text))
+
+
+def _graph_lines(rng):
+    """The records of a grid or of random polylines: lists of exact tokens
+    for node and edge lines, nodes first."""
+    base_lat, base_lon = rng.choice(_BASES)
+    node_id, edge_id = rng.randrange(0, 50), rng.randrange(0, 50)
+    points = {}
+    if rng.random() < 0.5:
+        rows, cols, step = rng.randint(1, 3), rng.randint(2, 3), rng.choice((0.0007, 0.001, 0.0023))
+        grid = {}
+        for r in range(rows):
+            for c in range(cols):
+                grid[r, c] = node_id + r * cols + c
+                points[grid[r, c]] = _clamped(base_lat + r * step, base_lon + c * step)
+        pairs = [(grid[r, c], grid[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+        pairs += [(grid[r, c], grid[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+    else:
+        for k in range(rng.randint(2, 5)):
+            points[node_id + k] = _clamped(base_lat + rng.uniform(-0.005, 0.005), base_lon + rng.uniform(-0.005, 0.005))
+        pairs = [tuple(rng.sample(sorted(points), 2)) for _ in range(rng.randint(1, 5))]
+    lines = [["node", node, lat, lon] for node, (lat, lon) in points.items()]
+    for a, b in pairs:
+        (alat, alon), (blat, blon) = points[a], points[b]
+        n = rng.randint(0, 4)
+        mids = []
+        for k in range(1, n + 1):
+            f = k / (n + 1)
+            mids += _clamped(alat + f * (blat - alat) + rng.uniform(-2e-4, 2e-4), alon + f * (blon - alon))
+        lines.append(["edge", edge_id, a, b, rng.choice("01"), *mids])
+        edge_id += 1
+    return lines, points
+
+
+def _mutated(rng, lines, points):
+    """The records with one of load's error cases, or one more valid record
+    that takes a path of its own (an edge measured or indexed at load)."""
+    kind = rng.choice(
+        ("token", "out of range", "out of range", "field count", "duplicate edge", "duplicate node", "missing node",
+         "zero length", "over limit", "wide", "tiny", "bidir", "unknown record")
+    )
+    records = [line for line in lines if len(line) > 2]
+    edges = [line for line in lines if line[0] == "edge"]
+    node_ids = sorted(points)
+    new_id = max(node_ids) + 100
+    lat, lon = points[node_ids[0]]
+    added = []
+    if kind == "token":
+        line = rng.choice(records)
+        line[rng.randrange(1, len(line))] = rng.choice(_BAD_TOKENS)
+    elif kind == "out of range":
+        line = rng.choice(edges if edges and rng.random() < 0.8 else records)
+        first = 5 if line[0] == "edge" else 2
+        if len(line) > first:
+            k = rng.randrange(first, len(line))
+            line[k] = rng.choice(_OUT_OF_RANGE[(k - first) % 2])
+    elif kind == "field count":
+        rng.choice(records).pop()
+    elif kind == "duplicate edge" and edges:
+        added.append(["edge", rng.choice(edges)[1], node_ids[-1], node_ids[0], "1"])
+    elif kind == "duplicate node":
+        added.append(["node", rng.choice(node_ids), *_clamped(lat + 0.001, lon)])
+    elif kind == "missing node":
+        added.append(["edge", 10**6, node_ids[0], 10**6 + 1, "0"])
+    elif kind == "zero length":
+        added += [["node", new_id, lat, lon], ["edge", 10**6, node_ids[0], new_id, "1", lat, lon]]
+    elif kind in ("over limit", "wide"):
+        # 1,200 cells on a side: the box is over the limit, and a wide edge's
+        # stair of 0.06-degree segments is not
+        dlat, dlon = (-0.6 if lat > 0 else 0.6), (-0.6 if lon > 0 else 0.6)
+        mids = []
+        if kind == "wide":
+            for k in range(1, 10):
+                mids += [lat + k * dlat / 10, lon + (k - 1) * dlon / 10, lat + k * dlat / 10, lon + k * dlon / 10]
+        added += [["node", new_id, lat + dlat, lon + dlon], ["edge", 10**6, node_ids[0], new_id, "0", *mids]]
+    elif kind == "tiny":
+        added += [["node", new_id, lat + 1e-12, lon], ["edge", 10**6, node_ids[0], new_id, "1", lat + 5e-13, lon]]
+    elif kind == "bidir" and edges:
+        rng.choice(edges)[4] = rng.choice(("2", "yes", "-1", "01"))
+    elif kind == "unknown record":
+        added.append(["road", 1, 2])
+    for line in added:
+        lines.insert(rng.randint(0, len(lines)), line)
+
+
+def random_graph_text(rng):
+    """A graph file's text: a grid or random polylines, spelt with odd but
+    valid numbers, comments, blank lines, any of the three line breaks and
+    Unicode blanks, sometimes with a node line after an edge that names it,
+    and with no, one or two errors or odd records."""
+    lines, points = _graph_lines(rng)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        _mutated(rng, lines, points)
+    if rng.random() < 0.3:
+        lines.append(lines.pop(rng.randrange(len(lines))))
+    texts = []
+    for line in lines:
+        tokens = [_spelt_float(rng, t) if isinstance(t, float) else _spelt_int(rng, t) if isinstance(t, int) else t
+                  for t in line]
+        text = rng.choice((" ", " ", rng.choice(_BLANKS))).join(tokens)
+        if rng.random() < 0.2:
+            text += f" # note{rng.choice(_BLANKS)}more"
+        texts.append(rng.choice(("", "", rng.choice(_BLANKS))) + text)
+        if rng.random() < 0.1:
+            texts.append(rng.choice(("", "# a comment" + rng.choice(_BLANKS) + "line", rng.choice(_BLANKS))))
+    breaks = rng.choice((("\n",), ("\r\n",), ("\n", "\r\n", "\r")))
+    return "".join(text + rng.choice(breaks) for text in texts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_load_equals_the_two_pass_reference(seed):
+    text = random_graph_text(random.Random(seed))
+    assert _load_outcome(RoadGraph.from_text, text) == _load_outcome(reference_from_text, text)
+
+
+def test_random_graph_texts_take_every_load_path(monkeypatch):
+    # the texts of the property above reach both readers and every message;
+    # a valid text is read twice only when a node comes after its edge
+    rereads = []
+    read_each = RoadGraph._read_each
+
+    def counted(lines):
+        rereads.append(1)
+        return read_each(lines)
+
+    monkeypatch.setattr(RoadGraph, "_read_each", counted)
+    seen = dict.fromkeys(
+        ["one pass", "reread and valid", "measured", "indexed at load", "could not convert",
+         "not finite", "is outside", "invalid literal", "expected:", "duplicate node", "bidir", "unknown record",
+         "missing node", "zero length", "duplicate edge", "index cells"],
+        0,
+    )
+    rng = random.Random(30)
+    for _ in range(600):
+        text = random_graph_text(rng)
+        rereads.clear()
+        try:
+            graph = RoadGraph.from_text(text)
+        except GraphFormatError as exc:
+            seen.update({key: seen[key] + 1 for key in seen if key in str(exc)})
+            continue
+        seen["reread and valid" if rereads else "one pass"] += 1
+        seen["measured"] += any("length_m" in vars(edge) for edge in graph.edges.values())
+        seen["indexed at load"] += bool(graph._indexed)
+    assert all(seen.values()), seen
+
+
+def test_plain_texts_load_in_one_pass(monkeypatch):
+    # comments, blank lines, CRLF, Unicode blanks and odd number spellings
+    # need no second read; only a node after its edge or an error does
+    monkeypatch.setattr(RoadGraph, "_read_each", classmethod(lambda cls, lines: pytest.fail("read twice")))
+    odd = (
+        "# a grid of one edge\r\n\r\nnode 1_0 +4.465e1 10.92 # west\x0cend\r\n"
+        "node +2 44.65\u300010.9215\r\nedge 01 10 2 1 44.65\x85+1.09205E1\r\n"
+    )
+    for text in (grid_text(44.65, 10.92), GRAPH_TEXT, odd):
+        assert graph_fields(RoadGraph.from_text(text)) == graph_fields(reference_from_text(text))
+
+
+# the characters other than \n and \r at which str.splitlines breaks a line
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+def test_graph_lines_break_only_where_a_text_mode_read_breaks_them(char):
+    # in a comment the character is comment text; between two coordinates
+    # it is a blank
+    text = GRAPH_TEXT.replace("node 2", f"# north end{char}of the bridge\nnode 2").replace(
+        "44.6500000 10.9215000", f"44.6500000{char}10.9215000"
+    )
+    assert graph_fields(RoadGraph.from_text(text)) == graph_fields(RoadGraph.from_text(GRAPH_TEXT))
+    # \r\n and \r each end one line, so the error is on line 4
+    with pytest.raises(GraphFormatError) as info:
+        RoadGraph.from_text(f"# a{char}b\r\nnode 1 44.65 10.92 # c{char}d\rnode 2 44.66 10.92\nnode 3 44.67\n")
+    assert str(info.value) == "line 4: expected: node <id> <lat> <lon>"
 
 
 def _edge_between(graph, a, b):
