@@ -255,11 +255,14 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
     A row with the wrong field count, a field that does not read as its
     kind (a hex id, an integer byte index, ...), or a value that
     ``AngleDecoder`` or ``VehicleSpec`` rejects (a byte index past 7, a zero
-    scale or wheelbase, ...) is a ValueError naming its line."""
+    scale or wheelbase, ...) is a ValueError naming its line, and so is a
+    row whose model normalizes to that of an earlier row."""
     lines = text_lines(text)
     if lines[0].strip() != SHEET_HEADER:
         raise ValueError(f"decoder sheet must start with {SHEET_HEADER!r}")
     entries: dict[str, VehicleEntry] = {}
+    # per model: the line of its row
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -281,6 +284,9 @@ def parse_decoder_sheet(text: str) -> dict[str, VehicleEntry]:
                 VehicleSpec(wheelbase=wheelbase)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
+        if model in first_line:
+            raise ValueError(f"line {line_no}: duplicate model {model!r} (first on line {first_line[model]})")
+        first_line[model] = line_no
         entries[model] = VehicleEntry(model=model, decoder=decoder, wheelbase=wheelbase)
     return entries
 

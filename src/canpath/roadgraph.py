@@ -12,17 +12,16 @@ with |lat| <= 90 and |lon| <= 180. ``#`` starts a comment that runs to the
 end of the line, and lines break only at ``\n``, ``\r\n`` and ``\r``, as in
 a text-mode read.
 
-Loading checks every line and defers the rest. A text whose lines hold no
-error, with each node defined before an edge names it, is read in one
-pass: an edge line costs one split, one float conversion per coordinate
-and one min/max pass over each column of its polyline, and its edge is
-placed as the line is read. Any other text is read again by the per-line
-code that words each format error (a bad number, a missing node, a
-duplicate id, a zero-length edge, an over-limit segment), which reports
-the first as the eager build did. Either way an edge is measured and its
-segments indexed only when a query first needs them, so a drive pays for
-the part of the map it touches, not the whole map. Every answer is the one
-the eager build gives, bit for bit.
+Loading reads each line once. An edge line costs one split, one float
+conversion per coordinate and one min/max pass over each column of its
+polyline; only a line that fails that step is read again, alone, to word
+its error. A read error (a bad number, a duplicate node) is raised at once
+and a graph error (a missing node, a duplicate edge id, a zero-length
+edge, an over-limit segment) after the last line, as the eager build
+raised them. An edge is measured and its segments indexed only when a
+query first needs them, so a drive pays for the part of the map it
+touches, not the whole map. Every answer is the one the eager build
+gives, bit for bit.
 
 Nearest-edge lookup goes through a grid of segment cells. A cell holds
 runs of an edge's segments: one entry for each maximal run of consecutive
@@ -207,8 +206,9 @@ class RoadGraph:
         """Adds an edge between two nodes of the graph, given the bounds of
         its polyline, raising the eager build's errors in its order: zero
         length, a duplicate id, an over-limit segment. This is the one
-        registration step: ``_add_edge`` (the constructor, and a text read
-        line by line) and ``_read_plain`` both add an edge through it.
+        registration step: ``_add_edge`` (the constructor, and the edges
+        ``from_text`` holds) and ``from_text``'s plain step add an edge
+        through it.
 
         Every coordinate is finite, with |lat| <= 90 and |lon| <= 180
         (the constructor and from_text check them). Zero length is ruled
@@ -264,99 +264,73 @@ class RoadGraph:
         """The graph a graph file's text describes (see the module
         docstring); GraphFormatError names the line of the first error.
 
-        A text whose lines all read plainly loads in one pass
-        (``_read_plain``). Any other text, an invalid one included, is read
-        again by ``_read_each``, the only code that words a load error, so
-        the graph and the message are the same either way."""
-        lines = text_lines(text)
-        graph = cls._read_plain(lines)
-        return graph if graph is not None else cls._read_each(lines)
-
-    @classmethod
-    def _read_plain(cls, lines: list[str]) -> "RoadGraph | None":
-        """The graph of lines that hold no error and define each node before
-        an edge names it, or None for any other lines.
-
-        Each edge line costs one ``split``, one ``float`` per coordinate and
-        one min/max pass over each column of its polyline, whose bounds
-        serve the range and finiteness check and ``_place``. Each edge is
-        placed as its line is read, so nothing but the graph outlives a
-        line. Since ``_read_each`` reads every line before it adds the first
-        edge, and edges in line order, both build the same graph; on an
-        error here ``_read_each`` finds the one it reports first."""
+        An edge line takes the plain step: one ``split``, ``int`` for the
+        ids, the node lookup, one ``float`` per coordinate and one min/max
+        pass per column, whose bounds serve the range check and ``_place``.
+        A line that fails it is read again, alone, in the order that words
+        its error: field count, bidir flag, ``_columns``, ids. After the
+        first graph error no edge is placed, and from the first edge that
+        names a node not yet defined every edge is held and placed after
+        the last line, so the graph and the first error are those of
+        reading every line before placing any edge, in line order."""
         graph = cls({}, [])
         nodes = graph.nodes
         isfinite = math.isfinite
-        try:
-            for line in lines:
-                if "#" in line:
-                    line = line.split("#", 1)[0]
-                parts = line.split()
-                if not parts:
-                    continue
-                kind = parts[0]
-                if kind == "edge" and len(parts) % 2:
-                    node_from, node_to = int(parts[2]), int(parts[3])
-                    (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
-                    lats = (alat, *map(float, parts[5::2]), blat)
-                    lons = (alon, *map(float, parts[6::2]), blon)
-                    lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
-                    # min and max pass over NaN; the sum does not
-                    if not (
-                        -90.0 <= lat_lo and lat_hi <= 90.0 and -180.0 <= lon_lo and lon_hi <= 180.0
-                    ) or not isfinite(sum(lats) + sum(lons)):
-                        return None
-                    edge = Edge(int(parts[1]), node_from, node_to, _BIDIR[parts[4]], lats, lons)
-                    graph._place(edge, lat_lo, lat_hi, lon_lo, lon_hi)
-                elif kind == "node" and len(parts) == 4:
-                    node_id = int(parts[1])
-                    if node_id in nodes:
-                        return None
-                    graph._add_node(node_id, _latlon(parts[2], parts[3]))
-                else:
-                    return None
-        except (ValueError, LookupError):  # GraphFormatError is a ValueError
-            return None
-        return graph
-
-    @classmethod
-    def _read_each(cls, lines: list[str]) -> "RoadGraph":
-        """The graph of any lines: every line is read and checked, in order,
-        with the per-item code that words each error, and then every edge
-        is added, in line order. A read error (a malformed line, a bad or
-        out-of-range number, a duplicate node id) is reported before any
-        error of the graph (a missing node, zero length, a duplicate edge
-        id, an over-limit segment)."""
-        nodes: dict[int, LatLon] = {}
-        # (line, record)
-        edges: list[tuple[int, tuple[int, int, int, bool, list[float], list[float]]]] = []
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        # (line, record) of each edge from the first that names a node not yet
+        # defined, or that comes after a graph error (never placed)
+        held: list[tuple[int, tuple[int, int, int, bool, list[float], list[float]]]] = []
+        # the first graph error, worded with its line
+        failed: str | None = None
+        for line_no, line in enumerate(text_lines(text), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
             parts = line.split()
+            if not parts:
+                continue
+            kind = parts[0]
             try:
-                if parts[0] == "node":
-                    if len(parts) != 4:
-                        raise ValueError("expected: node <id> <lat> <lon>")
-                    node_id = int(parts[1])
-                    if node_id in nodes:
-                        raise ValueError(f"duplicate node id {node_id}")
-                    nodes[node_id] = _latlon(parts[2], parts[3])
-                elif parts[0] == "edge":
-                    if len(parts) < 5 or (len(parts) - 5) % 2 != 0:
+                if kind == "edge":
+                    if len(parts) % 2 and not held and failed is None:
+                        try:
+                            node_from, node_to = int(parts[2]), int(parts[3])
+                            (alat, alon), (blat, blon) = nodes[node_from], nodes[node_to]
+                            lats = (alat, *map(float, parts[5::2]), blat)
+                            lons = (alon, *map(float, parts[6::2]), blon)
+                            lat_lo, lat_hi, lon_lo, lon_hi = min(lats), max(lats), min(lons), max(lons)
+                            # min and max pass over NaN; the sum does not
+                            if not (
+                                -90.0 <= lat_lo and lat_hi <= 90.0 and -180.0 <= lon_lo and lon_hi <= 180.0
+                            ) or not isfinite(sum(lats) + sum(lons)):
+                                raise ValueError
+                            edge = Edge(int(parts[1]), node_from, node_to, _BIDIR[parts[4]], lats, lons)
+                        except (ValueError, LookupError):
+                            pass
+                        else:
+                            try:
+                                graph._place(edge, lat_lo, lat_hi, lon_lo, lon_hi)
+                            except GraphFormatError as exc:
+                                failed = f"line {line_no}: {exc}"
+                            continue
+                    if len(parts) < 5 or not len(parts) % 2:
                         raise ValueError("expected: edge <id> <from> <to> <bidir> [<lat> <lon> ...]")
                     if parts[4] not in _BIDIR:
                         raise ValueError("bidir flag must be 0 or 1")
                     lats, lons = _columns(parts[5:])
-                    edges.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), _BIDIR[parts[4]], lats, lons)))
+                    held.append((line_no, (int(parts[1]), int(parts[2]), int(parts[3]), _BIDIR[parts[4]], lats, lons)))
+                elif kind == "node" and len(parts) == 4:
+                    node_id = int(parts[1])
+                    if node_id in nodes:
+                        raise ValueError(f"duplicate node id {node_id}")
+                    graph._add_node(node_id, _latlon(parts[2], parts[3]))
+                elif kind == "node":
+                    raise ValueError("expected: node <id> <lat> <lon>")
                 else:
-                    raise ValueError(f"unknown record {parts[0]!r}")
+                    raise ValueError(f"unknown record {kind!r}")
             except ValueError as exc:
                 raise GraphFormatError(f"line {line_no}: {exc}") from None
-
-        graph = cls(nodes, [])
-        for line_no, record in edges:
+        if failed is not None:
+            raise GraphFormatError(failed)
+        for line_no, record in held:
             try:
                 graph._add_edge(*record)
             except GraphFormatError as exc:

@@ -292,6 +292,18 @@ def test_decoder_sheet_bad_value_names_its_line(row, message):
     assert str(exc.value) == message
 
 
+def test_decoder_sheet_rejects_a_duplicate_model():
+    # names that normalize to one key, with different scales: the later row
+    # does not silently replace the first
+    sheet = (
+        "canpath-decoders v1\nmy car, 0C6, 0, 1, 7FFF, 0.1, offset\n# same car\n"
+        "My  Car, 0C6, 0, 1, 7FFF, 0.2, offset\n"
+    )
+    with pytest.raises(ValueError) as exc:
+        parse_decoder_sheet(sheet)
+    assert str(exc.value) == "line 4: duplicate model 'my car' (first on line 2)"
+
+
 @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=ascii)
 def test_decoder_sheet_lines_break_only_where_a_text_mode_read_breaks_them(char):
     # a comment holding a character at which str.splitlines breaks is one

@@ -137,6 +137,24 @@ _LOAD_ERRORS = {
         "line 3: could not convert string to float: 'foo'",
     ),
     "coordinate before a bad id": (_NODES_12 + "edge x 1 2 1 91 10.92\n", "line 3: latitude 91 is outside [-90, 90]"),
+    # a read error on a later line wins over a graph error found first
+    "bad number after zero length": (
+        "node 1 44.65 10.92\nnode 2 44.65 10.92\nnode 3 44.66 10.92\nedge 1 1 2 1\nedge 2 1 3 1 foo 10.92\n",
+        "line 5: could not convert string to float: 'foo'",
+    ),
+    "over limit before a duplicate node": (
+        "node 1 0 0\nnode 2 -90 -180\nedge 1 1 2 1 -45 -180\nnode 1 0 0\n",
+        "line 4: duplicate node id 1",
+    ),
+    # an edge held for a later node is placed in line order with the rest
+    "duplicate edge after a held edge": (
+        "node 1 44.65 10.92\nedge 1 1 2 1\nedge 1 2 1 1\nnode 2 44.66 10.92\n",
+        "line 3: duplicate edge id 1",
+    ),
+    "missing node before zero length": (
+        "node 1 44.65 10.92\nnode 2 44.65 10.92\nedge 1 1 9 1\nedge 2 1 2 1\n",
+        "line 3: edge 1 references a missing node",
+    ),
 }
 
 
@@ -422,6 +440,8 @@ def _mutated(rng, lines, points):
     )
     records = [line for line in lines if len(line) > 2]
     edges = [line for line in lines if line[0] == "edge"]
+    # an earlier "field count" mutation may have popped an edge's flag
+    flagged = [line for line in edges if len(line) > 4]
     node_ids = sorted(points)
     new_id = max(node_ids) + 100
     lat, lon = points[node_ids[0]]
@@ -456,8 +476,8 @@ def _mutated(rng, lines, points):
         added += [["node", new_id, lat + dlat, lon + dlon], ["edge", 10**6, node_ids[0], new_id, "0", *mids]]
     elif kind == "tiny":
         added += [["node", new_id, lat + 1e-12, lon], ["edge", 10**6, node_ids[0], new_id, "1", lat + 5e-13, lon]]
-    elif kind == "bidir" and edges:
-        rng.choice(edges)[4] = rng.choice(("2", "yes", "-1", "01"))
+    elif kind == "bidir" and flagged:
+        rng.choice(flagged)[4] = rng.choice(("2", "yes", "-1", "01"))
     elif kind == "unknown record":
         added.append(["road", 1, 2])
     for line in added:
@@ -495,19 +515,23 @@ def test_load_equals_the_two_pass_reference(seed):
     assert _load_outcome(RoadGraph.from_text, text) == _load_outcome(reference_from_text, text)
 
 
-def test_random_graph_texts_take_every_load_path(monkeypatch):
-    # the texts of the property above reach both readers and every message;
-    # a valid text is read twice only when a node comes after its edge
-    rereads = []
-    read_each = RoadGraph._read_each
+def _holds_an_edge(text):
+    """Whether an edge line names a node that only a later line defines."""
+    defined = set()
+    for line in text_lines(text):
+        parts = line.split("#", 1)[0].split()
+        if parts[:1] == ["node"]:
+            defined.add(int(parts[1]))
+        elif parts[:1] == ["edge"] and not {int(parts[2]), int(parts[3])} <= defined:
+            return True
+    return False
 
-    def counted(lines):
-        rereads.append(1)
-        return read_each(lines)
 
-    monkeypatch.setattr(RoadGraph, "_read_each", counted)
+def test_random_graph_texts_take_every_load_path():
+    # the texts of the property above reach every message, and valid texts
+    # with and without an edge held for a later node
     seen = dict.fromkeys(
-        ["one pass", "reread and valid", "measured", "indexed at load", "could not convert",
+        ["valid", "valid with a held edge", "measured", "indexed at load", "could not convert",
          "not finite", "is outside", "invalid literal", "expected:", "duplicate node", "bidir", "unknown record",
          "missing node", "zero length", "duplicate edge", "index cells"],
         0,
@@ -515,28 +539,27 @@ def test_random_graph_texts_take_every_load_path(monkeypatch):
     rng = random.Random(30)
     for _ in range(600):
         text = random_graph_text(rng)
-        rereads.clear()
         try:
             graph = RoadGraph.from_text(text)
         except GraphFormatError as exc:
             seen.update({key: seen[key] + 1 for key in seen if key in str(exc)})
             continue
-        seen["reread and valid" if rereads else "one pass"] += 1
+        seen["valid with a held edge" if _holds_an_edge(text) else "valid"] += 1
         seen["measured"] += any("length_m" in vars(edge) for edge in graph.edges.values())
         seen["indexed at load"] += bool(graph._indexed)
     assert all(seen.values()), seen
 
 
-def test_plain_texts_load_in_one_pass(monkeypatch):
-    # comments, blank lines, CRLF, Unicode blanks and odd number spellings
-    # need no second read; only a node after its edge or an error does
-    monkeypatch.setattr(RoadGraph, "_read_each", classmethod(lambda cls, lines: pytest.fail("read twice")))
+def test_fixed_texts_load_as_the_reference():
+    # comments, blank lines, CRLF, Unicode blanks and odd number spellings;
+    # and a text whose "field count" mutation pops the flag of an edge line
+    # before its "bidir" mutation picks one
     odd = (
         "# a grid of one edge\r\n\r\nnode 1_0 +4.465e1 10.92 # west\x0cend\r\n"
         "node +2 44.65\u300010.9215\r\nedge 01 10 2 1 44.65\x85+1.09205E1\r\n"
     )
-    for text in (grid_text(44.65, 10.92), GRAPH_TEXT, odd):
-        assert graph_fields(RoadGraph.from_text(text)) == graph_fields(reference_from_text(text))
+    for text in (grid_text(44.65, 10.92), GRAPH_TEXT, odd, random_graph_text(random.Random(55140028))):
+        assert _load_outcome(RoadGraph.from_text, text) == _load_outcome(reference_from_text, text)
 
 
 # the characters other than \n and \r at which str.splitlines breaks a line
