@@ -15,16 +15,18 @@ iterated.
 Parsing costs little more than the bytes it reads. ``parse_log`` splits a
 line once at its first ``)``; a line that starts with its ``(stamp)`` has
 the stamp read and checked, and the text after it looked up in a memo
-local to the call, so a repeated body costs one dict lookup. Only a text
-not yet seen is split into an interface and ``ID#DATA`` and read with the
-same ``int(_, 16)``, ``bytes.fromhex`` and range checks as ``_parse``; the
-memo stops growing at ``MEMO_ENTRIES`` texts, and a body past that is read
-again on each line. Any other line (blank, malformed, or a rare valid
-spelling such as one with a leading blank) goes to the private ``_parse``
-that ``parse_line`` uses, the only code that words a parse error.
-``read_log`` reads a file's bytes that are not UTF-8 as lone surrogates,
-which only ``_parse`` accepts, to word the error: one such line is skipped
-like any other unparseable line. Both parsers intern the interface name.
+local to the call, so a repeated body costs one dict lookup. A text not
+yet seen goes to ``_read_body``, the one reader of a frame body, which
+``_parse`` also calls after the stamp: it splits the text into an
+interface and ``ID#DATA`` and checks each field in turn, raising the
+worded error of the first bad one. The memo stops growing at
+``MEMO_ENTRIES`` texts, and a body past that is read again on each line.
+Any other line (blank, badly stamped, not ASCII after its stamp, or a
+rare valid spelling such as one with a leading blank) goes whole to the
+private ``_parse`` that ``parse_line`` uses. ``read_log`` reads a file's
+bytes that are not UTF-8 as lone surrogates, which only ``_parse``
+accepts, to word the error: one such line is skipped like any other
+unparseable line. The body reader interns the interface name.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class CanFrame(tuple):
     ``(timestamp, interface, id, data)`` with those fields by name.
 
     Every construction checks the identifier, payload length and timestamp;
-    ``parse_log`` makes those three checks itself on the lines it reads, and
-    a FrameLog builds its frames directly with ``tuple.__new__``. Frames compare
+    the log parser makes those three checks itself, so it and a FrameLog
+    build their frames directly with ``tuple.__new__``. Frames compare
     and hash as the tuple of their fields (so a frame equals a plain tuple
     of the same fields); assigning to a field raises AttributeError.
     """
@@ -206,10 +208,18 @@ def _parse(text: str, line_no: int | None) -> CanFrame:
     if not (math.isfinite(timestamp) and timestamp >= 0):
         raise LogParseError(f"malformed timestamp {ts_text!r}", line_no)
 
-    rest = text[close + 1 :].split()
-    if len(rest) != 2:
-        raise LogParseError(f"expected '<iface> <ID>#<DATA>' after timestamp in {text!r}", line_no)
-    interface, frame_text = rest
+    interface, frame_id, data = _read_body(text[close + 1 :], text, line_no)
+    return tuple.__new__(CanFrame, (timestamp, interface, frame_id, data))
+
+
+def _read_body(rest: str, line: str, line_no: int | None) -> tuple[str, int, bytes]:
+    """The interned interface, the id and the payload that ``rest``, the
+    text after the valid stamp of ``line``, names; LogParseError naming the
+    first bad field otherwise. The one reader of a frame body."""
+    tokens = rest.split()
+    if len(tokens) != 2:
+        raise LogParseError(f"expected '<iface> <ID>#<DATA>' after timestamp in {line.strip()!r}", line_no)
+    interface, frame_text = tokens
     id_text, sep, data_text = frame_text.partition("#")
     if not sep:
         raise LogParseError(f"missing '#' separator in {frame_text!r}", line_no)
@@ -229,8 +239,7 @@ def _parse(text: str, line_no: int | None) -> CanFrame:
         data = bytes.fromhex(data_text)
     except ValueError:
         raise LogParseError(f"data {data_text!r} is not hex", line_no) from None
-
-    return CanFrame(timestamp, sys.intern(interface), frame_id, data)
+    return sys.intern(interface), frame_id, data
 
 
 def format_line(frame: CanFrame) -> str:
@@ -257,43 +266,43 @@ def parse_log(lines: Iterable[str], strict: bool = True) -> tuple[FrameLog, list
     add_stamp, add_index, isfinite = log.stamps.append, log.index.append, math.isfinite
     interfaces, ids, payloads = log.interfaces, log.ids, log.payloads
     for line_no, line in enumerate(lines, start=1):
-        # the happy path: _parse's checks, on a line that starts with its stamp
-        stamp, _, rest = line.partition(")")
-        if stamp[:1] == "(":
-            try:
-                timestamp = float(stamp[1:])
-            except ValueError:
-                pass
-            else:
-                if isfinite(timestamp) and timestamp >= 0:
-                    index = memo.get(rest)
-                    if index is None:
-                        body = _body(rest)
-                        if body is not None:
+        try:
+            # the happy path: a line that starts with its stamp
+            stamp, close, rest = line.partition(")")
+            if stamp[:1] == "(":
+                try:
+                    timestamp = float(stamp[1:])
+                except ValueError:
+                    pass
+                else:
+                    if isfinite(timestamp) and timestamp >= 0:
+                        index = memo.get(rest)
+                        if index is None and close and rest.isascii():
+                            # a new body; _parse reads a line that lacks
+                            # its ")" or holds text that is not ASCII
+                            interface, frame_id, data = _read_body(rest, line, line_no)
                             # _add_body inlined: a call per new body slows a
                             # log whose bodies never repeat by a tenth
                             index = len(ids)
-                            interfaces.append(body[0])
-                            ids.append(body[1])
-                            payloads.append(body[2])
+                            interfaces.append(interface)
+                            ids.append(frame_id)
+                            payloads.append(data)
                             if index < MEMO_ENTRIES:
                                 memo[rest] = index
-                    if index is not None:
-                        add_stamp(timestamp)
-                        add_index(index)
-                        continue
-        text = line.strip()
-        if not text:
-            continue
-        try:
+                        if index is not None:
+                            add_stamp(timestamp)
+                            add_index(index)
+                            continue
+            text = line.strip()
+            if not text:
+                continue
             frame = _parse(text, line_no)
         except LogParseError as exc:
             if strict:
                 raise
             skipped.append((line_no, str(exc)))
             continue
-        # a spelling only _parse reads, such as a line with a leading blank
-        rest = text.partition(")")[2]
+        # a line that only _parse reads, such as one with a leading blank
         index = memo.get(rest)
         if index is None:
             index = log._add_body(*frame[1:])
@@ -302,26 +311,6 @@ def parse_log(lines: Iterable[str], strict: bool = True) -> tuple[FrameLog, list
         add_stamp(frame[0])
         add_index(index)
     return log, skipped
-
-
-def _body(text: str) -> tuple[str, int, bytes] | None:
-    """The (interface, id, payload) that _parse reads from the ASCII text
-    after a valid stamp, or None when it would not read one."""
-    tokens = text.split() if text.isascii() else ()
-    if len(tokens) != 2:
-        return None
-    interface, frame_text = tokens
-    id_text, sep, data_text = frame_text.partition("#")
-    if not sep or len(data_text) > 16 or len(data_text) % 2:
-        return None
-    try:
-        frame_id = int(id_text, 16)
-        data = bytes.fromhex(data_text)
-    except ValueError:
-        return None
-    if not 0 <= frame_id <= MAX_STD_ID:
-        return None
-    return sys.intern(interface), frame_id, data
 
 
 def read_log(source: str | TextIO, strict: bool = True) -> tuple[FrameLog, list[tuple[int, str]]]:

@@ -206,21 +206,15 @@ def decode_log(frames: Sequence[CanFrame], decoder: AngleDecoder) -> Signals:
     """The frames' samples (see decode_bodies) as time-ordered columns,
     with the times of the first and last frame; InferenceError for an
     empty log, one whose first and last frames lie more than MAX_LOG_SPAN_S
-    apart, or one without a decodable steering angle."""
-    angle_times, angles, speed_times, speeds, t0, t_end = _columns(FrameLog.of(frames), decoder)
-    if not angle_times:
-        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
-    return Signals(angle_times, angles, speed_times, speeds, t0, t_end)
+    apart, or one without a decodable steering angle.
 
-
-def _columns(log: FrameLog, decoder: AngleDecoder) -> tuple[array, array, array, array, float, float]:
-    """decode_log's four columns in time order, and its first and last
-    stamps: each column is selected from the stamp and body-index columns
-    by its body's decoded value. One pass over the stamps shows whether
-    they are in order; a column selected from stamps in order is in order,
-    and the stamps' ends are then the first and last stamps. Only a log
-    that is out of order has its ends found with min and max and each
-    column sorted by _time_ordered."""
+    Each column is selected from the stamp and body-index columns by its
+    body's decoded value. One pass over the stamps shows whether they are
+    in order; a column selected from stamps in order is in order, and the
+    stamps' ends are then the first and last stamps. Only a log that is out
+    of order has its ends found with min and max and each column sorted by
+    _time_ordered."""
+    log = FrameLog.of(frames)
     if not log:
         raise InferenceError("empty log: nothing to infer")
     stamps = log.stamps
@@ -247,7 +241,10 @@ def _columns(log: FrameLog, decoder: AngleDecoder) -> tuple[array, array, array,
         times = array("d", compress(stamps, selected))
         samples = array("d", map(values.__getitem__, compress(index, selected)))
         columns += (times, samples) if in_order else _time_ordered(times, samples)
-    return (*columns, t0, t_end)
+    angle_times, angles, speed_times, speeds = columns
+    if not angle_times:
+        raise InferenceError(f"no decodable steering frames for ID 0x{decoder.id:03X}")
+    return Signals(angle_times, angles, speed_times, speeds, t0, t_end)
 
 
 def window_aggregates(signals: Signals, t_window: float) -> list[Window]:

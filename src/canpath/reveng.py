@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canlog import CanFrame, text_lines
+from .canlog import MAX_STD_ID, CanFrame, text_lines
 from .geokin import VehicleSpec
 
 OFFSET_MODE = "offset"
@@ -48,7 +48,7 @@ class AngleDecoder:
     mode: str = OFFSET_MODE
 
     def __post_init__(self):
-        if not 0 <= self.id <= 0x7FF:
+        if not 0 <= self.id <= MAX_STD_ID:
             raise ValueError(f"identifier 0x{self.id:X} out of 11-bit range")
         if not (0 <= self.byte_hi <= 7 and 0 <= self.byte_lo <= 7):
             raise ValueError("byte indices must be 0-7")

@@ -254,6 +254,17 @@ def test_parse_log_skips_a_signed_identifier():
     assert skipped == [(1, "line 1: identifier 0x-1 out of 11-bit range")]
 
 
+def test_parse_log_words_a_line_cut_short_in_its_stamp():
+    # "(0" reads as a valid stamp up to the end of the line, but it has no
+    # ")", so the error is the stamp's, not the body's
+    frames, skipped = parse_log(["(0", "(1.0) can0 0C6#7DC8", "(2.5"], strict=False)
+    assert frames == [CanFrame(1.0, "can0", 0x0C6, b"\x7d\xc8")]
+    assert skipped == [
+        (1, "line 1: missing timestamp parentheses in '(0'"),
+        (3, "line 3: missing timestamp parentheses in '(2.5'"),
+    ]
+
+
 # -- parse_log against a per-line reference ----------------------------------------
 
 

@@ -44,7 +44,7 @@ from canpath.mapmatch import (
 )
 from canpath.obd import OBD_RESPONSE_ID_FIRST, OBD_RESPONSE_ID_LAST, encode_speed_request, encode_speed_response
 from canpath.reveng import OFFSET_MODE, TWOS_COMPLEMENT_MODE, AngleDecoder, encode_angle_frame
-from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, straight_1km, turn_left_90
+from canpath.scenarios import DEFAULT_DECODER, DEFAULT_VEHICLE, city_block, straight_1km, turn_left_90, zigzag
 from canpath.synthgen import simulate
 from canpath.trackeval import compare_tracks
 from canpath.tuner import DEFAULT_GRIDS
@@ -712,6 +712,37 @@ def test_unsorted_log_is_normalized():
     result = infer_path(list(reversed(frames)), DECODER, DEFAULT_VEHICLE, start)
     assert result.diagnostics.windows == 20
     assert result.gpx == infer_path(frames, DECODER, DEFAULT_VEHICLE, start).gpx
+
+
+@pytest.mark.parametrize("make", [city_block, zigzag, turn_left_90], ids=lambda make: make.__name__)
+def test_messy_captures_read_from_text(make):
+    # a capture's lines shuffled, each written twice, give the clean log's
+    # GPX bytes; OBD replies that stop half-way leave the last speed held,
+    # a GPX point a window, and the route still found
+    sc = make()
+    sim = simulate(sc)
+    lines = [format_line(f) + "\n" for f in sim.frames]
+
+    def infer(log_lines):
+        frames, skipped = parse_log(log_lines)
+        assert skipped == []
+        return infer_path(frames, sc.decoder, sc.vehicle, sim.start, InferenceParams(), GraphMatcher(sc.graph))
+
+    clean = infer(lines)
+    messy = lines * 2
+    random.Random(sc.name).shuffle(messy)
+    assert infer(messy).gpx == clean.gpx
+
+    half = (sim.frames[0].timestamp + sim.frames[-1].timestamp) / 2
+    kept = [
+        line
+        for line, f in zip(lines, sim.frames)
+        if f.timestamp <= half or not OBD_RESPONSE_ID_FIRST <= f.id <= OBD_RESPONSE_ID_LAST
+    ]
+    assert len(kept) < len(lines)
+    result = infer(kept)
+    assert len(result.track.points) == result.diagnostics.windows
+    assert round(compare_tracks(result.track, sim.truth).accuracy, 3) == 1.0
 
 
 def test_params_validation():
